@@ -19,32 +19,20 @@
      F11 — deadline/budget soak: anytime ladder under a 1 ms deadline on
            n=14 DP, node-budget cost sweep, randomized soak smoke
            (supplementary)
-     F12 — compiled estimation kernel vs interpreted indexed path on DP
-           enumeration, with a Gc.minor_words allocation audit
+     F12 — compiled estimation kernel vs the list-scan reference tier on
+           DP enumeration, with a Gc.minor_words allocation audit
            (supplementary)
      F13 — catalog churn: versioned epochs, partitioned re-ANALYZE and
            self-healing publishes under streamed deltas (supplementary)
+     F14 — inequality/band joins vs executed truth (supplementary)
      F16 — degree-statistics estimators (LP2/DEGSEQ/ENT) vs executed truth
            on key chains, skewed stars and Section 8 (supplementary)
 
    Run with --quick to shrink T1/F1/F3 (used in CI-style smoke runs).
-   Passing experiment ids (e.g. `bench/main.exe f8 micro`) runs only
-   those. *)
+   Passing experiment ids (e.g. `bench/main.exe f12 micro`) runs only
+   those; any other argument exits 2. *)
 
 let quick = Array.exists (String.equal "--quick") Sys.argv
-
-let experiment_ids =
-  [
-    "t1"; "t1-ablation"; "e1"; "s5"; "s6"; "f1"; "f2"; "f3"; "f4"; "f5"; "f6";
-    "f7"; "f8"; "f10"; "f11"; "f12"; "f13"; "f14"; "f16"; "micro";
-  ]
-
-let selected =
-  List.filter
-    (fun id -> Array.exists (String.equal id) Sys.argv)
-    experiment_ids
-
-let wants id = selected = [] || List.mem id selected
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
@@ -140,120 +128,20 @@ let run_f6 () =
   let seeds = if quick then [ 1; 2; 3 ] else List.init 8 (fun i -> i + 1) in
   print_string (Harness.Accuracy.render (Harness.Accuracy.run ~seeds ()))
 
-(* F8: the tentpole measurement — DP-style enumeration over all 2ⁿ
-   left-deep prefixes, comparing the retained list-scan estimation path
-   (explicit joined-table lists, full working-conjunction scans, no memo
-   caches) against the indexed bitset hot path (per-table predicate index,
-   O(1) membership, memoized class selectivities). Both enumerate the same
-   states and must agree on the full-join size bit-for-bit. *)
-let run_f8 () =
-  section "F8: DP-enumeration hot path — indexed bitset vs list-scan baseline";
-  let sizes = if quick then [ 12 ] else [ 12; 14; 16 ] in
-  Printf.printf "%-4s %10s %12s %8s  %16s %14s\n" "n" "scan (s)" "indexed (s)"
-    "speedup" "cache hit/miss" "scans avoided";
-  List.iter
-    (fun n ->
-      let chain =
-        Datagen.Workload.chain ~rows_range:(100, 300) ~distinct_range:(20, 100)
-          ~seed:1 ~n_tables:n ()
-      in
-      (* [~kernel:false]: this experiment measures the {e interpreted}
-         indexed path against the scan baseline; the compiled tier has its
-         own experiment (F12). *)
-      let profile =
-        Els.prepare ~kernel:false Els.Config.els chain.Datagen.Workload.db
-          chain.Datagen.Workload.query
-      in
-      let names = Array.of_list chain.Datagen.Workload.query.Query.tables in
-      let full = (1 lsl n) - 1 in
-      let by_size = Array.make (n + 1) [] in
-      for mask = full downto 1 do
-        let c = Rel.Bits.popcount mask in
-        by_size.(c) <- mask :: by_size.(c)
-      done;
-      (* Baseline: joined-table string lists + per-step conjunction scans. *)
-      let t0 = Unix.gettimeofday () in
-      let states = Array.make (full + 1) None in
-      for i = 0 to n - 1 do
-        states.(1 lsl i) <-
-          Some
-            ( [ names.(i) ],
-              (Els.Profile.table profile names.(i)).Els.Profile.rows )
-      done;
-      for size = 1 to n - 1 do
-        List.iter
-          (fun mask ->
-            match states.(mask) with
-            | None -> ()
-            | Some (joined, rows) ->
-              for i = 0 to n - 1 do
-                if mask land (1 lsl i) = 0 then begin
-                  let next = names.(i) in
-                  let s =
-                    Els.Incremental.step_selectivity_scan profile joined next
-                  in
-                  let rows' =
-                    rows
-                    *. (Els.Profile.table profile next).Els.Profile.rows
-                    *. s
-                  in
-                  let mask' = mask lor (1 lsl i) in
-                  if states.(mask') = None then
-                    states.(mask') <- Some (joined @ [ next ], rows')
-                end
-              done)
-          by_size.(size)
-      done;
-      let scan_s = Unix.gettimeofday () -. t0 in
-      (* Indexed: bitset states, index probes, memoized selectivities. *)
-      Els.Profile.reset_cache_stats profile;
-      let t1 = Unix.gettimeofday () in
-      let istates = Array.make (full + 1) None in
-      for i = 0 to n - 1 do
-        istates.(1 lsl i) <- Some (Els.Incremental.start profile names.(i))
-      done;
-      for size = 1 to n - 1 do
-        List.iter
-          (fun mask ->
-            match istates.(mask) with
-            | None -> ()
-            | Some st ->
-              for i = 0 to n - 1 do
-                if mask land (1 lsl i) = 0 then begin
-                  let mask' = mask lor (1 lsl i) in
-                  let st' = Els.Incremental.extend profile st names.(i) in
-                  if istates.(mask') = None then istates.(mask') <- Some st'
-                end
-              done)
-          by_size.(size)
-      done;
-      let idx_s = Unix.gettimeofday () -. t1 in
-      (match (states.(full), istates.(full)) with
-      | Some (_, a), Some st when Float.equal a st.Els.Incremental.size -> ()
-      | _ -> failwith "F8: scan and indexed paths disagree on the full join");
-      let stats = Els.Profile.cache_stats profile in
-      Printf.printf "%-4d %10.3f %12.3f %7.1fx  %16s %14d\n" n scan_s idx_s
-        (scan_s /. idx_s)
-        (Printf.sprintf "%d/%d"
-           (stats.Els.Profile.sel_hits + stats.Els.Profile.group_hits)
-           (stats.Els.Profile.sel_misses + stats.Els.Profile.group_misses))
-        stats.Els.Profile.scans_avoided)
-    sizes
-
-(* F12: the compiled-kernel tier — the same DP-style enumeration over all
-   2ⁿ left-deep prefixes as F8, comparing the interpreted indexed path
-   (Incremental.extend on a [~kernel:false] profile: state records,
-   eligible-id lists, assoc grouping, memo-cache probes) against the
-   compiled kernel (Kernel.extend_into over a flat float array of sizes:
-   int masks in, floats out, zero minor-heap allocation per step). Both
-   walk the same states in the same order and must agree on the full-join
-   size bit-for-bit; the allocation claim is measured via Gc.minor_words
-   and the run fails if the kernel path allocates. *)
+(* F12: the estimation tiers on DP enumeration — all 2ⁿ left-deep
+   prefixes of a random chain query, estimated by the list-scan reference
+   tier (Incremental.extend_scan: state records, explicit joined-table
+   lists, full working-conjunction scans, every selectivity recomputed)
+   and by the compiled kernel (Kernel.extend_into over a flat float array
+   of sizes: int masks in, floats out, zero minor-heap allocation per
+   step). Both walk the same states in the same order and must agree on
+   the full-join size bit-for-bit; the allocation claim is measured via
+   Gc.minor_words and the run fails if the kernel path allocates. *)
 let run_f12 () =
-  section "F12: DP-enumeration hot path — compiled kernel vs indexed path";
+  section "F12: DP-enumeration hot path — compiled kernel vs reference tier";
   let sizes = if quick then [ 12 ] else [ 12; 14; 16 ] in
   let registry = Obs.Metrics.create () in
-  Printf.printf "%-4s %12s %11s %8s %12s %16s\n" "n" "indexed (s)"
+  Printf.printf "%-4s %14s %11s %8s %12s %16s\n" "n" "reference (s)"
     "kernel (s)" "speedup" "steps" "words/step";
   let failures = ref 0 in
   List.iter
@@ -262,15 +150,11 @@ let run_f12 () =
         Datagen.Workload.chain ~rows_range:(100, 300) ~distinct_range:(20, 100)
           ~seed:1 ~n_tables:n ()
       in
-      let db = chain.Datagen.Workload.db in
       let query = chain.Datagen.Workload.query in
-      let indexed_profile = Els.prepare ~kernel:false Els.Config.els db query in
-      let kernel_profile = Els.prepare Els.Config.els db query in
-      let kernel =
-        match Els.Profile.kernel kernel_profile with
-        | Some k -> k
-        | None -> failwith "F12: ELS profile has no compiled kernel"
+      let profile =
+        Els.prepare Els.Config.els chain.Datagen.Workload.db query
       in
+      let kernel = Els.Profile.kernel profile in
       let names = Array.of_list query.Query.tables in
       let full = (1 lsl n) - 1 in
       let by_size = Array.make (n + 1) [] in
@@ -278,31 +162,27 @@ let run_f12 () =
         let c = Rel.Bits.popcount mask in
         by_size.(c) <- mask :: by_size.(c)
       done;
-      (* Indexed interpreter: state records, first write per mask wins. *)
+      (* Reference tier: state records, first write per mask wins. *)
       let t0 = Unix.gettimeofday () in
-      let istates = Array.make (full + 1) None in
+      let states = Array.make (full + 1) None in
       for i = 0 to n - 1 do
-        istates.(1 lsl i) <-
-          Some (Els.Incremental.start indexed_profile names.(i))
+        states.(1 lsl i) <- Some (Els.Incremental.start profile names.(i))
       done;
       for size = 1 to n - 1 do
         List.iter
           (fun mask ->
-            match istates.(mask) with
+            match states.(mask) with
             | None -> ()
             | Some st ->
               for i = 0 to n - 1 do
-                if mask land (1 lsl i) = 0 then begin
-                  let mask' = mask lor (1 lsl i) in
-                  let st' =
-                    Els.Incremental.extend indexed_profile st names.(i)
-                  in
-                  if istates.(mask') = None then istates.(mask') <- Some st'
-                end
+                let mask' = mask lor (1 lsl i) in
+                if mask land (1 lsl i) = 0 && states.(mask') = None then
+                  states.(mask') <-
+                    Some (Els.Incremental.extend_scan profile st names.(i))
               done)
           by_size.(size)
       done;
-      let idx_s = Unix.gettimeofday () -. t0 in
+      let ref_s = Unix.gettimeofday () -. t0 in
       (* Compiled kernel: one flat float array indexed by mask, NaN =
          not reached yet; the same traversal, so the same first write
          lands in each slot. Plain nested loops over mask arrays — the
@@ -347,21 +227,21 @@ let run_f12 () =
       let w3 = Gc.minor_words () in
       let alloc_words = w3 -. w2 -. overhead in
       let words_per_step = alloc_words /. float_of_int steps in
-      (match (istates.(full), ksizes.(full)) with
+      (match (states.(full), ksizes.(full)) with
       | Some st, k when Float.equal st.Els.Incremental.size k -> ()
       | _ ->
-        failwith "F12: kernel and indexed paths disagree on the full join");
+        failwith "F12: kernel and reference tiers disagree on the full join");
       let label suffix = Printf.sprintf "f12.n%d.%s" n suffix in
       Obs.Metrics.set (Obs.Metrics.gauge registry (label "speedup"))
-        (idx_s /. ker_s);
+        (ref_s /. ker_s);
       Obs.Metrics.set_counter
         (Obs.Metrics.counter registry (label "kernel_steps"))
         steps;
       Obs.Metrics.set
         (Obs.Metrics.gauge registry (label "alloc_words_per_step"))
         words_per_step;
-      Printf.printf "%-4d %12.3f %11.3f %7.1fx %12d %16.6f\n" n idx_s ker_s
-        (idx_s /. ker_s) steps words_per_step;
+      Printf.printf "%-4d %14.3f %11.3f %7.0fx %12d %16.6f\n" n ref_s ker_s
+        (ref_s /. ker_s) steps words_per_step;
       (* Bytecode boxes every float, so the zero-allocation claim is only
          a native-code property — exactly like the unit test asserts. *)
       if Sys.backend_type = Sys.Native && alloc_words <> 0. then begin
@@ -610,11 +490,27 @@ let () =
       ("t1", run_t1); ("t1-ablation", run_t1_ablation); ("e1", run_e1);
       ("s5", run_s5); ("s6", run_s6); ("f1", run_f1); ("f2", run_f2);
       ("f3", run_f3); ("f4", run_f4); ("f5", run_f5); ("f6", run_f6);
-      ("f7", run_f7); ("f8", run_f8); ("f10", run_f10); ("f11", run_f11);
-      ("f12", run_f12); ("f13", run_f13); ("f14", run_f14);
-      ("f16", run_f16); ("micro", run_micro);
+      ("f7", run_f7); ("f10", run_f10); ("f11", run_f11); ("f12", run_f12);
+      ("f13", run_f13); ("f14", run_f14); ("f16", run_f16);
+      ("micro", run_micro);
     ]
   in
-  List.iter (fun (id, run) -> if wants id then run ()) experiments;
+  let ids = List.map fst experiments in
+  let args = List.tl (Array.to_list Sys.argv) in
+  List.iter
+    (fun arg ->
+      if not (String.equal arg "--quick" || List.mem arg ids) then begin
+        Printf.eprintf
+          "bench: unknown experiment id %S, expected one of: %s%s\n" arg
+          (String.concat ", " ids)
+          (Catalog.Suggest.hint ~candidates:("--quick" :: ids) arg);
+        exit 2
+      end)
+    args;
+  (* No id selects every experiment. *)
+  let selected = List.filter (fun id -> List.mem id args) ids in
+  List.iter
+    (fun (id, run) -> if selected = [] || List.mem id selected then run ())
+    experiments;
   print_newline ();
   print_endline "All experiments completed."

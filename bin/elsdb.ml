@@ -392,38 +392,30 @@ let explain_cmd =
     Option.iter
       (fun b -> Format.printf "budget: %a@." Rel.Budget.pp b)
       budget;
-    (* Derivation card: replay the chosen order with a sink attached. The
-       re-walk reuses the profile's memo caches, so every number printed is
-       the number the optimizer used. *)
-    let deriv = Obs.Derivation.create () in
-    let profile = choice.Optimizer.profile in
-    Els.Profile.set_derivation profile (Some deriv);
-    (* The replay can raise (a guard trip under Trap strictness replays
-       differently than the optimizer's guarded pass, a budget-degraded
-       plan can carry a partial order): always detach the sink — a profile
-       left wearing it would record every later estimation step — and
-       still print whatever partial card was captured before the trip. *)
-    (match
-       Fun.protect
-         ~finally:(fun () -> Els.Profile.set_derivation profile None)
-         (fun () ->
-           match choice.Optimizer.join_order with
-           | [] -> ()
-           | order ->
-             ignore
-               (Obs.Trace.with_span tracer "derive" @@ fun () ->
-                Els.Incremental.estimate_order profile order))
-     with
-    | () -> ()
-    | exception Els.Els_error.Error e ->
-      Format.printf "derivation replay stopped: %s@."
-        (Els.Els_error.to_string e));
-    Format.printf "%a" Obs.Derivation.pp_card deriv;
+    (* Metrics describe the optimizer's pass, so they are absorbed before
+       the derivation replay below adds reference-tier steps. *)
     Option.iter
       (fun m ->
         Harness.Obs_report.absorb_choice m choice;
         Option.iter (Harness.Obs_report.absorb_budget m) budget)
       registry;
+    (* Derivation card: replay the chosen order on the reference tier,
+       which recomputes every number the kernel produced. The replay can
+       raise (a guard trip under Strict): print whatever partial card was
+       captured before the trip. *)
+    let deriv = Obs.Derivation.create () in
+    (match choice.Optimizer.join_order with
+    | [] -> ()
+    | order -> (
+      match
+        Obs.Trace.with_span tracer "derive" @@ fun () ->
+        Els.Incremental.derive choice.Optimizer.profile deriv order
+      with
+      | _ -> ()
+      | exception Els.Els_error.Error e ->
+        Format.printf "derivation replay stopped: %s@."
+          (Els.Els_error.to_string e)));
+    Format.printf "%a" Obs.Derivation.pp_card deriv;
     print_trace trace_mode tracer
       ~extra:[ ("derivation", Obs.Derivation.to_json deriv) ];
     print_metrics metrics_mode registry

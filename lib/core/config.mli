@@ -19,14 +19,6 @@
     transitive closure is a separate toggle because the paper's experiment
     runs SM both with and without the PTC rewrite. *)
 
-type rule =
-  | Multiplicative  (** Rule M *)
-  | Smallest  (** Rule SS *)
-  | Largest  (** Rule LS *)
-(** @deprecated The closed enum the estimator seam replaced. Kept only as
-    a constructor shim: convert with {!estimator_of_rule} and prefer
-    {!Estimator.t} everywhere new. *)
-
 type strictness = Catalog.Validate.strictness =
   | Strict  (** corrupt statistics / invariant breaches become errors *)
   | Repair  (** clamp and degrade, counting every repair (the default) *)
@@ -74,26 +66,13 @@ val panel : ?strictness:strictness -> unit -> t list
 (** One canonical configuration per registered estimator, in registry
     order — the row set for estimator-comparison experiments. *)
 
-val estimator_of_rule : rule -> Estimator.t
-(** Shim from the deprecated enum: [Multiplicative ↦ Estimator.m],
-    [Smallest ↦ Estimator.ss], [Largest ↦ Estimator.ls]. *)
-
 val with_strictness : strictness -> t -> t
 
 val with_estimator : Estimator.t -> t -> t
 (** Swap the combining rule, keeping every pipeline toggle. *)
-
-val combine : t -> float list -> float
-(** [t.estimator.combine]: fold one equivalence class's eligible join
-    selectivities — product for Rule M, minimum for Rule SS, maximum for
-    Rule LS. The empty list combines to 1 (a cartesian step).
-    @deprecated Call the estimator directly in new code. *)
 
 val name : t -> string
 (** Short display name: "SM", "SM+PTC", "SSS", "ELS", "PESS", or a
     descriptive fallback for custom configurations. Strictness does not
     change the algorithm, so it only shows as a ["!strict"] / ["!trap"]
     suffix for the non-default modes. *)
-
-val rule_name : rule -> string
-(** The {!Estimator.label} of the shimmed estimator: "M", "SS", "LS". *)

@@ -25,9 +25,8 @@ let id t = t.id
 let label t = t.label
 let equal a b = String.equal a.id b.id
 
-(* The three rules of the paper (Section 7). Fold shapes are kept exactly
-   as the former [Config.combine] wrote them so results stay bit-identical
-   to the enum era. *)
+(* The three rules of the paper (Section 7). The compiled kernel's
+   monomorphic arms replicate these fold shapes exactly. *)
 
 let m =
   {
@@ -91,13 +90,12 @@ let pess =
    Bound-style estimators over the per-column degree sequences ANALYZE
    collects ([Stats.Degree] via [Col_stats.degree]). Like PESS they carry
    no per-class selectivity reduction — the whole estimate is the cap —
-   and like every non-builtin cap they never lower to the compiled kernel
-   tier, so each interpreted step counts a kernel fallback. All caps fold
-   [Float.min] across the step's bridging predicates (a conjunction can
-   only shrink the output) and degrade to PESS's min-rows when no degree
-   statistics are available. The degree statistics are the {e base
-   tables}': exact for the first (two-way) step, a heuristic for later
-   steps whose left input is an intermediate. *)
+   and they lower to the compiled kernel through its closure arms. All
+   caps fold [Float.min] across the step's bridging predicates (a
+   conjunction can only shrink the output) and degrade to PESS's min-rows
+   when no degree statistics are available. The degree statistics are the
+   {e base tables}': exact for the first (two-way) step, a heuristic for
+   later steps whose left input is an intermediate. *)
 
 let degree_fold s per_edge =
   List.fold_left

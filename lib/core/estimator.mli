@@ -49,9 +49,8 @@ type t = {
   cap : (step_input -> float) option;
       (** optional per-step output-cardinality cap. Applied by
           {!Incremental} only to predicate-connected steps — a cartesian
-          step has no equality class to justify a bound. Estimators with
-          a cap other than min-rows never lower to the compiled kernel
-          tier; their interpreted steps count kernel fallbacks. *)
+          step has no equality class to justify a bound. Caps other than
+          PESS's min-rows lower to the compiled kernel as a closure. *)
   cap_note : (step_input -> string) option;
       (** derivation-card provenance for the cap: names the statistic the
           cap read (e.g. which degree norm, or min-rows when degraded).

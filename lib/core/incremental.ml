@@ -18,148 +18,154 @@ let history state = List.rev state.rev_history
 
 let start profile name =
   let bit = Profile.table_bit profile name in
-  let table = Profile.table_at profile bit in
-  (match Profile.derivation profile with
-  | Some sink ->
-    Obs.Derivation.set_base sink table.Profile.name table.Profile.rows
-  | None -> ());
-  { mask = 1 lsl bit; size = table.Profile.rows; rev_history = [] }
+  let rows = (Profile.table_at profile bit).Profile.rows in
+  { mask = 1 lsl bit; size = rows; rev_history = [] }
 
-(* Ids of the join predicates linking [bit]'s table to [mask], via the
+(* The join predicates linking [name]'s table to the state, via the
    per-table adjacency index: O(degree) instead of a scan of the whole
    working conjunction. Ascending id order = conjunction order. *)
-let eligible_ids profile mask bit =
-  let index = profile.Profile.index in
-  let ids = index.Profile.join_preds_by_table.(bit) in
-  let stats = profile.Profile.stats in
-  stats.Profile.eligible_probes <-
-    stats.Profile.eligible_probes + Array.length ids;
-  stats.Profile.scans_avoided <-
-    stats.Profile.scans_avoided
-    + (Array.length index.Profile.pred_infos - Array.length ids);
-  Array.fold_right
-    (fun id acc ->
-      match index.Profile.pred_infos.(id).Profile.endpoints with
-      | Some (a, b) ->
-        let other = if a = bit then b else a in
-        if mask land (1 lsl other) <> 0 then id :: acc else acc
-      | None -> acc)
-    ids []
-
 let eligible profile state name =
   let bit = Profile.table_bit profile name in
-  List.map
-    (fun id -> (Profile.pred profile id).Profile.pred)
-    (eligible_ids profile state.mask bit)
-
-(* Partition eligible predicate ids by their (precomputed) equivalence-
-   class root; groups in first-occurrence order, members in id order. All
-   roots of one class are the same physically-shared Cref (resolved once at
-   build), so the common single-class step short-circuits on [==] without
-   allocating group structure. *)
-let is_eq_pred profile id =
-  match (Profile.pred profile id).Profile.pred with
-  | Predicate.Col_cmp { op = Predicate.Eq; _ } -> true
-  | Predicate.Col_cmp _ | Predicate.Cmp _ -> false
-
-let class_groups profile ids =
-  match ids with
-  | [] -> []
-  | first :: rest ->
-    let root0 = (Profile.pred profile first).Profile.root in
-    let same r = r == root0 || Query.Cref.equal r root0 in
-    (* The short-circuit additionally requires every member to be an
-       equality: comparison predicates never share a class-derived
-       selectivity, so equality-only workloads — and only those — take
-       the exact pre-generalization path. *)
-    if
-      is_eq_pred profile first
-      && List.for_all
-           (fun id ->
-             is_eq_pred profile id
-             && same (Profile.pred profile id).Profile.root)
-           rest
-    then [ ids ]
-    else begin
-      (* Keyed by [Cref.equal] (with the [==] fast path), never by the
-         polymorphic [List.assoc_opt]: if [Cref.t] ever grows a field
-         where structural (=) diverges from [Cref.equal], a polymorphic
-         lookup would silently split one equivalence class in two and
-         apply its selectivity twice. Equality predicates group by class
-         root; each comparison predicate is an independent constraint and
-         stays a singleton group ([None]-tagged, never a merge target). *)
-      let groups = ref [] in
-      List.iter
-        (fun id ->
-          if is_eq_pred profile id then begin
-            let r = (Profile.pred profile id).Profile.root in
-            match
-              List.find_opt
-                (fun (r', _) ->
-                  match r' with
-                  | Some r' -> r' == r || Query.Cref.equal r' r
-                  | None -> false)
-                !groups
-            with
-            | Some (_, members) -> members := id :: !members
-            | None -> groups := (Some r, ref [ id ]) :: !groups
-          end
-          else groups := (None, ref [ id ]) :: !groups)
-        ids;
-      List.rev_map (fun (_, members) -> List.rev !members) !groups
-    end
-
-let selectivity_of_ids profile ids =
-  List.fold_left
-    (fun acc group -> acc *. Profile.class_selectivity profile group)
-    1. (class_groups profile ids)
-
-let step_selectivity profile state name =
-  let bit = Profile.table_bit profile name in
-  match Profile.kernel profile with
-  | Some k -> Kernel.step_selectivity k ~mask:state.mask ~bit
-  | None ->
-    Profile.note_kernel_fallback profile;
-    selectivity_of_ids profile (eligible_ids profile state.mask bit)
-
-(* Join predicate ids bridging the two (disjoint) masks: one pass over the
-   join predicates with O(1) endpoint tests. *)
-let eligible_ids_between profile m1 m2 =
   let index = profile.Profile.index in
-  let stats = profile.Profile.stats in
-  stats.Profile.eligible_probes <-
-    stats.Profile.eligible_probes + Array.length index.Profile.join_pred_ids;
-  stats.Profile.scans_avoided <-
-    stats.Profile.scans_avoided
-    + (Array.length index.Profile.pred_infos
-      - Array.length index.Profile.join_pred_ids);
   Array.fold_right
     (fun id acc ->
-      match index.Profile.pred_infos.(id).Profile.endpoints with
+      let info = index.Profile.pred_infos.(id) in
+      match info.Profile.endpoints with
       | Some (a, b) ->
-        let ba = 1 lsl a and bb = 1 lsl b in
-        if
-          (m1 land ba <> 0 && m2 land bb <> 0)
-          || (m1 land bb <> 0 && m2 land ba <> 0)
-        then id :: acc
+        let other = if a = bit then b else a in
+        if state.mask land (1 lsl other) <> 0 then info.Profile.pred :: acc
         else acc
       | None -> acc)
-    index.Profile.join_pred_ids []
+    index.Profile.join_preds_by_table.(bit) []
 
-let eligible_between profile s1 s2 =
+let step_selectivity profile state name =
+  Kernel.step_selectivity (Profile.kernel profile) ~mask:state.mask
+    ~bit:(Profile.table_bit profile name)
+
+let check_disjoint profile s1 s2 =
+  let overlap = s1.mask land s2.mask in
+  if overlap <> 0 then begin
+    let rec first_bit b =
+      if overlap land (1 lsl b) <> 0 then b else first_bit (b + 1)
+    in
+    invalid_arg
+      (Printf.sprintf "Incremental.join_states: %s on both sides"
+         (Profile.table_name profile (first_bit 0)))
+  end
+
+let joined_state s1 s2 size =
+  {
+    mask = s1.mask lor s2.mask;
+    size;
+    rev_history = size :: List.append s2.rev_history s1.rev_history;
+  }
+
+let join_states profile s1 s2 =
+  check_disjoint profile s1 s2;
+  joined_state s1 s2
+    (Kernel.join_size (Profile.kernel profile) ~mask1:s1.mask ~mask2:s2.mask
+       ~size1:s1.size ~size2:s2.size)
+
+let extend_bit profile state name =
+  let bit = Profile.table_bit profile name in
+  if state.mask land (1 lsl bit) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Incremental.extend: %s already joined"
+         (Profile.normalize name));
+  bit
+
+let extended state bit size =
+  {
+    mask = state.mask lor (1 lsl bit);
+    size;
+    rev_history = size :: state.rev_history;
+  }
+
+let extend profile state name =
+  let bit = extend_bit profile state name in
+  extended state bit
+    (Kernel.extend_size (Profile.kernel profile) ~mask:state.mask ~bit
+       ~size:state.size)
+
+let fold_order f profile order =
+  match order with
+  | [] -> invalid_arg "Incremental.estimate_order: empty join order"
+  | first :: rest -> List.fold_left (f profile) (start profile first) rest
+
+let estimate_order profile order = fold_order extend profile order
+let final_size profile order = (estimate_order profile order).size
+
+(* --- the list-scan reference tier ----------------------------------------
+
+   The obviously-correct implementation the kernel is tested against:
+   eligibility by scanning the whole working conjunction with List.mem
+   over explicit table-name lists, grouping through
+   [Selectivity.group_by_class], and no caches — every selectivity is
+   recomputed from the profile's statistics. It applies the kernel's
+   guard sites and cap, so the two tiers agree bit for bit even when a
+   guard trips. Derivation cards are recorded here: [explain] is not hot,
+   and every number a card shows is recomputed from its parts. *)
+
+let eligible_scan_between profile left right =
+  List.filter
+    (fun p ->
+      Predicate.is_join p
+      &&
+      match Predicate.tables p with
+      | [ a; b ] ->
+        (List.mem a left && List.mem b right)
+        || (List.mem b left && List.mem a right)
+      | _ -> false)
+    profile.Profile.predicates
+
+let eligible_scan profile joined name =
+  eligible_scan_between profile joined [ Profile.normalize name ]
+
+(* One equivalence-class group of a step: its predicates, their guarded
+   selectivities and the guarded estimator combination. *)
+type group = {
+  preds : Predicate.t list;
+  sels : float list;
+  combined : float;
+}
+
+let scan_groups profile preds =
+  let guard = profile.Profile.guard in
+  let combine = (Profile.estimator profile).Estimator.combine in
   List.map
-    (fun id -> (Profile.pred profile id).Profile.pred)
-    (eligible_ids_between profile s1.mask s2.mask)
+    (fun preds ->
+      let sels =
+        List.map
+          (fun p ->
+            Guard.selectivity guard ~site:"Profile.join_selectivity"
+              (Selectivity.join profile p))
+          preds
+      in
+      {
+        preds;
+        sels;
+        combined =
+          Guard.selectivity guard ~site:"Profile.class_selectivity"
+            (combine sels);
+      })
+    (Selectivity.group_by_class profile preds)
+
+let scan_selectivity groups =
+  List.fold_left (fun acc g -> acc *. g.combined) 1. groups
+
+let step_selectivity_scan profile joined name =
+  let stats = profile.Profile.stats in
+  stats.Profile.reference_steps <- stats.Profile.reference_steps + 1;
+  scan_selectivity (scan_groups profile (eligible_scan profile joined name))
 
 (* Degree-statistic pairs of the step's bridging equality predicates,
-   oriented (already-joined side, new side) by [left_mask]. Comparison
-   predicates never pair (their selectivity is CDF-derived, not
-   degree-derived), and a column without ANALYZE-collected degree
-   sequences contributes no pair — caps degrade on the empty list. *)
-let step_degrees profile ~left_mask ids =
+   oriented (already-joined side, new side) by [left_mask]. A column
+   without ANALYZE-collected degree sequences contributes no pair — caps
+   degrade on the empty list. *)
+let step_degrees profile ~left_mask preds =
   List.filter_map
-    (fun id ->
-      match (Profile.pred profile id).Profile.pred with
+    (fun p ->
+      match p with
       | Predicate.Col_cmp { left; op = Predicate.Eq; right } -> begin
         let on_left cref =
           left_mask
@@ -175,56 +181,29 @@ let step_degrees profile ~left_mask ids =
         | _, _ -> None
       end
       | Predicate.Col_cmp _ | Predicate.Cmp _ -> None)
-    ids
-
-let step_input profile ~left_mask ~left_rows ~right_rows ids =
-  {
-    Estimator.left_rows;
-    right_rows;
-    degrees = step_degrees profile ~left_mask ids;
-  }
-
-(* The estimator may bound a predicate-connected step's output (e.g. the
-   pessimistic degree-1 bound, or the degree-statistics family's Lp-norm
-   caps). A cartesian step has no equality class to justify a bound, so
-   the cap never applies there; capping below the cartesian product keeps
-   the Guard's [~upper] valid unchanged. *)
-let capped_size profile ~ids ~left_mask ~left_rows ~right_rows raw =
-  match (Profile.estimator profile).Estimator.cap with
-  | Some cap when ids <> [] ->
-    Float.min raw
-      (cap (step_input profile ~left_mask ~left_rows ~right_rows ids))
-  | Some _ | None -> raw
-
-(* --- derivation recording ----------------------------------------------
-
-   When a sink is attached ([Profile.set_derivation]), each estimation step
-   appends a record of the classes, rules, input selectivities and d′
-   provenance behind its output. Every number is re-read through the
-   profile's memo caches, so recording never changes a computed value. *)
+    preds
 
 (* Derivation-card label of one class group: ["eq"] for an equality
    class, the comparison's kind for a singleton comparison group. *)
-let group_kind profile group =
-  match group with
-  | id :: _ -> begin
-    match Predicate.kind (Profile.pred profile id).Profile.pred with
+let group_kind preds =
+  match preds with
+  | p :: _ -> begin
+    match Predicate.kind p with
     | Some k -> Predicate.kind_name k
     | None -> "local"
   end
   | [] -> "eq"
 
-let column_records profile ~cdf group =
+let column_records profile ~cdf preds =
   let crefs =
     List.rev
       (List.fold_left
-         (fun acc id ->
+         (fun acc p ->
            List.fold_left
              (fun acc c ->
                if List.exists (Query.Cref.equal c) acc then acc else c :: acc)
-             acc
-             (Predicate.columns (Profile.pred profile id).Profile.pred))
-         [] group)
+             acc (Predicate.columns p))
+         [] preds)
   in
   (* For a comparison group the selectivity comes from the columns' CDFs,
      not their d′, so the provenance label names the CDF's backing
@@ -257,173 +236,103 @@ let column_records profile ~cdf group =
         })
     crefs
 
-let record_step profile ~index ~table ~left_mask ~left_rows ~right_rows ~ids
-    ~output sink =
-  let rule = (Profile.estimator profile).Estimator.id in
-  let classes =
-    List.map
-      (fun group ->
-        let kind = group_kind profile group in
-        {
-          Obs.Derivation.class_root =
-            Query.Cref.to_string (Profile.pred profile (List.hd group)).Profile.root;
-          kind;
-          rule;
-          inputs =
-            List.map
-              (fun id ->
-                ( Predicate.to_string (Profile.pred profile id).Profile.pred,
-                  Profile.join_selectivity profile id ))
-              group;
-          combined = Profile.class_selectivity profile group;
-          columns =
-            column_records profile ~cdf:(not (String.equal kind "eq")) group;
-        })
-      (class_groups profile ids)
+let class_record profile ~rule g =
+  let kind = group_kind g.preds in
+  let root =
+    match Predicate.columns (List.hd g.preds) with
+    | col :: _ -> Eqclass.find profile.Profile.classes col
+    | [] -> assert false
   in
-  let cap, cap_source =
-    let est = Profile.estimator profile in
+  {
+    Obs.Derivation.class_root = Query.Cref.to_string root;
+    kind;
+    rule;
+    inputs = List.map2 (fun p s -> (Predicate.to_string p, s)) g.preds g.sels;
+    combined = g.combined;
+    columns =
+      column_records profile ~cdf:(not (String.equal kind "eq")) g.preds;
+  }
+
+(* One reference-tier step joining [right_rows] rows to an intermediate
+   result of [left_rows] rows over [left_mask], through the bridging
+   [preds]: size = left × right × ∏ S_class, capped when the estimator
+   caps a predicate-connected step (a cartesian step has no equality
+   class to justify a bound), guarded against the cartesian upper bound —
+   the kernel's exact sequence. Records the step into [sink] when given. *)
+let scan_step ?sink profile ~site ~index ~table ~left_mask ~left_rows
+    ~right_rows preds =
+  let stats = profile.Profile.stats in
+  stats.Profile.reference_steps <- stats.Profile.reference_steps + 1;
+  let est = Profile.estimator profile in
+  let groups = scan_groups profile preds in
+  let raw = left_rows *. right_rows *. scan_selectivity groups in
+  let capped_by =
     match est.Estimator.cap with
-    | Some cap when ids <> [] ->
-      let input = step_input profile ~left_mask ~left_rows ~right_rows ids in
-      ( Some (cap input),
-        match est.Estimator.cap_note with
-        | Some note -> Some (note input)
-        | None -> None )
-    | Some _ | None -> (None, None)
+    | Some cap when preds <> [] ->
+      let input =
+        { Estimator.left_rows; right_rows;
+          degrees = step_degrees profile ~left_mask preds }
+      in
+      Some (cap input, input)
+    | Some _ | None -> None
   in
-  Obs.Derivation.record_step sink
-    {
-      Obs.Derivation.index;
-      table;
-      left_rows;
-      right_rows;
-      classes;
-      cap;
-      cap_source;
-      output;
-    }
+  let capped =
+    match capped_by with Some (c, _) -> Float.min raw c | None -> raw
+  in
+  let size =
+    Guard.cardinality profile.Profile.guard ~site
+      ~upper:(left_rows *. right_rows) capped
+  in
+  Option.iter
+    (fun sink ->
+      Obs.Derivation.record_step sink
+        {
+          Obs.Derivation.index;
+          table;
+          left_rows;
+          right_rows;
+          classes =
+            List.map (class_record profile ~rule:est.Estimator.id) groups;
+          cap = Option.map fst capped_by;
+          cap_source =
+            (match (capped_by, est.Estimator.cap_note) with
+            | Some (_, input), Some note -> Some (note input)
+            | _, _ -> None);
+          output = size;
+        })
+    sink;
+  size
 
-let join_states profile s1 s2 =
-  let overlap = s1.mask land s2.mask in
-  if overlap <> 0 then begin
-    let rec first_bit b = if overlap land (1 lsl b) <> 0 then b else first_bit (b + 1) in
-    invalid_arg
-      (Printf.sprintf "Incremental.join_states: %s on both sides"
-         (Profile.table_name profile (first_bit 0)))
-  end;
-  (* The kernel path can serve any step no sink wants to observe; with a
-     sink attached the interpreted path runs (recording per-step
-     provenance) and produces bit-identical numbers. *)
-  match (Profile.derivation profile, Profile.kernel profile) with
-  | None, Some k ->
-    let size =
-      Kernel.join_size k ~mask1:s1.mask ~mask2:s2.mask ~size1:s1.size
-        ~size2:s2.size
-    in
-    {
-      mask = s1.mask lor s2.mask;
-      size;
-      rev_history = size :: List.append s2.rev_history s1.rev_history;
-    }
-  | (Some _ | None), _ ->
-    Profile.note_kernel_fallback profile;
-    let ids = eligible_ids_between profile s1.mask s2.mask in
-    let s = selectivity_of_ids profile ids in
-    let size =
-      Guard.cardinality profile.Profile.guard ~site:"Incremental.join_states"
-        ~upper:(s1.size *. s2.size)
-        (capped_size profile ~ids ~left_mask:s1.mask ~left_rows:s1.size
-           ~right_rows:s2.size
-           (s1.size *. s2.size *. s))
-    in
-    (match Profile.derivation profile with
-    | Some sink ->
-      record_step profile
-        ~index:(List.length s1.rev_history + List.length s2.rev_history)
-        ~table:"⋈" ~left_mask:s1.mask ~left_rows:s1.size ~right_rows:s2.size
-        ~ids ~output:size sink
-    | None -> ());
-    {
-      mask = s1.mask lor s2.mask;
-      size;
-      rev_history = size :: List.append s2.rev_history s1.rev_history;
-    }
+let extend_with ?sink profile state name =
+  let bit = extend_bit profile state name in
+  let table = Profile.table_at profile bit in
+  extended state bit
+    (scan_step ?sink profile ~site:"Incremental.extend"
+       ~index:(List.length state.rev_history) ~table:table.Profile.name
+       ~left_mask:state.mask ~left_rows:state.size
+       ~right_rows:table.Profile.rows
+       (eligible_scan profile (joined profile state) name))
 
-let extend profile state name =
-  let bit = Profile.table_bit profile name in
-  if state.mask land (1 lsl bit) <> 0 then
-    invalid_arg
-      (Printf.sprintf "Incremental.extend: %s already joined"
-         (Profile.normalize name));
-  match (Profile.derivation profile, Profile.kernel profile) with
-  | None, Some k ->
-    let size = Kernel.extend_size k ~mask:state.mask ~bit ~size:state.size in
-    {
-      mask = state.mask lor (1 lsl bit);
-      size;
-      rev_history = size :: state.rev_history;
-    }
-  | (Some _ | None), _ ->
-    Profile.note_kernel_fallback profile;
-    let table = Profile.table_at profile bit in
-    let ids = eligible_ids profile state.mask bit in
-    let s = selectivity_of_ids profile ids in
-    let size =
-      (* S ≤ 1, so a step can never exceed the cartesian bound of the two
-         inputs. *)
-      Guard.cardinality profile.Profile.guard ~site:"Incremental.extend"
-        ~upper:(state.size *. table.Profile.rows)
-        (capped_size profile ~ids ~left_mask:state.mask ~left_rows:state.size
-           ~right_rows:table.Profile.rows
-           (state.size *. table.Profile.rows *. s))
-    in
-    (match Profile.derivation profile with
-    | Some sink ->
-      record_step profile
-        ~index:(List.length state.rev_history)
-        ~table:table.Profile.name ~left_mask:state.mask ~left_rows:state.size
-        ~right_rows:table.Profile.rows ~ids ~output:size sink
-    | None -> ());
-    {
-      mask = state.mask lor (1 lsl bit);
-      size;
-      rev_history = size :: state.rev_history;
-    }
+let extend_scan profile state name = extend_with profile state name
 
-let estimate_order profile order =
-  match order with
-  | [] -> invalid_arg "Incremental.estimate_order: empty join order"
-  | first :: rest ->
-    List.fold_left (fun st name -> extend profile st name) (start profile first)
-      rest
+let join_states_scan profile s1 s2 =
+  check_disjoint profile s1 s2;
+  joined_state s1 s2
+    (scan_step profile ~site:"Incremental.join_states"
+       ~index:(List.length s1.rev_history + List.length s2.rev_history)
+       ~table:"⋈" ~left_mask:s1.mask ~left_rows:s1.size ~right_rows:s2.size
+       (eligible_scan_between profile (joined profile s1) (joined profile s2)))
 
-let final_size profile order = (estimate_order profile order).size
+let estimate_order_scan profile order = fold_order extend_scan profile order
 
-(* --- reference list-scan implementations -------------------------------
-
-   The pre-index hot path, kept as the baseline the property tests and the
-   DP-enumeration benchmark compare against: eligibility by scanning the
-   whole working conjunction with List.mem over the joined set, and
-   uncached rule combination. *)
-
-let eligible_scan profile joined name =
-  let name = Profile.normalize name in
-  List.filter
-    (fun p ->
-      Predicate.is_join p
-      &&
-      match Predicate.tables p with
-      | [ a; b ] ->
-        (String.equal a name && List.mem b joined)
-        || (String.equal b name && List.mem a joined)
-      | _ -> false)
-    profile.Profile.predicates
-
-let step_selectivity_scan profile joined name =
-  let preds = eligible_scan profile joined name in
-  let groups = Selectivity.group_by_class profile preds in
-  let combine = (Profile.estimator profile).Estimator.combine in
-  List.fold_left
-    (fun acc g -> acc *. combine (List.map (Selectivity.join profile) g))
-    1. groups
+(* The card opens with the profile's staleness notes, so it always
+   discloses which statistics were not fresh. Steps are recorded as they
+   complete: a guard trip under [Strict] leaves the partial card. *)
+let derive profile sink order =
+  List.iter (Obs.Derivation.annotate sink) profile.Profile.annotations;
+  (match order with
+  | first :: _ ->
+    let table = Profile.table profile first in
+    Obs.Derivation.set_base sink table.Profile.name table.Profile.rows
+  | [] -> ());
+  fold_order (extend_with ~sink) profile order

@@ -19,19 +19,16 @@
 
     This is the inner loop of exact DP enumeration (2ⁿ subsets), so the
     state carries the joined set as an int bitset over the profile's
-    canonical table → bit mapping, eligibility is an O(degree) probe of the
-    profile's per-table predicate index, and per-class selectivities come
-    from the profile's memo caches.
+    canonical table → bit mapping.
 
-    Three implementation tiers produce bit-identical numbers and serve as
-    each other's differential baselines: when the profile carries a
-    compiled {!Kernel} (the default; see {!Profile.kernel}),
-    {!step_selectivity}/{!extend}/{!join_states} dispatch to its
-    allocation-free step engine whenever no derivation sink is attached;
-    otherwise they run the indexed interpreter below; and the pre-index
-    list-scan implementation is kept as
-    {!eligible_scan}/{!step_selectivity_scan} for differential tests and
-    benchmarking. *)
+    Two implementation tiers produce bit-identical numbers and serve as
+    each other's differential baselines:
+    {!step_selectivity}/{!extend}/{!join_states} run on the profile's
+    compiled {!Kernel} (see {!Profile.kernel}), for every estimator and
+    every join predicate; the list-scan reference tier
+    ({!eligible_scan}, {!step_selectivity_scan}, {!extend_scan},
+    {!join_states_scan}) recomputes everything from the profile's
+    statistics and records derivation cards ({!derive}). *)
 
 type state = {
   mask : int;
@@ -56,7 +53,8 @@ val start : Profile.t -> string -> state
 
 val eligible : Profile.t -> state -> string -> Query.Predicate.t list
 (** Join predicates of the working conjunction linking the given table to
-    the current intermediate result, in conjunction order. *)
+    the current intermediate result, in conjunction order — an O(degree)
+    probe of the profile's per-table predicate index. *)
 
 val step_selectivity : Profile.t -> state -> string -> float
 (** Combined selectivity the configured estimator assigns to joining the
@@ -67,10 +65,6 @@ val extend : Profile.t -> state -> string -> state
 (** Join one more table.
     @raise Invalid_argument when the table is already in the result.
     @raise Not_found when it is not part of the profiled query. *)
-
-val eligible_between : Profile.t -> state -> state -> Query.Predicate.t list
-(** Join predicates of the working conjunction linking the two (disjoint)
-    intermediate results. *)
 
 val join_states : Profile.t -> state -> state -> state
 (** Generalization of {!extend} to bushy joins: combine two intermediate
@@ -86,17 +80,37 @@ val estimate_order : Profile.t -> string list -> state
 val final_size : Profile.t -> string list -> float
 (** Estimated size of the full join along the given order. *)
 
-(** {2 Reference list-scan baseline}
+(** {2 The list-scan reference tier}
 
-    The pre-index implementation over an explicit joined-table list,
-    scanning the entire working conjunction per call. Kept for
-    differential property tests and as the baseline of the DP-enumeration
-    benchmark; produces exactly the same predicates and selectivities as
-    the indexed path. *)
+    The obviously-correct implementation over explicit joined-table lists:
+    every call scans the entire working conjunction, groups through
+    {!Selectivity.group_by_class} and recomputes every selectivity — no
+    index, no cache, no kernel. It applies the kernel's guard sites and
+    cap, so it agrees with {!extend}/{!join_states} bit for bit, even when
+    a guard trips. Each step bumps the profile's
+    [cache_stats.reference_steps]. *)
 
 val eligible_scan :
   Profile.t -> string list -> string -> Query.Predicate.t list
 (** [eligible_scan profile joined name] — O(#predicates × #joined). *)
 
 val step_selectivity_scan : Profile.t -> string list -> string -> float
-(** Uncached grouping and estimator combination over {!eligible_scan}. *)
+(** Guarded per-class estimator combination over {!eligible_scan}. *)
+
+val extend_scan : Profile.t -> state -> string -> state
+(** {!extend} on the reference tier. *)
+
+val join_states_scan : Profile.t -> state -> state -> state
+(** {!join_states} on the reference tier. *)
+
+val estimate_order_scan : Profile.t -> string list -> state
+(** {!estimate_order} on the reference tier. *)
+
+val derive : Profile.t -> Obs.Derivation.t -> string list -> state
+(** [derive profile sink order] is {!estimate_order_scan} recording its
+    derivation into [sink]: first the profile's staleness annotations,
+    then the base table, then one {!Obs.Derivation.step} per join with
+    the classes, rules, input selectivities, d′ provenance and cap behind
+    its output. Steps are recorded as they complete, so when a guard trip
+    raises mid-order the sink keeps the partial card. Never changes a
+    computed number: the returned history equals {!estimate_order}'s. *)

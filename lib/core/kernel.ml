@@ -11,22 +11,32 @@
    - guard checks are hand-inlined on the in-range path; the out-of-line
      [Guard.*] call happens only on a breach (reading its arguments back
      from the scratch slots), so strictness semantics, violation counters
-     and error messages stay those of the interpreted path;
+     and error messages stay those of the reference tier;
    - [Float.min]/[Float.max] are hand-inlined with the stdlib's exact
      NaN/signed-zero semantics, because calling them would box their
      arguments.
 
-   Bit-identity with [Incremental]'s indexed path requires replicating its
-   exact IEEE evaluation order: selectivities combine per class first
-   (classes in first-occurrence order of the ascending predicate scan,
-   members in ascending id order, each fold seeded exactly as the
-   estimator's [combine] seeds it — note SS folds from 1.0, so its first
-   member is [Float.min 1. s], not [s]) and the per-class results multiply
-   left-to-right onto 1.0. A flat product across all predicates would
-   round differently. *)
+   The [Combine]/[Cap] closure arms (every estimator other than the four
+   built-ins) are exempt: they build the member lists and step inputs the
+   estimator's closures take, and so allocate.
 
-type combine = Product | Smallest | Largest | Unit
-type cap = No_cap | Min_rows
+   Bit-identity with the list-scan reference tier in [Incremental]
+   requires replicating its exact IEEE evaluation order: selectivities
+   combine per class first (classes in first-occurrence order of the
+   ascending predicate scan, members in ascending id order, each fold
+   seeded exactly as the estimator's [combine] seeds it — note SS folds
+   from 1.0, so its first member is [Float.min 1. s], not [s]) and the
+   per-class results multiply left-to-right onto 1.0. A flat product
+   across all predicates would round differently. *)
+
+type combine =
+  | Product
+  | Smallest
+  | Largest
+  | Unit
+  | Combine of (float list -> float)
+
+type cap = No_cap | Min_rows | Cap of (Estimator.step_input -> float)
 
 (* Scratch slot indices in [acc]. *)
 let slot_result = 0 (* combined selectivity, then final size *)
@@ -49,6 +59,11 @@ type t = {
   pred_class : int array;
   pred_mask_a : int array;
   pred_mask_b : int array;
+  (* Per join predicate, for [Cap] only (empty otherwise): the single-bit
+     mask of its left column's table and the degree statistics of its left
+     and right columns; [None] for comparisons and columns without
+     degree statistics. *)
+  pred_degrees : (int * Stats.Degree.t * Stats.Degree.t) option array;
   combine : combine;
   cap : cap;
   guard : Guard.t;
@@ -57,6 +72,7 @@ type t = {
      classes of the current step in first-occurrence order. *)
   class_acc : float array;
   class_stamp : int array;
+  class_members : float list array;  (* [Combine] only: newest first *)
   touched : int array;
   mutable stamp : int;
   mutable n_touched : int;
@@ -65,7 +81,7 @@ type t = {
 }
 
 let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
-    ~pred_mask_a ~pred_mask_b ~n_classes ~combine ~cap ~guard =
+    ~pred_mask_a ~pred_mask_b ~pred_degrees ~n_classes ~combine ~cap ~guard =
   let n_tables = Array.length rows in
   let n_preds = Array.length pred_sel in
   let n_slots = Array.length adj_pred in
@@ -79,6 +95,9 @@ let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
     Array.length pred_class <> n_preds
     || Array.length pred_mask_a <> n_preds
     || Array.length pred_mask_b <> n_preds
+    || (match cap with
+       | Cap _ -> Array.length pred_degrees <> n_preds
+       | No_cap | Min_rows -> false)
   then invalid_arg "Kernel.make: per-predicate array length mismatch";
   Array.iter
     (fun p ->
@@ -100,11 +119,16 @@ let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
     pred_class;
     pred_mask_a;
     pred_mask_b;
+    pred_degrees;
     combine;
     cap;
     guard;
     class_acc = Array.make (max 1 n_classes) 0.;
     class_stamp = Array.make (max 1 n_classes) 0;
+    class_members =
+      (match combine with
+      | Combine _ -> Array.make (max 1 n_classes) []
+      | Product | Smallest | Largest | Unit -> [||]);
     touched = Array.make (max 1 n_classes) 0;
     stamp = 0;
     n_touched = 0;
@@ -137,12 +161,13 @@ let accum_pred k p =
        M:    1. *. s = s (bit-exact identity, NaN included)
        SS:   Float.min 1. s — which is 1. when s > 1 (possible under Trap)
        LS:   seeds from the head directly
-       PESS: classes contribute 1; the bound lives in the cap. *)
-    k.class_acc.(c) <-
-      (match k.combine with
-      | Product | Largest -> s
-      | Smallest -> if s > 1. then 1. else s
-      | Unit -> 1.)
+       PESS: classes contribute 1; the bound lives in the cap.
+       A [Combine] class collects its members for [finish_classes]. *)
+    match k.combine with
+    | Product | Largest -> k.class_acc.(c) <- s
+    | Smallest -> k.class_acc.(c) <- (if s > 1. then 1. else s)
+    | Unit -> k.class_acc.(c) <- 1.
+    | Combine _ -> k.class_members.(c) <- [ k.pred_sel.(p) ]
   end
   else
     match k.combine with
@@ -164,10 +189,11 @@ let accum_pred k p =
            else if s <> s then s
            else a)
     | Unit -> ()
+    | Combine _ -> k.class_members.(c) <- k.pred_sel.(p) :: k.class_members.(c)
 
 (* Breach path of [finish_classes], out of line so the loop never passes a
    float to a call: re-guards [class_acc.(c)] through the shared Guard,
-   with the interpreted path's site. *)
+   with the reference tier's site. *)
 let fix_class k c =
   k.class_acc.(c) <-
     Guard.selectivity k.guard ~site:"Profile.class_selectivity"
@@ -175,11 +201,14 @@ let fix_class k c =
 
 (* Multiply the per-class results (first-occurrence order) into
    [acc.(slot_result)], guarding each class value exactly like the
-   interpreted [Profile.class_selectivity]. *)
+   reference tier guards an estimator-combined class. *)
 let finish_classes k =
   k.acc.(slot_result) <- 1.;
   for i = 0 to k.n_touched - 1 do
     let c = k.touched.(i) in
+    (match k.combine with
+    | Combine f -> k.class_acc.(c) <- f (List.rev k.class_members.(c))
+    | Product | Smallest | Largest | Unit -> ());
     (* [not (in range)] and not [< 0. || > 1.]: NaN must breach. *)
     if not (k.class_acc.(c) >= 0. && k.class_acc.(c) <= 1.) then
       fix_class k c;
@@ -197,8 +226,8 @@ let accumulate k ~mask ~bit =
   finish_classes k
 
 (* Same, for predicates with one endpoint in each of two disjoint masks.
-   Scans the full conjunction in ascending id order, matching
-   [Incremental.eligible_ids_between]. *)
+   Scans the full conjunction in ascending id order, matching the
+   reference tier's conjunction scan. *)
 let accumulate_between k ~mask1 ~mask2 =
   k.stamp <- k.stamp + 1;
   k.n_touched <- 0;
@@ -219,37 +248,70 @@ let breach_size k ~site =
     Guard.cardinality ~upper:k.acc.(slot_upper) k.guard ~site
       k.acc.(slot_result)
 
+(* The degree pairs of the predicates bridging [mask1] (already joined)
+   and [mask2] (newly joined), ascending, oriented (mask1 side, mask2
+   side) — what an estimator's cap closure reads. *)
+let step_degrees k ~mask1 ~mask2 =
+  let pairs = ref [] in
+  for p = Array.length k.pred_sel - 1 downto 0 do
+    let a = k.pred_mask_a.(p) and b = k.pred_mask_b.(p) in
+    if
+      (mask1 land a <> 0 && mask2 land b <> 0)
+      || (mask1 land b <> 0 && mask2 land a <> 0)
+    then
+      match k.pred_degrees.(p) with
+      | Some (left_mask, dl, dr) ->
+        pairs :=
+          (if mask1 land left_mask <> 0 then (dl, dr) else (dr, dl)) :: !pairs
+      | None -> ()
+  done;
+  !pairs
+
+(* The [Cap] arm of [finish_size], out of line: reads the raw size and
+   the inputs back from the scratch slots and leaves the capped size in
+   [acc.(slot_result)]. *)
+let apply_cap k f ~mask1 ~mask2 =
+  let bound =
+    f
+      {
+        Estimator.left_rows = k.acc.(slot_left);
+        right_rows = k.acc.(slot_right);
+        degrees = step_degrees k ~mask1 ~mask2;
+      }
+  in
+  k.acc.(slot_result) <- Float.min k.acc.(slot_result) bound
+
 (* Turn the combined selectivity in [acc.(slot_result)] plus the two input
    sizes in [acc.(slot_left)]/[acc.(slot_right)] into the step's output
-   size, in place: raw = left *. right *. s (the interpreted path's
+   size, in place: raw = left *. right *. s (the reference tier's
    association), capped on bridged steps, then guarded against the
-   cartesian upper bound. *)
-let finish_size k ~site =
+   cartesian upper bound. [mask1]/[mask2] are the step's two sides, read
+   only by a [Cap] closure. *)
+let finish_size k ~site ~mask1 ~mask2 =
   let left = k.acc.(slot_left) and right = k.acc.(slot_right) in
-  let raw = left *. right *. k.acc.(slot_result) in
-  let capped =
-    if k.n_touched = 0 then raw
-    else
-      match k.cap with
-      | No_cap -> raw
-      | Min_rows ->
-          (* Float.min left right (x = left, y = right), inlined. *)
-          let m =
-            if
-              right > left
-              || ((not (Float.sign_bit right)) && Float.sign_bit left)
-            then if right <> right then right else left
-            else if left <> left then left
-            else right
-          in
-          (* Float.min raw m (x = raw, y = m), inlined. *)
-          if m > raw || ((not (Float.sign_bit m)) && Float.sign_bit raw)
-          then if m <> m then m else raw
-          else if raw <> raw then raw
-          else m
-  in
+  k.acc.(slot_result) <- left *. right *. k.acc.(slot_result);
+  if k.n_touched > 0 then begin
+    match k.cap with
+    | No_cap -> ()
+    | Cap f -> apply_cap k f ~mask1 ~mask2
+    | Min_rows ->
+      let raw = k.acc.(slot_result) in
+      (* Float.min left right (x = left, y = right), inlined. *)
+      let m =
+        if right > left || ((not (Float.sign_bit right)) && Float.sign_bit left)
+        then if right <> right then right else left
+        else if left <> left then left
+        else right
+      in
+      (* Float.min raw m (x = raw, y = m), inlined. *)
+      k.acc.(slot_result) <-
+        (if m > raw || ((not (Float.sign_bit m)) && Float.sign_bit raw) then
+           if m <> m then m else raw
+         else if raw <> raw then raw
+         else m)
+  end;
+  let capped = k.acc.(slot_result) in
   let upper = left *. right in
-  k.acc.(slot_result) <- capped;
   k.acc.(slot_upper) <- upper;
   if not (capped >= 0. && capped <= upper) then breach_size k ~site
 
@@ -263,7 +325,7 @@ let extend_size k ~mask ~bit ~size =
   accumulate k ~mask ~bit;
   k.acc.(slot_left) <- size;
   k.acc.(slot_right) <- k.rows.(bit);
-  finish_size k ~site:"Incremental.extend";
+  finish_size k ~site:"Incremental.extend" ~mask1:mask ~mask2:(1 lsl bit);
   k.acc.(slot_result)
 
 let join_size k ~mask1 ~mask2 ~size1 ~size2 =
@@ -271,7 +333,7 @@ let join_size k ~mask1 ~mask2 ~size1 ~size2 =
   accumulate_between k ~mask1 ~mask2;
   k.acc.(slot_left) <- size1;
   k.acc.(slot_right) <- size2;
-  finish_size k ~site:"Incremental.join_states";
+  finish_size k ~site:"Incremental.join_states" ~mask1 ~mask2;
   k.acc.(slot_result)
 
 let start_into k ~sizes ~bit = sizes.(1 lsl bit) <- k.rows.(bit)
@@ -281,5 +343,5 @@ let extend_into k ~sizes ~mask ~bit =
   accumulate k ~mask ~bit;
   k.acc.(slot_left) <- sizes.(mask);
   k.acc.(slot_right) <- k.rows.(bit);
-  finish_size k ~site:"Incremental.extend";
+  finish_size k ~site:"Incremental.extend" ~mask1:mask ~mask2:(1 lsl bit);
   sizes.(mask lor (1 lsl bit)) <- k.acc.(slot_result)

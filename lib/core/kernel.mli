@@ -1,34 +1,35 @@
-(** Compiled, allocation-free estimation kernels.
+(** Compiled estimation kernels: the fast tier of step 6.
 
-    A prepared query's step-6 inner loop (see {!Incremental}) interprets
-    predicate and class structures on every DP expansion: eligible-id
-    lists, per-class assoc grouping, polymorphic estimator dispatch and
-    memo-cache probes. Following the compile-don't-interpret idiom (a
-    policy compiler flattening structure into flow tables), a kernel
-    lowers everything the step loop needs into flat int/float arrays once,
-    at {!Els.prepare} time:
+    Every estimation step of a prepared query (see {!Incremental}) runs
+    here. Following the compile-don't-interpret idiom (a policy compiler
+    flattening structure into flow tables), a kernel lowers everything the
+    step loop needs into flat int/float arrays once, at {!Els.prepare}
+    time:
 
-    - class roots interned as dense int ids — no [Cref.t] keys anywhere in
-      the step loop;
+    - equivalence-class roots interned as dense int ids — no [Cref.t] keys
+      anywhere in the step loop; each comparison predicate gets a class of
+      its own (the singleton grouping of {!Selectivity.group_by_class});
     - per-table join-predicate adjacency in CSR layout, each slot carrying
       the precomputed bitmask of the predicate's {e other} endpoint;
     - per-predicate join selectivities in one float array (guard-clamped
-      at compile, exactly as the memoized path produces them);
+      at compile, exactly as {!Profile.join_selectivity} produces them);
     - the estimator's [combine]/[cap] resolved to monomorphic cases over
-      those arrays ({!combine}, {!cap}).
+      those arrays for the four built-ins, and to one closure arm each for
+      every other estimator ({!combine}, {!cap}).
 
-    Steps then run with {e zero minor-heap allocation}: class accumulation
-    uses stamped scratch arrays owned by the kernel, guard checks are
-    inlined on the in-range path, and the [*_into] entry points keep every
-    float inside one frame (no boxed returns). Only invariant {e breaches}
-    leave the fast path, calling the shared {!Guard} so error messages,
-    strictness semantics and violation counters stay identical to the
-    interpreted path.
+    Built-in steps run with {e zero minor-heap allocation}: class
+    accumulation uses stamped scratch arrays owned by the kernel, guard
+    checks are inlined on the in-range path, and the [*_into] entry points
+    keep every float inside one frame (no boxed returns). Only invariant
+    {e breaches} leave the fast path, calling the shared {!Guard} so error
+    messages, strictness semantics and violation counters stay identical
+    to the reference tier. The closure arms allocate the lists and
+    {!Estimator.step_input}s the closures take.
 
-    Every number a kernel produces is bit-identical to the indexed
-    interpreter in {!Incremental} (same fold shapes, same guard sites,
+    Every number a kernel produces is bit-identical to the list-scan
+    reference tier in {!Incremental} (same fold shapes, same guard sites,
     same IEEE evaluation order) — enforced by the golden hex-float
-    captures and the kernel=indexed=scan QCheck differentials.
+    captures and the kernel = reference QCheck differentials.
 
     Kernels are compiled by {!Profile.kernel}; this module only owns the
     data layout and the step engine, so it stays independent of profile
@@ -42,11 +43,17 @@ type combine =
   | Smallest  (** Rule SS: NaN-propagating minimum *)
   | Largest  (** Rule LS: NaN-propagating maximum *)
   | Unit  (** classes contribute 1 (PESS: the bound lives in the cap) *)
+  | Combine of (float list -> float)
+      (** any other estimator's [combine], called on the class's members
+          in ascending predicate order *)
 
 (** Per-step cardinality cap — {!Estimator.t.cap} resolved. *)
 type cap =
   | No_cap
   | Min_rows  (** pessimistic degree-1 bound: min(‖R1‖′, ‖R2‖′) *)
+  | Cap of (Estimator.step_input -> float)
+      (** any other estimator's cap, given the step's input sizes and the
+          degree pairs of its bridging equality predicates *)
 
 type t
 
@@ -59,6 +66,7 @@ val make :
   pred_class:int array ->
   pred_mask_a:int array ->
   pred_mask_b:int array ->
+  pred_degrees:(int * Stats.Degree.t * Stats.Degree.t) option array ->
   n_classes:int ->
   combine:combine ->
   cap:cap ->
@@ -72,7 +80,11 @@ val make :
     in working-conjunction order, [adj_pred] the dense predicate index,
     [adj_other_mask] the bitmask of the predicate's other endpoint;
     [pred_sel]/[pred_class]/[pred_mask_a]/[pred_mask_b] are per-predicate
-    (dense index, ascending conjunction order).
+    (dense index, ascending conjunction order); [pred_degrees] is too when
+    [cap] is a [Cap] closure — the single-bit table mask of the
+    predicate's left column and the degree statistics of its left and
+    right columns, [None] when the predicate contributes no pair — and is
+    empty otherwise.
     @raise Invalid_argument on inconsistent array lengths. *)
 
 val table_count : t -> int
@@ -92,19 +104,20 @@ val step_selectivity : t -> mask:int -> bit:int -> float
 (** Combined selectivity of joining table [bit] into the intermediate
     result [mask]: per-class accumulation in first-occurrence order,
     classes multiplied together — bit-identical to
-    {!Incremental.step_selectivity}. *)
+    {!Incremental.step_selectivity_scan}. *)
 
 val extend_size : t -> mask:int -> bit:int -> size:float -> float
 (** Output cardinality of joining table [bit] into an intermediate result
     of [size] rows over [mask]: [size × ‖R‖′ × ∏ S_class], capped on
     predicate-connected steps, guarded against the cartesian upper bound
-    (same sites and semantics as {!Incremental.extend}). *)
+    (same sites and semantics as {!Incremental.extend_scan}). *)
 
 val join_size :
   t -> mask1:int -> mask2:int -> size1:float -> size2:float -> float
 (** {!extend_size} generalized to two intermediate results (bushy joins):
     one combined selectivity per class among the predicates bridging the
-    two (disjoint) masks. Bit-identical to {!Incremental.join_states}. *)
+    two (disjoint) masks. Bit-identical to
+    {!Incremental.join_states_scan}. *)
 
 val start_into : t -> sizes:float array -> bit:int -> unit
 (** [sizes.(1 lsl bit) <- ‖R‖′] — seed one single-table state of a DP
@@ -115,4 +128,4 @@ val extend_into : t -> sizes:float array -> mask:int -> bit:int -> unit
     ~size:sizes.(mask)], with every float kept inside the call frame — the
     zero-allocation DP entry point (measured, not assumed: the F12
     experiment and the kernel test suite assert a 0 [Gc.minor_words]
-    delta per step after warmup). *)
+    delta per step after warmup, for the four built-in estimators). *)

@@ -29,11 +29,7 @@ type pred_info = {
 type cache_stats = {
   mutable sel_hits : int;
   mutable sel_misses : int;
-  mutable group_hits : int;
-  mutable group_misses : int;
-  mutable eligible_probes : int;
-  mutable scans_avoided : int;
-  mutable kernel_fallbacks : int;
+  mutable reference_steps : int;
 }
 
 type index = {
@@ -46,27 +42,18 @@ type index = {
   local_preds_by_table : Predicate.t list array;
 }
 
-type kernel_slot =
-  | Kernel_unbuilt
-  | Kernel_disabled
-  | Kernel_unsupported
-  | Kernel_ready of Kernel.t
-
 type t = {
   config : Config.t;
   predicates : Predicate.t list;
   classes : Eqclass.t;
   tables : (string * table_profile) list;
   index : index;
-  memoize : bool;
   sel_cache : float array;
-  group_cache : (string * int list, float) Hashtbl.t;
   stats : cache_stats;
   guard : Guard.t;
   validation : Catalog.Validate.issue list;
   annotations : string list;
-  mutable deriv : Obs.Derivation.t option;
-  mutable kernel : kernel_slot;
+  mutable kernel : Kernel.t option;
 }
 
 (* Hot-path friendly: names are almost always lowercase already, so avoid
@@ -77,33 +64,6 @@ let normalize s =
     || (match s.[i] with 'A' .. 'Z' -> false | _ -> lowercase (i + 1))
   in
   if lowercase 0 then s else String.lowercase_ascii s
-
-let create_stats () =
-  {
-    sel_hits = 0;
-    sel_misses = 0;
-    group_hits = 0;
-    group_misses = 0;
-    eligible_probes = 0;
-    scans_avoided = 0;
-    kernel_fallbacks = 0;
-  }
-
-let reset_stats s =
-  s.sel_hits <- 0;
-  s.sel_misses <- 0;
-  s.group_hits <- 0;
-  s.group_misses <- 0;
-  s.eligible_probes <- 0;
-  s.scans_avoided <- 0;
-  s.kernel_fallbacks <- 0
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "sel hit/miss=%d/%d group hit/miss=%d/%d probes=%d scans-avoided=%d \
-     kernel-fallbacks=%d"
-    s.sel_hits s.sel_misses s.group_hits s.group_misses s.eligible_probes
-    s.scans_avoided s.kernel_fallbacks
 
 let ceil_pos x = if x <= 0. then 0. else Float.ceil x
 
@@ -423,8 +383,7 @@ let build_index classes tables working =
     local_preds_by_table = Array.map List.rev local_rev;
   }
 
-let build ?(memoize = true) ?(kernel = true) ?trace ?(annotations = []) config
-    db query =
+let build ?trace ?(annotations = []) config db query =
   Obs.Trace.with_span trace "profile" @@ fun () ->
   let deduped = Predicate.Set.elements (Predicate.Set.of_list query.Query.predicates) in
   let working =
@@ -464,19 +423,16 @@ let build ?(memoize = true) ?(kernel = true) ?trace ?(annotations = []) config
     classes;
     tables;
     index;
-    memoize;
     sel_cache = Array.make (Array.length index.pred_infos) Float.nan;
-    group_cache = Hashtbl.create 256;
-    stats = create_stats ();
+    stats = { sel_hits = 0; sel_misses = 0; reference_steps = 0 };
     guard;
     validation = List.rev !issues;
     annotations;
-    deriv = None;
-    kernel = (if kernel then Kernel_unbuilt else Kernel_disabled);
+    kernel = None;
   }
 
-let build_result ?memoize ?kernel ?trace ?annotations config db query =
-  match build ?memoize ?kernel ?trace ?annotations config db query with
+let build_result ?trace ?annotations config db query =
+  match build ?trace ?annotations config db query with
   | profile -> Ok profile
   | exception Els_error.Error e -> Error e
   | exception Invalid_argument msg ->
@@ -497,26 +453,10 @@ let pred t id = t.index.pred_infos.(id)
 let scan_filters t name = t.index.local_preds_by_table.(table_bit t name)
 
 let cache_stats t = t.stats
-let reset_cache_stats t = reset_stats t.stats
 
 let guard t = t.guard
 let guard_stats t = Guard.stats t.guard
 let validation_issues t = t.validation
-
-(* Derivation recording is opt-in per profile and normally attached only
-   around a single estimation pass — during DP enumeration the same profile
-   serves thousands of candidate steps, which would swamp the sink. *)
-let set_derivation t d =
-  (* A profile built against a stale epoch carries staleness annotations;
-     stamp them onto every sink attached to it so the explain card always
-     discloses which statistics were not fresh. *)
-  (match d with
-  | Some sink ->
-    List.iter (fun note -> Obs.Derivation.annotate sink note) t.annotations
-  | None -> ());
-  t.deriv <- d
-
-let derivation t = t.deriv
 
 let join_card t cref =
   let profile = table t cref.Cref.table in
@@ -564,74 +504,34 @@ let comparison_selectivity t ~left ~op ~right =
       (column_stats t right)
 
 let join_selectivity t id =
-  let compute () =
-    match t.index.pred_infos.(id).pred with
-    | Predicate.Col_cmp { left; op; right } ->
-      Guard.selectivity t.guard ~site:"Profile.join_selectivity"
-        (comparison_selectivity t ~left ~op ~right)
-    | Predicate.Cmp _ ->
-      invalid_arg "Profile.join_selectivity: not a join predicate"
-  in
-  if not t.memoize then compute ()
+  (* NaN marks an unfilled slot: real selectivities live in [0, 1], and a
+     flat float array keeps the hit path unboxed. *)
+  let s = t.sel_cache.(id) in
+  if Float.is_nan s then begin
+    t.stats.sel_misses <- t.stats.sel_misses + 1;
+    let s =
+      match t.index.pred_infos.(id).pred with
+      | Predicate.Col_cmp { left; op; right } ->
+        Guard.selectivity t.guard ~site:"Profile.join_selectivity"
+          (comparison_selectivity t ~left ~op ~right)
+      | Predicate.Cmp _ ->
+        invalid_arg "Profile.join_selectivity: not a join predicate"
+    in
+    t.sel_cache.(id) <- s;
+    s
+  end
   else begin
-    (* NaN marks an unfilled slot: real selectivities live in [0, 1], and a
-       flat float array keeps the hit path unboxed. *)
-    let s = t.sel_cache.(id) in
-    if Float.is_nan s then begin
-      t.stats.sel_misses <- t.stats.sel_misses + 1;
-      let s = compute () in
-      t.sel_cache.(id) <- s;
-      s
-    end
-    else begin
-      t.stats.sel_hits <- t.stats.sel_hits + 1;
-      s
-    end
+    t.stats.sel_hits <- t.stats.sel_hits + 1;
+    s
   end
 
-let group_cache_limit = 4096
 let estimator t = t.config.Config.estimator
 
+(* The compiled kernel bakes in the estimator's combine/cap, so the
+   swapped copy recompiles lazily; the per-predicate [sel_cache] is
+   estimator-independent and shared. *)
 let with_estimator e t =
-  {
-    t with
-    config = Config.with_estimator e t.config;
-    (* The compiled kernel bakes in the estimator's combine/cap, so the
-       swapped copy must recompile lazily — but an explicit opt-out
-       ([build ~kernel:false]) survives the swap. *)
-    kernel =
-      (match t.kernel with
-      | Kernel_disabled -> Kernel_disabled
-      | Kernel_unbuilt | Kernel_unsupported | Kernel_ready _ -> Kernel_unbuilt);
-  }
-
-let class_selectivity t ids =
-  let est = estimator t in
-  let compute () =
-    Guard.selectivity t.guard ~site:"Profile.class_selectivity"
-      (est.Estimator.combine (List.map (join_selectivity t) ids))
-  in
-  if not t.memoize then compute ()
-  else begin
-    (* The combined value depends on the estimator, so the key carries its
-       id — [with_estimator] shares this table across swaps. The
-       per-predicate [sel_cache] stays unkeyed: raw join selectivities are
-       estimator-independent. *)
-    let key = (est.Estimator.id, ids) in
-    match Hashtbl.find_opt t.group_cache key with
-    | Some s ->
-      t.stats.group_hits <- t.stats.group_hits + 1;
-      s
-    | None ->
-      t.stats.group_misses <- t.stats.group_misses + 1;
-      let s = compute () in
-      (* Bounded: exhaustive DP enumeration can produce a distinct group
-         per (subset, table) pair, and an ever-growing table would spend
-         more on resizes and rehashes than the memo saves. *)
-      if Hashtbl.length t.group_cache < group_cache_limit then
-        Hashtbl.add t.group_cache key s;
-      s
-  end
+  { t with config = Config.with_estimator e t.config; kernel = None }
 
 (* --- kernel compilation -------------------------------------------------
 
@@ -640,127 +540,128 @@ let class_selectivity t ids =
    adjacency re-laid out as CSR int arrays with precomputed other-endpoint
    bitmasks, and every join selectivity evaluated once into a float array.
    Selectivities go through the same memoized [join_selectivity], so guard
-   semantics and violation accounting match a first interpreted pass. *)
+   semantics and violation accounting match the reference tier. *)
 
-(* Only the four built-in rules have a monomorphic lowering; a custom
-   estimator's [combine] closure is arbitrary OCaml, so profiles carrying
-   one fall back to the interpreted path. Physical equality is the right
+(* The four built-in rules lower to monomorphic, allocation-free arms. Any
+   other estimator — the degree-statistics family or a custom registry
+   entry — lowers through the closure arms. Physical equality is the right
    test: registry entries are shared records, and any re-made record could
    carry a different closure under the same id. *)
 let kernel_kind est =
-  if est == Estimator.m then Some (Kernel.Product, Kernel.No_cap)
-  else if est == Estimator.ss then Some (Kernel.Smallest, Kernel.No_cap)
-  else if est == Estimator.ls then Some (Kernel.Largest, Kernel.No_cap)
-  else if est == Estimator.pess then Some (Kernel.Unit, Kernel.Min_rows)
-  else None
+  if est == Estimator.m then (Kernel.Product, Kernel.No_cap)
+  else if est == Estimator.ss then (Kernel.Smallest, Kernel.No_cap)
+  else if est == Estimator.ls then (Kernel.Largest, Kernel.No_cap)
+  else if est == Estimator.pess then (Kernel.Unit, Kernel.Min_rows)
+  else
+    ( Kernel.Combine est.Estimator.combine,
+      match est.Estimator.cap with
+      | Some cap -> Kernel.Cap cap
+      | None -> Kernel.No_cap )
 
-(* The kernel's step algebra is the equality rule (class-grouped
-   1/max-d selectivities); a comparison join changes the grouping
-   semantics (every non-Eq predicate is its own group), so profiles
-   carrying one fall back to the interpreted tier wholesale — per-step
-   mixing would put bit-identity on equality-only workloads at risk. *)
-let kernel_lowerable t =
-  Array.for_all
+(* Per join predicate, the degree statistics a cap closure reads: both
+   columns of an equality predicate, when ANALYZE collected them.
+   Comparison predicates never pair (their selectivity is CDF-derived, not
+   degree-derived). *)
+let pred_degrees t jids =
+  Array.map
     (fun id ->
       match t.index.pred_infos.(id).pred with
-      | Predicate.Col_cmp { op = Predicate.Eq; _ } -> true
-      | Predicate.Col_cmp _ -> false
-      | Predicate.Cmp _ -> true)
-    t.index.join_pred_ids
+      | Predicate.Col_cmp { left; op = Predicate.Eq; right } -> begin
+        match
+          ( (column_stats t left).Stats.Col_stats.degree,
+            (column_stats t right).Stats.Col_stats.degree )
+        with
+        | Some dl, Some dr -> Some (1 lsl table_bit t left.Cref.table, dl, dr)
+        | _, _ -> None
+      end
+      | Predicate.Col_cmp _ | Predicate.Cmp _ -> None)
+    jids
 
 let compile_kernel t =
-  match kernel_kind (estimator t) with
-  | None -> None
-  | Some _ when not (kernel_lowerable t) -> None
-  | Some (combine, cap) ->
-    let index = t.index in
-    let n = Array.length index.table_names in
-    let jids = index.join_pred_ids in
-    let n_preds = Array.length jids in
-    (* Predicate id -> dense position in [jids] (ascending conjunction
-       order, the kernel's canonical predicate order). *)
-    let jpos = Array.make (Array.length index.pred_infos) (-1) in
-    Array.iteri (fun j id -> jpos.(id) <- j) jids;
-    let rows = Array.init n (fun bit -> index.profiles.(bit).rows) in
-    let pred_sel = Array.map (fun id -> join_selectivity t id) jids in
-    (* Intern class roots in first-occurrence order of the ascending
-       predicate scan — the order [Incremental.class_groups] discovers
-       them in. Lookup is [Cref.equal]-keyed, never polymorphic. *)
-    let roots = ref [] in
-    let n_classes = ref 0 in
-    let class_of root =
-      match List.find_opt (fun (r, _) -> Cref.equal r root) !roots with
+  let combine, cap = kernel_kind (estimator t) in
+  let index = t.index in
+  let n = Array.length index.table_names in
+  let jids = index.join_pred_ids in
+  let n_preds = Array.length jids in
+  (* Predicate id -> dense position in [jids] (ascending conjunction
+     order, the kernel's canonical predicate order). *)
+  let jpos = Array.make (Array.length index.pred_infos) (-1) in
+  Array.iteri (fun j id -> jpos.(id) <- j) jids;
+  let rows = Array.init n (fun bit -> index.profiles.(bit).rows) in
+  let pred_sel = Array.map (fun id -> join_selectivity t id) jids in
+  (* Intern the class roots of equality predicates in first-occurrence
+     order of the ascending predicate scan — the order
+     [Selectivity.group_by_class] discovers them in. Lookup is
+     [Cref.equal]-keyed, never polymorphic. Each comparison predicate is
+     an independent constraint: a fresh class of its own. *)
+  let roots = ref [] in
+  let n_classes = ref 0 in
+  let fresh () =
+    let c = !n_classes in
+    incr n_classes;
+    c
+  in
+  let class_of info =
+    match info.pred with
+    | Predicate.Col_cmp { op = Predicate.Eq; _ } -> begin
+      match List.find_opt (fun (r, _) -> Cref.equal r info.root) !roots with
       | Some (_, c) -> c
       | None ->
-        let c = !n_classes in
-        roots := (root, c) :: !roots;
-        incr n_classes;
+        let c = fresh () in
+        roots := (info.root, c) :: !roots;
         c
-    in
-    let pred_class =
-      Array.map (fun id -> class_of index.pred_infos.(id).root) jids
-    in
-    let pred_mask_a = Array.make n_preds 0 in
-    let pred_mask_b = Array.make n_preds 0 in
+    end
+    | Predicate.Col_cmp _ | Predicate.Cmp _ -> fresh ()
+  in
+  let pred_class = Array.map (fun id -> class_of index.pred_infos.(id)) jids in
+  let pred_mask_a = Array.make n_preds 0 in
+  let pred_mask_b = Array.make n_preds 0 in
+  Array.iteri
+    (fun j id ->
+      match index.pred_infos.(id).endpoints with
+      | Some (a, b) ->
+        pred_mask_a.(j) <- 1 lsl a;
+        pred_mask_b.(j) <- 1 lsl b
+      | None -> assert false (* [join_pred_ids] only holds joins *))
+    jids;
+  (* CSR re-layout of [join_preds_by_table], same per-table order. *)
+  let adj_off = Array.make (n + 1) 0 in
+  for bit = 0 to n - 1 do
+    adj_off.(bit + 1) <-
+      adj_off.(bit) + Array.length index.join_preds_by_table.(bit)
+  done;
+  let adj_pred = Array.make adj_off.(n) 0 in
+  let adj_other_mask = Array.make adj_off.(n) 0 in
+  for bit = 0 to n - 1 do
     Array.iteri
-      (fun j id ->
+      (fun i id ->
+        let slot = adj_off.(bit) + i in
+        adj_pred.(slot) <- jpos.(id);
         match index.pred_infos.(id).endpoints with
         | Some (a, b) ->
-          pred_mask_a.(j) <- 1 lsl a;
-          pred_mask_b.(j) <- 1 lsl b
-        | None -> assert false (* [join_pred_ids] only holds joins *))
-      jids;
-    (* CSR re-layout of [join_preds_by_table], same per-table order. *)
-    let adj_off = Array.make (n + 1) 0 in
-    for bit = 0 to n - 1 do
-      adj_off.(bit + 1) <-
-        adj_off.(bit) + Array.length index.join_preds_by_table.(bit)
-    done;
-    let adj_pred = Array.make adj_off.(n) 0 in
-    let adj_other_mask = Array.make adj_off.(n) 0 in
-    for bit = 0 to n - 1 do
-      Array.iteri
-        (fun i id ->
-          let slot = adj_off.(bit) + i in
-          adj_pred.(slot) <- jpos.(id);
-          match index.pred_infos.(id).endpoints with
-          | Some (a, b) ->
-            let other = if a = bit then b else a in
-            adj_other_mask.(slot) <- 1 lsl other
-          | None -> assert false)
-        index.join_preds_by_table.(bit)
-    done;
-    Some
-      (Kernel.make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel
-         ~pred_class ~pred_mask_a ~pred_mask_b ~n_classes:!n_classes ~combine
-         ~cap ~guard:t.guard)
+          let other = if a = bit then b else a in
+          adj_other_mask.(slot) <- 1 lsl other
+        | None -> assert false)
+      index.join_preds_by_table.(bit)
+  done;
+  let pred_degrees =
+    match cap with
+    | Kernel.Cap _ -> pred_degrees t jids
+    | Kernel.No_cap | Kernel.Min_rows -> [||]
+  in
+  Kernel.make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
+    ~pred_mask_a ~pred_mask_b ~pred_degrees ~n_classes:!n_classes ~combine ~cap
+    ~guard:t.guard
 
 let kernel t =
   match t.kernel with
-  | Kernel_ready k -> Some k
-  | Kernel_disabled | Kernel_unsupported -> None
-  | Kernel_unbuilt -> begin
-    match compile_kernel t with
-    | Some k ->
-      t.kernel <- Kernel_ready k;
-      Some k
-    | None ->
-      (* Remembered, so a custom estimator costs one registry probe, not a
-         recompile attempt per step. *)
-      t.kernel <- Kernel_unsupported;
-      None
-  end
+  | Some k -> k
+  | None ->
+    let k = compile_kernel t in
+    t.kernel <- Some k;
+    k
 
 let kernel_steps t =
-  match t.kernel with Kernel_ready k -> Kernel.steps k | _ -> 0
+  match t.kernel with Some k -> Kernel.steps k | None -> 0
 
-(* Called by [Incremental] on interpreted steps: counts only the steps
-   that *wanted* the kernel but could not have it (non-Eq join predicates
-   or a custom estimator), so the counter reads as "fallback", not
-   "kernel was switched off". *)
-let note_kernel_fallback t =
-  match t.kernel with
-  | Kernel_unsupported -> t.stats.kernel_fallbacks <- t.stats.kernel_fallbacks + 1
-  | Kernel_unbuilt | Kernel_disabled | Kernel_ready _ -> ()
-
-let kernel_fallback_steps t = t.stats.kernel_fallbacks
+let kernel_fallback_steps t = t.stats.reference_steps

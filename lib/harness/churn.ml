@@ -89,11 +89,11 @@ let run ?(seed = 1) ?(q_tolerance = 3.) ~iters () =
   in
   let estimate_epoch ?sink epoch =
     let profile = Els.prepare_epoch config epoch query in
-    (match sink with
-    | Some d -> Els.Profile.set_derivation profile (Some d)
-    | None -> ());
-    let size = Els.Incremental.final_size profile order in
-    Els.Profile.set_derivation profile None;
+    let size =
+      match sink with
+      | Some d -> (Els.Incremental.derive profile d order).Els.Incremental.size
+      | None -> Els.Incremental.final_size profile order
+    in
     Obs_report.absorb_profile metrics profile;
     size
   in

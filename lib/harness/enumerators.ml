@@ -4,9 +4,6 @@ type row = {
   optimize_s : float;
   estimated_cost : float;
   work : int;
-  cache_hits : int;
-  cache_misses : int;
-  scans_avoided : int;
 }
 
 let enumerators =
@@ -30,7 +27,6 @@ let run ?(seeds = List.init 5 (fun i -> i + 1)) ?(n_tables = 7) () =
           let t0 = Unix.gettimeofday () in
           let choice = Optimizer.choose ~enumerator Els.Config.els db query in
           let optimize_s = Unix.gettimeofday () -. t0 in
-          let stats = Els.Profile.cache_stats choice.Optimizer.profile in
           let _, counters, _ = Exec.Executor.count db choice.Optimizer.plan in
           {
             seed;
@@ -38,11 +34,6 @@ let run ?(seeds = List.init 5 (fun i -> i + 1)) ?(n_tables = 7) () =
             optimize_s;
             estimated_cost = choice.Optimizer.estimated_cost;
             work = Exec.Counters.total_work counters;
-            cache_hits =
-              stats.Els.Profile.sel_hits + stats.Els.Profile.group_hits;
-            cache_misses =
-              stats.Els.Profile.sel_misses + stats.Els.Profile.group_misses;
-            scans_avoided = stats.Els.Profile.scans_avoided;
           })
         enumerators)
     seeds
@@ -52,7 +43,6 @@ let render rows =
     ~header:
       [
         "seed"; "enumerator"; "optimize (ms)"; "est. cost"; "executed work";
-        "cache hit/miss"; "scans avoided";
       ]
     (List.map
        (fun r ->
@@ -62,7 +52,5 @@ let render rows =
            Printf.sprintf "%.2f" (1000. *. r.optimize_s);
            Report.float_cell r.estimated_cost;
            string_of_int r.work;
-           Printf.sprintf "%d/%d" r.cache_hits r.cache_misses;
-           string_of_int r.scans_avoided;
          ])
        rows)

@@ -14,11 +14,6 @@ type row = {
   optimize_s : float;  (** wall-clock seconds spent choosing the plan *)
   estimated_cost : float;
   work : int;  (** executed work of the chosen plan *)
-  cache_hits : int;
-      (** profile selectivity-cache hits (join + class) during enumeration *)
-  cache_misses : int;
-  scans_avoided : int;
-      (** predicates skipped by index probes vs full conjunction scans *)
 }
 
 val run :

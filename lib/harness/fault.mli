@@ -66,7 +66,7 @@ val default_sql : string
 val inequality_sql : string
 (** The comparison-join leg: the same chain with its last link turned
     into [t2.a < t3.a], crossing every corruption with the CDF-convolution
-    selectivity path and the kernel's interpreted fallback. *)
+    selectivity path and the kernel's comparison-join lowering. *)
 
 val base_db : ?seed:int -> unit -> Catalog.Db.t
 (** Three stored, fully-analyzed chain tables (equi-depth histograms and

@@ -20,18 +20,11 @@ let absorb_profile m profile =
   let s = Els.Profile.cache_stats profile in
   c m "profile.cache.sel_hits" s.Els.Profile.sel_hits;
   c m "profile.cache.sel_misses" s.Els.Profile.sel_misses;
-  c m "profile.cache.group_hits" s.Els.Profile.group_hits;
-  c m "profile.cache.group_misses" s.Els.Profile.group_misses;
-  c m "profile.cache.eligible_probes" s.Els.Profile.eligible_probes;
-  c m "profile.cache.scans_avoided" s.Els.Profile.scans_avoided;
-  (* Steps served by the compiled kernel never touch the caches above:
-     published separately so "cache probes went to zero" reads as "the
-     kernel took over", not "estimation stopped". *)
   Metrics.set_counter
     (Metrics.counter m "profile.kernel.steps")
     (Els.Profile.kernel_steps profile);
-  (* Steps the kernel declined (non-equality join predicates in the
-     profile): estimation fell back to the interpreted tier. *)
+  (* Steps replayed on the list-scan reference tier (derivation cards):
+     0 on every optimizer path. *)
   Metrics.set_counter
     (Metrics.counter m "profile.kernel.fallback_steps")
     (Els.Profile.kernel_fallback_steps profile);

@@ -5,13 +5,12 @@
     dot-separated namespace, so one snapshot unifies what used to need
     five different printers:
 
-    - ["profile.cache.*"] — {!Els.Profile.cache_stats} hit/miss/probe
-      counters;
+    - ["profile.cache.*"] — {!Els.Profile.cache_stats} hit/miss counters
+      of the per-predicate selectivity cache;
     - ["profile.kernel.steps"] — estimation steps served by the profile's
-      compiled {!Els.Kernel} (which bypasses the caches above);
-    - ["profile.kernel.fallback_steps"] — steps the kernel declined
-      because the profile carries non-equality join predicates, served by
-      the interpreted tier instead;
+      compiled {!Els.Kernel};
+    - ["profile.kernel.fallback_steps"] — steps replayed on the list-scan
+      reference tier (derivation cards), 0 on every optimizer path;
     - ["guard.*"] — {!Els.Guard.stats} violations / repairs / fallbacks;
     - ["catalog.issues"], ["catalog.issue.<kind>"] —
       {!Catalog.Validate} findings per issue kind;

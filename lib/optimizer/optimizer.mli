@@ -20,8 +20,8 @@ type choice = {
   estimated_cost : float;  (** in executor work units *)
   profile : Els.Profile.t;
       (** the estimation profile that drove enumeration; its
-          {!Els.Profile.cache_stats} expose the hot-path cache hit/miss
-          counters accumulated during optimization *)
+          {!Els.Profile.kernel_steps} count the estimation steps
+          optimization ran *)
   provenance : Provenance.t;
       (** which anytime rung produced the plan, whether the budget tripped,
           and how many node expansions ran *)

@@ -14,8 +14,7 @@ let test_config_names () =
     (String.length (Els.Config.name custom) > 5);
   Alcotest.(check string) "rule names" "M/SS/LS"
     (String.concat "/"
-       (List.map Els.Config.rule_name
-          Els.Config.[ Multiplicative; Smallest; Largest ]))
+       (List.map Els.Estimator.label Els.Estimator.[ m; ss; ls ]))
 
 let test_root_convenience () =
   let db = Helpers.example1_db () in

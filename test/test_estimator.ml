@@ -126,8 +126,8 @@ let test_of_string () =
 
 (* Swapping the estimator on a built profile must be bit-identical to
    building a fresh profile with that estimator, even after the shared
-   memo caches have been warmed under another estimator — the group
-   cache is keyed by estimator id. *)
+   selectivity cache and the kernel have been warmed under another
+   estimator — the swapped copy compiles a kernel of its own. *)
 let test_with_estimator_cache_keying () =
   let db = Datagen.Section8.build ~scale:10 ~seed:42 () in
   let query = Datagen.Section8.query_scaled ~scale:10 in

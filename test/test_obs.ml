@@ -2,7 +2,8 @@
    estimate-derivation recorder. The properties at the bottom pin the
    layer's central contract — recording is observation-only (bit-identical
    estimates with obs on or off) and a recorded derivation replays to the
-   exact step sizes the pipeline produced. *)
+   exact step sizes the pipeline produced, on every workload shape the
+   kernel differentials sweep. *)
 
 (* --- trace spans --- *)
 
@@ -208,9 +209,7 @@ let test_derivation_records_example1 () =
   let db = Helpers.example1_db () and query = Helpers.example1_query () in
   let profile = Els.prepare Els.Config.els db query in
   let deriv = Obs.Derivation.create () in
-  Els.Profile.set_derivation profile (Some deriv);
-  let st = Els.Incremental.estimate_order profile [ "r1"; "r2"; "r3" ] in
-  Els.Profile.set_derivation profile None;
+  let st = Els.Incremental.derive profile deriv [ "r1"; "r2"; "r3" ] in
   let history = Els.Incremental.history st in
   (match Obs.Derivation.base deriv with
   | [ (name, rows) ] ->
@@ -246,12 +245,50 @@ let test_derivation_records_example1 () =
       (List.mem_assoc "base" fields && List.mem_assoc "steps" fields)
   | _ -> Alcotest.fail "derivation json is not an object"
 
+(* Recording is confined to [derive]: estimating on the same profile
+   afterwards leaves the card untouched and never replays on the
+   reference tier. *)
 let test_derivation_detached_records_nothing () =
   let db = Helpers.example1_db () and query = Helpers.example1_query () in
   let profile = Els.prepare Els.Config.els db query in
-  ignore (Els.Incremental.estimate_order profile [ "r1"; "r2"; "r3" ]);
-  Alcotest.(check bool) "no sink, no derivation" true
-    (Els.Profile.derivation profile = None)
+  let order = [ "r1"; "r2"; "r3" ] in
+  let deriv = Obs.Derivation.create () in
+  ignore (Els.Incremental.derive profile deriv order);
+  let recorded = List.length (Obs.Derivation.steps deriv) in
+  let replayed = Els.Profile.kernel_fallback_steps profile in
+  ignore (Els.Incremental.estimate_order profile order);
+  Alcotest.(check int) "card untouched by later estimation" recorded
+    (List.length (Obs.Derivation.steps deriv));
+  Alcotest.(check int) "plain estimation never replays" replayed
+    (Els.Profile.kernel_fallback_steps profile)
+
+(* A guard trip mid-order under Strict raises out of [derive] and leaves
+   the steps recorded before it on the card — what [elsdb explain] prints
+   as a partial card. The cap trips on the second step only. *)
+let test_derivation_partial_card () =
+  let db = Helpers.example1_db () and query = Helpers.example1_query () in
+  let tripwire =
+    {
+      Els.Estimator.ls with
+      id = "tripwire";
+      cap =
+        Some
+          (fun s -> if s.Els.Estimator.left_rows > 100. then -1. else infinity);
+    }
+  in
+  let config =
+    Els.Config.with_strictness Els.Config.Strict
+      (Els.Config.of_estimator tripwire)
+  in
+  let profile = Els.prepare config db query in
+  let deriv = Obs.Derivation.create () in
+  (match Els.Incremental.derive profile deriv [ "r1"; "r2"; "r3" ] with
+  | _ -> Alcotest.fail "the second step's negative cap did not trip"
+  | exception Els.Els_error.Error (Els.Els_error.Invariant_violation _) -> ());
+  Alcotest.(check int) "base recorded" 1
+    (List.length (Obs.Derivation.base deriv));
+  Alcotest.(check int) "first step recorded" 1
+    (List.length (Obs.Derivation.steps deriv))
 
 let test_choose_trace_transparent () =
   let db = Helpers.example1_db () and query = Helpers.example1_query () in
@@ -270,13 +307,15 @@ let test_choose_trace_transparent () =
 
 (* --- properties --- *)
 
-(* Observation transparency: attaching a tracer and a derivation sink
-   changes no estimated number, for any order and estimator. *)
+(* Observation transparency: a tracer and a recorded derivation change no
+   estimated number, for any order and estimator — the traced profile
+   estimates like the plain one, and the derivation replay returns the
+   plain profile's history. *)
 let prop_obs_bit_identity =
   QCheck2.Test.make ~count:60 ~name:"estimates bit-identical with obs on/off"
-    ~print:Test_properties.print_chain_spec Test_properties.gen_chain_spec
-    (fun spec ->
-      let db, query, names = Test_properties.build_chain spec in
+    ~print:Test_kernel.print_workload Test_kernel.gen_workload
+    (fun workload ->
+      let db, query, names = Test_kernel.build_workload workload in
       List.for_all
         (fun config ->
           let plain = Els.prepare config db query in
@@ -284,36 +323,47 @@ let prop_obs_bit_identity =
             Els.prepare ~trace:(Obs.Trace.create ~clock:(fun () -> 0.) ())
               config db query
           in
-          Els.Profile.set_derivation observed (Some (Obs.Derivation.create ()));
           List.for_all
             (fun order ->
-              let a = Els.Incremental.estimate_order plain order in
-              let b = Els.Incremental.estimate_order observed order in
-              List.for_all2 Float.equal (Els.Incremental.history a)
-                (Els.Incremental.history b))
-            (Test_properties.permutations names))
-        (Els.Config.panel ()))
+              let a =
+                Els.Incremental.history
+                  (Els.Incremental.estimate_order plain order)
+              in
+              let b =
+                Els.Incremental.history
+                  (Els.Incremental.estimate_order observed order)
+              in
+              let c =
+                Els.Incremental.history
+                  (Els.Incremental.derive observed (Obs.Derivation.create ())
+                     order)
+              in
+              List.for_all2 Float.equal a b && List.for_all2 Float.equal a c)
+            (Test_kernel.permutations names))
+        (Test_kernel.configs ()))
 
-(* Replay: a recorded derivation recomputes to the exact step sizes. *)
+(* Replay: a recorded derivation recomputes to the exact step sizes the
+   kernel produced. *)
 let prop_derivation_replay =
   QCheck2.Test.make ~count:60 ~name:"derivation replays to recorded S_J"
-    ~print:Test_properties.print_chain_spec Test_properties.gen_chain_spec
-    (fun spec ->
-      let db, query, names = Test_properties.build_chain spec in
+    ~print:Test_kernel.print_workload Test_kernel.gen_workload
+    (fun workload ->
+      let db, query, names = Test_kernel.build_workload workload in
       List.for_all
         (fun config ->
           let profile = Els.prepare config db query in
+          let history =
+            Els.Incremental.history
+              (Els.Incremental.estimate_order profile names)
+          in
           let deriv = Obs.Derivation.create () in
-          Els.Profile.set_derivation profile (Some deriv);
-          let st = Els.Incremental.estimate_order profile names in
-          Els.Profile.set_derivation profile None;
-          let history = Els.Incremental.history st in
+          ignore (Els.Incremental.derive profile deriv names);
           let replayed =
             Obs.Derivation.replay ~combine:estimator_combine deriv
           in
           List.length replayed = List.length history
           && List.for_all2 Float.equal replayed history)
-        (Els.Config.panel ()))
+        (Test_kernel.configs ()))
 
 (* Snapshot diffs of counter activity are non-negative and account for
    exactly the increments between the snapshots. *)
@@ -399,6 +449,8 @@ let suite =
       test_derivation_records_example1;
     Alcotest.test_case "derivation: detached sink" `Quick
       test_derivation_detached_records_nothing;
+    Alcotest.test_case "derivation: partial card on a guard trip" `Quick
+      test_derivation_partial_card;
     Alcotest.test_case "optimizer: trace-transparent" `Quick
       test_choose_trace_transparent;
   ]

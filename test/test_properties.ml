@@ -512,31 +512,32 @@ let prop_ls_one_selectivity_per_class =
             ok)
         (permutations names))
 
-(* The selectivity memo caches are estimate-transparent: cache-on and
-   cache-off profiles produce bit-identical sizes at every step of every
-   order, under every registered estimator's canonical configuration. *)
+(* The selectivity memo cache is estimate-transparent: the kernel, which
+   reads every join selectivity from the profile's cache, and the
+   reference tier, which recomputes each one from the statistics, produce
+   bit-identical sizes at every step of every order, under every
+   registered estimator's canonical configuration. *)
 let prop_cache_transparent =
   QCheck2.Test.make ~count ~name:"memo cache is bit-identical to uncached"
     ~print:print_chain_spec gen_chain_spec (fun spec ->
       let db, query, names = build_chain spec in
       List.for_all
         (fun config ->
-          let cached = Els.prepare config db query in
-          let uncached = Els.prepare ~memoize:false config db query in
+          let profile = Els.prepare config db query in
           List.for_all
             (fun order ->
-              let a = Els.Incremental.estimate_order cached order in
-              let b = Els.Incremental.estimate_order uncached order in
+              let a = Els.Incremental.estimate_order profile order in
+              let b = Els.Incremental.estimate_order_scan profile order in
               Float.equal a.Els.Incremental.size b.Els.Incremental.size
               && List.for_all2 Float.equal (Els.Incremental.history a)
                    (Els.Incremental.history b))
             (permutations names))
         (Els.Config.panel ()))
 
-(* Differential: the indexed bitset hot path returns exactly the same
-   eligible predicates (same order) and bit-identical step selectivities
-   as the retained list-scan reference implementation, for every
-   registered estimator. *)
+(* Differential: the indexed bitset hot path (the per-table eligibility
+   index and the compiled kernel) returns exactly the same eligible
+   predicates (same order) and bit-identical step selectivities as the
+   list-scan reference tier, for every registered estimator. *)
 let prop_index_matches_scan =
   QCheck2.Test.make ~count ~name:"indexed hot path = list-scan baseline"
     ~print:print_chain_spec gen_chain_spec (fun spec ->

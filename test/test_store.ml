@@ -144,9 +144,7 @@ let test_quarantine_serves_last_good () =
   (* The staleness must surface on the explain card. *)
   let sink = Obs.Derivation.create () in
   let profile = Els.prepare_epoch config epoch query in
-  Els.Profile.set_derivation profile (Some sink);
-  ignore (Els.Incremental.final_size profile query.Query.tables : float);
-  Els.Profile.set_derivation profile None;
+  ignore (Els.Incremental.derive profile sink query.Query.tables);
   let card = Format.asprintf "%a" Obs.Derivation.pp_card sink in
   Alcotest.(check bool)
     "derivation card carries the staleness note" true
