@@ -1,6 +1,6 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation plus the supplementary figures listed in DESIGN.md, then runs
-   bechamel micro-benchmarks (one Test.make per experiment).
+(* Experiment harness: regenerates every table and figure of the paper's
+   evaluation plus the supplementary figures listed in DESIGN.md. Timing
+   lives in bench/perf.
 
    Experiments (ids from DESIGN.md):
      T1 — Section 8 table (the paper's only table)
@@ -14,8 +14,8 @@
      F5 — join-order enumerators: DP vs greedy vs randomized (supplementary)
      F6 — q-error study over mixed random workloads (supplementary)
      F7 — uniformity limits on skewed join columns (supplementary)
-     F10 — estimator panel: every registered estimator side by side
-           (supplementary)
+     F10 — estimator panel: every registered estimator side by side on
+           the Section 8 workload (supplementary)
      F11 — deadline/budget soak: anytime ladder under a 1 ms deadline on
            n=14 DP, node-budget cost sweep, randomized soak smoke
            (supplementary)
@@ -29,7 +29,7 @@
            on key chains, skewed stars and Section 8 (supplementary)
 
    Run with --quick to shrink T1/F1/F3 (used in CI-style smoke runs).
-   Passing experiment ids (e.g. `bench/main.exe f12 micro`) runs only
+   Passing experiment ids (e.g. `bench/main.exe f12 f14`) runs only
    those; any other argument exits 2. *)
 
 let quick = Array.exists (String.equal "--quick") Sys.argv
@@ -254,40 +254,31 @@ let run_f12 () =
   Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.snapshot registry);
   if !failures > 0 then exit 1
 
-(* F10: the estimator seam made visible — one row per registered
-   estimator over the Section 8 workload, straight from
-   Els.Estimator.registry. *)
-let run_f10 () =
-  section "F10: estimator panel over the Section 8 workload";
-  let scale = if quick then 20 else 10 in
-  print_string (Harness.Estimator_panel.render (Harness.Estimator_panel.run ~scale ()))
-
-(* F14: inequality and band joins — estimated (histogram-CDF convolution)
-   vs executed (generalized sort-merge) across the estimator registry.
-   Every scenario overlaps by construction, so a non-finite q-error is a
-   failure. *)
-let run_f14 () =
-  section "F14: inequality/band join panel — estimate vs executed truth";
-  let rows = Harness.Ineq_panel.run () in
-  print_string (Harness.Ineq_panel.render rows);
-  if not (Harness.Ineq_panel.pass rows) then begin
-    print_endline "F14 FAILED: non-finite q-error in the panel";
+(* F10, F14, F16: estimate-vs-truth panels — every registered estimator
+   over a scenario list (Section 8; inequality/band joins; the
+   degree-statistics family on key chains, skewed stars and Section 8).
+   Every scenario is non-empty by construction, so a non-finite q-error is
+   a failure. *)
+let run_panel id title scenarios () =
+  section (Printf.sprintf "%s: %s" id title);
+  let rows = Harness.Panel.run (scenarios ()) in
+  print_string (Harness.Panel.render rows);
+  if not (Harness.Panel.pass rows) then begin
+    Printf.printf "%s FAILED: non-finite q-error in the panel\n" id;
     exit 1
   end
 
-(* F16: the degree-statistics family — per-estimator q-error against the
-   executed truth on a key-join chain, a Zipf-skewed star and the Section
-   8 workload. Every scenario is non-empty by construction, so a
-   non-finite q-error is a failure. *)
-let run_f16 () =
-  section "F16: degree-statistics estimators — bound quality vs truth";
-  let scale = if quick then 50 else 10 in
-  let rows = Harness.Bound_panel.run ~scale () in
-  print_string (Harness.Bound_panel.render rows);
-  if not (Harness.Bound_panel.pass rows) then begin
-    print_endline "F16 FAILED: non-finite q-error in the panel";
-    exit 1
-  end
+let run_f10 =
+  run_panel "F10" "estimator panel over the Section 8 workload" (fun () ->
+      Harness.Panel.f10 ~scale:(if quick then 20 else 10) ~seed:42)
+
+let run_f14 =
+  run_panel "F14" "inequality/band join panel — estimate vs executed truth"
+    (fun () -> Harness.Panel.f14 ~seed:42)
+
+let run_f16 =
+  run_panel "F16" "degree-statistics estimators — bound quality vs truth"
+    (fun () -> Harness.Panel.f16 ~scale:(if quick then 50 else 10) ~seed:42)
 
 (* F11: the budget subsystem under load. Three legs: (a) exact DP on an
    n=14 chain under a 1 ms wall-clock deadline must still return a valid
@@ -382,108 +373,6 @@ let run_f13 () =
     est_bulk est_shard
     (if est_bulk = 0. then Float.nan else est_shard /. est_bulk)
 
-(* --- bechamel micro-benchmarks: one Test.make per experiment --- *)
-
-let micro_tests () =
-  let open Bechamel in
-  (* Shared inputs, built once so the benchmarks measure the algorithms,
-     not data generation. *)
-  let s8_scale = if quick then 50 else 10 in
-  let s8_db = Datagen.Section8.build ~scale:s8_scale ~seed:1 () in
-  let s8_query = Datagen.Section8.query_scaled ~scale:s8_scale in
-  let chain = Datagen.Workload.chain ~seed:3 ~n_tables:6 () in
-  let chain_db = chain.Datagen.Workload.db in
-  let chain_q = chain.Datagen.Workload.query in
-  let chain_order = chain_q.Query.tables in
-  let sweep_db, sweep_q =
-    let rng = Datagen.Prng.create 7 in
-    let db = Catalog.Db.create () in
-    ignore
-      (Datagen.Tablegen.register (Datagen.Prng.split rng) db ~table:"r1"
-         ~rows:2000
-         [ Datagen.Tablegen.key_column "x" ~rows:2000 ]);
-    ignore
-      (Datagen.Tablegen.register (Datagen.Prng.split rng) db ~table:"r2"
-         ~rows:1000
-         [ Datagen.Tablegen.column "y" ~distinct:100 ]);
-    ( db,
-      Query.make ~tables:[ "r1"; "r2" ]
-        [
-          Query.Predicate.col_eq (Query.Cref.v "r1" "x")
-            (Query.Cref.v "r2" "y");
-          Query.Predicate.cmp (Query.Cref.v "r1" "x") Rel.Cmp.Le
-            (Rel.Value.Int 200);
-        ] )
-  in
-  Test.make_grouped ~name:"elsdb"
-    [
-      Test.make ~name:"t1/optimize+execute"
-        (Staged.stage (fun () ->
-             let choice = Optimizer.choose Els.Config.els s8_db s8_query in
-             Exec.Executor.count s8_db choice.Optimizer.plan));
-      Test.make ~name:"e1/three-rules"
-        (Staged.stage (fun () -> Harness.Examples_tables.rules_table ()));
-      Test.make ~name:"s5/urn-model"
-        (Staged.stage (fun () ->
-             Stats.Urn.expected_distinct ~urns:10000. ~balls:50000.));
-      Test.make ~name:"s6/profile-build"
-        (Staged.stage (fun () ->
-             Harness.Examples_tables.single_table_numbers ()));
-      Test.make ~name:"f1/chain-estimate"
-        (Staged.stage (fun () ->
-             Els.estimate Els.Config.els chain_db chain_q chain_order));
-      Test.make ~name:"f2/local-aware-estimate"
-        (Staged.stage (fun () ->
-             Els.estimate Els.Config.els sweep_db sweep_q [ "r1"; "r2" ]));
-      Test.make ~name:"f3/dp-optimize"
-        (Staged.stage (fun () ->
-             Optimizer.choose Els.Config.els chain_db chain_q));
-      Test.make ~name:"f4/mcv-build"
-        (Staged.stage
-           (let rng = Datagen.Prng.create 13 in
-            let values =
-              Array.map
-                (fun v -> Rel.Value.Int v)
-                (Datagen.Distribution.generate (Datagen.Distribution.Zipf 1.2)
-                   rng ~rows:10000 ~distinct:500)
-            in
-            fun () -> Stats.Mcv.build ~k:50 values));
-    ]
-
-let run_micro () =
-  section "Micro-benchmarks (bechamel; ns per run, OLS fit)";
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if quick then 0.25 else 0.75))
-      ~kde:None ()
-  in
-  let raw = Benchmark.all cfg [ instance ] (micro_tests ()) in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let estimate =
-          match Analyze.OLS.estimates ols_result with
-          | Some [ e ] -> Printf.sprintf "%.1f" e
-          | Some _ | None -> "-"
-        in
-        let r2 =
-          match Analyze.OLS.r_square ols_result with
-          | Some r -> Printf.sprintf "%.4f" r
-          | None -> "-"
-        in
-        [ name; estimate; r2 ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  print_string
-    (Harness.Report.table ~header:[ "benchmark"; "ns/run"; "r2" ] rows)
-
 let () =
   let experiments =
     [
@@ -492,7 +381,6 @@ let () =
       ("f3", run_f3); ("f4", run_f4); ("f5", run_f5); ("f6", run_f6);
       ("f7", run_f7); ("f10", run_f10); ("f11", run_f11); ("f12", run_f12);
       ("f13", run_f13); ("f14", run_f14); ("f16", run_f16);
-      ("micro", run_micro);
     ]
   in
   let ids = List.map fst experiments in

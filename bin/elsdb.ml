@@ -34,22 +34,28 @@
    Els.Estimator.registry) to select a single combining rule; unknown
    names exit 2 with a did-you-mean suggestion.
 
-   Built-in databases (--db):
+   Built-in databases (--db), each with a default query for --sql:
      section8[:SCALE]   the paper's S/M/B/G tables (default scale 10)
      chain:N            a random N-table chain workload
-     star:N             a fact table with N dimensions *)
+     star:N             a fact table with N dimensions
+   csv:FILE[:FILE...] loads one table per file and has no default query,
+   so it needs --sql. *)
 
 open Cmdliner
 
+(* A database and its canonical query, if it has one. *)
 let db_of_string spec =
+  let section8 scale =
+    Ok
+      ( Datagen.Section8.build ~scale ~seed:42 (),
+        Some (Datagen.Section8.query_scaled ~scale) )
+  in
   let parts = String.split_on_char ':' spec in
   match parts with
-  | [ "section8" ] ->
-    Ok (Datagen.Section8.build ~scale:10 ~seed:42 (), None)
+  | [ "section8" ] -> section8 10
   | [ "section8"; scale ] -> begin
     match int_of_string_opt scale with
-    | Some scale when scale >= 1 ->
-      Ok (Datagen.Section8.build ~scale ~seed:42 (), None)
+    | Some scale when scale >= 1 -> section8 scale
     | Some _ | None -> Error "section8 scale must be a positive integer"
   end
   | [ "chain"; n ] -> begin
@@ -167,6 +173,21 @@ let enumerator_arg =
     & info [ "enumerator" ] ~docv:"ENUM"
         ~doc:"Join-order enumerator: dp (exhaustive), greedy, or random.")
 
+let seed_arg default =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+
+let strictness_conv =
+  let parse s =
+    match Catalog.Validate.strictness_of_string s with
+    | Some m -> Ok m
+    | None ->
+      Error (`Msg (Printf.sprintf "unknown mode %S (strict, repair, trap)" s))
+  in
+  let print ppf m =
+    Format.pp_print_string ppf (Catalog.Validate.strictness_name m)
+  in
+  Arg.conv (parse, print)
+
 (* --- resource budget flags (explain/run) --- *)
 
 let deadline_arg =
@@ -196,11 +217,16 @@ let row_budget_arg =
           "Maximum executor rows (tuples read + emitted) before execution \
            cancels with a budget-exhausted error.")
 
-let resolve_budget deadline_ms node_budget row_budget =
-  match (deadline_ms, node_budget, row_budget) with
-  | None, None, None -> None
-  | _ ->
-    Some (Rel.Budget.create ?deadline_ms ?node_budget ?row_budget ())
+(* One budget for the whole invocation, created when the command runs
+   (inside handle_errors, so a bad value is a one-line usage error). *)
+let budget_term =
+  let resolve deadline_ms node_budget row_budget () =
+    match (deadline_ms, node_budget, row_budget) with
+    | None, None, None -> None
+    | _ ->
+      Some (Rel.Budget.create ?deadline_ms ?node_budget ?row_budget ())
+  in
+  Term.(const resolve $ deadline_arg $ node_budget_arg $ row_budget_arg)
 
 (* --- observability flags (estimate/explain/run) --- *)
 
@@ -231,12 +257,17 @@ let resolve_trace = function
   | Some other ->
     invalid_arg (Printf.sprintf "unknown trace format %S (pretty, json)" other)
 
-let resolve_metrics = function
-  | None -> (None, `Off)
-  | Some "text" -> (Some (Obs.Metrics.create ()), `Text)
-  | Some "json" -> (Some (Obs.Metrics.create ()), `Json)
+let metrics_mode = function
+  | None -> `Off
+  | Some "text" -> `Text
+  | Some "json" -> `Json
   | Some other ->
     invalid_arg (Printf.sprintf "unknown metrics format %S (text, json)" other)
+
+let resolve_metrics fmt =
+  match metrics_mode fmt with
+  | `Off -> (None, `Off)
+  | mode -> (Some (Obs.Metrics.create ()), mode)
 
 (* [extra] carries sibling JSON fields (the derivation) so [--trace json]
    emits one self-contained object. *)
@@ -252,23 +283,23 @@ let print_trace ?(extra = []) mode tracer =
     in
     print_endline (Obs.Json.to_string json)
 
+(* JSON goes out as the last stdout line, so the snapshot pipes straight
+   into [check-metrics]. *)
+let print_snapshot mode snapshot =
+  match mode with
+  | `Off -> ()
+  | `Text -> Format.printf "@.metrics:@.%a" Obs.Metrics.pp snapshot
+  | `Json -> print_endline (Obs.Json.to_string (Obs.Metrics.to_json snapshot))
+
 let print_metrics mode registry =
-  match (mode, registry) with
-  | `Off, _ | _, None -> ()
-  | `Text, Some m ->
-    Format.printf "@.metrics:@.%a" Obs.Metrics.pp (Obs.Metrics.snapshot m)
-  | `Json, Some m ->
-    print_endline
-      (Obs.Json.to_string (Obs.Metrics.to_json (Obs.Metrics.snapshot m)))
+  Option.iter (fun m -> print_snapshot mode (Obs.Metrics.snapshot m)) registry
 
 let resolve_query (db, default_query) sql =
-  match sql with
-  | Some text -> Sqlfront.Binder.compile db text
-  | None -> begin
-    match default_query with
-    | Some q -> Ok q
-    | None -> Ok (Datagen.Section8.query_scaled ~scale:10)
-  end
+  match (sql, default_query) with
+  | Some text, _ -> Sqlfront.Binder.compile db text
+  | None, Some q -> Ok q
+  | None, None ->
+    Error "--sql is required: a csv database has no default query"
 
 (* Bad SQL is a usage error: the user asked for something the system can
    never do, so it exits 2 like any other malformed invocation. *)
@@ -305,6 +336,36 @@ let handle_errors f =
     Printf.eprintf "error: %s\n" msg;
     exit 1
 
+(* --- the pipeline front shared by estimate/explain/run --- *)
+
+type front = {
+  db : Catalog.Db.t;
+  query : Query.t;
+  tracer : Obs.Trace.t option;
+  trace_mode : [ `Off | `Pretty | `Json ];
+  registry : Obs.Metrics.t option;
+  metrics_mode : [ `Off | `Text | `Json ];
+}
+
+(* --db/--sql bound to a query inside the "bind" span, beside the
+   --trace/--metrics sinks. Resolved when the command runs, inside
+   handle_errors, so a bad format or bad SQL exits 2 with one line. *)
+let front_term =
+  let resolve dbspec sql trace_fmt metrics_fmt () =
+    let tracer, trace_mode = resolve_trace trace_fmt in
+    let registry, metrics_mode = resolve_metrics metrics_fmt in
+    let query =
+      Obs.Trace.with_span tracer "bind" @@ fun () ->
+      or_die (resolve_query dbspec sql)
+    in
+    { db = fst dbspec; query; tracer; trace_mode; registry; metrics_mode }
+  in
+  Term.(const resolve $ db_arg $ sql_arg $ trace_arg $ metrics_arg)
+
+let print_observability ?extra front =
+  print_trace ?extra front.trace_mode front.tracer;
+  print_metrics front.metrics_mode front.registry
+
 (* --- section8 --- *)
 
 let section8_cmd =
@@ -313,7 +374,6 @@ let section8_cmd =
       value & opt int 10
       & info [ "scale" ] ~docv:"N" ~doc:"Divide the paper's table sizes by $(docv).")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   let run scale seed =
     handle_errors @@ fun () ->
     let rows = Harness.Section8_experiment.run ~scale ~seed () in
@@ -321,20 +381,14 @@ let section8_cmd =
   in
   Cmd.v
     (Cmd.info "section8" ~doc:"Reproduce the paper's Section 8 experiment.")
-    Term.(const run $ scale $ seed)
+    Term.(const run $ scale $ seed_arg 42)
 
 (* --- estimate --- *)
 
 let estimate_cmd =
-  let run dbspec sql estimator trace_fmt metrics_fmt =
+  let run setup estimator =
     handle_errors @@ fun () ->
-    let db, _ = dbspec in
-    let tracer, trace_mode = resolve_trace trace_fmt in
-    let registry, metrics_mode = resolve_metrics metrics_fmt in
-    let query =
-      Obs.Trace.with_span tracer "bind" @@ fun () ->
-      or_die (resolve_query dbspec sql)
-    in
+    let ({ db; query; tracer; registry; _ } as front) = setup () in
     Printf.printf "query: %s\n\n" (Query.to_string query);
     let order = query.Query.tables in
     let configs =
@@ -359,32 +413,23 @@ let estimate_cmd =
           (String.concat " ⋈ " order)
           (Harness.Report.size_list history))
       configs;
-    print_trace trace_mode tracer;
-    print_metrics metrics_mode registry
+    print_observability front
   in
   Cmd.v
     (Cmd.info "estimate"
        ~doc:
          "Estimate intermediate join sizes under every registered \
           estimator (or just one, with --estimator).")
-    Term.(
-      const run $ db_arg $ sql_arg $ estimator_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ front_term $ estimator_arg)
 
 (* --- explain --- *)
 
 let explain_cmd =
-  let run dbspec sql algo enumerator estimator deadline_ms node_budget
-      row_budget trace_fmt metrics_fmt =
+  let run setup algo enumerator estimator make_budget =
     handle_errors @@ fun () ->
-    let db, _ = dbspec in
-    let tracer, trace_mode = resolve_trace trace_fmt in
-    let registry, metrics_mode = resolve_metrics metrics_fmt in
-    let query =
-      Obs.Trace.with_span tracer "bind" @@ fun () ->
-      or_die (resolve_query dbspec sql)
-    in
+    let ({ db; query; tracer; registry; _ } as front) = setup () in
     let config = resolve_config algo estimator in
-    let budget = resolve_budget deadline_ms node_budget row_budget in
+    let budget = make_budget () in
     let choice =
       Optimizer.choose ~enumerator ?budget ?trace:tracer config db query
     in
@@ -416,32 +461,23 @@ let explain_cmd =
         Format.printf "derivation replay stopped: %s@."
           (Els.Els_error.to_string e)));
     Format.printf "%a" Obs.Derivation.pp_card deriv;
-    print_trace trace_mode tracer
-      ~extra:[ ("derivation", Obs.Derivation.to_json deriv) ];
-    print_metrics metrics_mode registry
+    print_observability front
+      ~extra:[ ("derivation", Obs.Derivation.to_json deriv) ]
   in
   Cmd.v
     (Cmd.info "explain" ~doc:"Show the plan the chosen algorithm leads to.")
     Term.(
-      const run $ db_arg $ sql_arg $ algo_arg $ enumerator_arg
-      $ estimator_arg $ deadline_arg $ node_budget_arg $ row_budget_arg
-      $ trace_arg $ metrics_arg)
+      const run $ front_term $ algo_arg $ enumerator_arg $ estimator_arg
+      $ budget_term)
 
 (* --- run --- *)
 
 let run_cmd =
-  let run dbspec sql algo estimator deadline_ms node_budget row_budget
-      trace_fmt metrics_fmt =
+  let run setup algo estimator make_budget =
     handle_errors @@ fun () ->
-    let db, _ = dbspec in
-    let tracer, trace_mode = resolve_trace trace_fmt in
-    let registry, metrics_mode = resolve_metrics metrics_fmt in
-    let query =
-      Obs.Trace.with_span tracer "bind" @@ fun () ->
-      or_die (resolve_query dbspec sql)
-    in
+    let ({ db; query; tracer; registry; _ } as front) = setup () in
     let config = resolve_config algo estimator in
-    let budget = resolve_budget deadline_ms node_budget row_budget in
+    let budget = make_budget () in
     let trial = Harness.Runner.run ?budget ?trace:tracer config db query in
     Printf.printf "algorithm:  %s\n" trial.Harness.Runner.algorithm;
     Printf.printf "provenance: %s\n"
@@ -460,22 +496,17 @@ let run_cmd =
         Harness.Obs_report.absorb_trial m trial;
         Option.iter (Harness.Obs_report.absorb_budget m) budget)
       registry;
-    print_trace trace_mode tracer;
-    print_metrics metrics_mode registry
+    print_observability front
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Optimize, execute and report measured work.")
-    Term.(
-      const run $ db_arg $ sql_arg $ algo_arg $ estimator_arg $ deadline_arg
-      $ node_budget_arg $ row_budget_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ front_term $ algo_arg $ estimator_arg $ budget_term)
 
 (* --- closure --- *)
 
 let closure_cmd =
   let run dbspec sql =
     handle_errors @@ fun () ->
-    let db, _ = dbspec in
-    ignore db;
     let query = or_die (resolve_query dbspec sql) in
     let closed = Els.Closure.close_query query in
     Printf.printf "original: %s\n" (Query.to_string query);
@@ -499,18 +530,9 @@ let analyze_cmd =
              modes); repair mode fixes what it finds and exits 0.")
   in
   let strictness_arg =
-    let parse s =
-      match Catalog.Validate.strictness_of_string s with
-      | Some m -> Ok m
-      | None ->
-        Error (`Msg (Printf.sprintf "unknown mode %S (strict, repair, trap)" s))
-    in
-    let print ppf m =
-      Format.pp_print_string ppf (Catalog.Validate.strictness_name m)
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) Catalog.Validate.Trap
+      & opt strictness_conv Catalog.Validate.Trap
       & info [ "strictness" ] ~docv:"MODE"
           ~doc:
             "Audit mode for --check: trap (report only, default), repair \
@@ -563,28 +585,13 @@ let analyze_cmd =
 
 let fault_cmd =
   let strictness_arg =
-    let parse s =
-      match Catalog.Validate.strictness_of_string s with
-      | Some m -> Ok (Some m)
-      | None ->
-        Error (`Msg (Printf.sprintf "unknown mode %S (strict, repair, trap)" s))
-    in
-    let print ppf m =
-      Format.pp_print_string ppf
-        (match m with
-        | None -> "all"
-        | Some m -> Catalog.Validate.strictness_name m)
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) None
+      & opt (some ~none:"all" strictness_conv) None
       & info [ "strictness" ] ~docv:"MODE"
           ~doc:
             "Strictness mode to test: strict, repair or trap (default: all \
              three).")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
   let node_budget =
     Arg.(
@@ -631,7 +638,7 @@ let fault_cmd =
        ~doc:
          "Run the fault-injection suite (F9): corrupt the catalog in every \
           known way and assert the pipeline degrades instead of crashing.")
-    Term.(const run $ strictness_arg $ seed $ node_budget)
+    Term.(const run $ strictness_arg $ seed_arg 7 $ node_budget)
 
 (* --- soak --- *)
 
@@ -646,9 +653,6 @@ let soak_cmd =
       value & opt float 5.
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:"Optimizer deadline used by the deadline-respect leg.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
   let iter_seed =
     Arg.(
@@ -672,7 +676,7 @@ let soak_cmd =
           catalog corruption × resource budgets, asserting no crashes, no \
           non-finite answers, deadline respect, anytime monotonicity and \
           consistent cancellation.")
-    Term.(const run $ iters $ deadline_ms $ seed $ iter_seed)
+    Term.(const run $ iters $ deadline_ms $ seed_arg 1 $ iter_seed)
 
 (* --- churn --- *)
 
@@ -682,33 +686,12 @@ let churn_cmd =
       value & opt int 60
       & info [ "iters" ] ~docv:"N" ~doc:"Number of randomized iterations.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let run iters seed metrics_fmt =
     handle_errors @@ fun () ->
-    let metrics_mode =
-      match metrics_fmt with
-      | None -> `Off
-      | Some "text" -> `Text
-      | Some "json" -> `Json
-      | Some other ->
-        invalid_arg
-          (Printf.sprintf "unknown metrics format %S (text, json)" other)
-    in
+    let mode = metrics_mode metrics_fmt in
     let summary = Harness.Churn.run ~seed ~iters () in
     print_string (Harness.Churn.render summary);
-    (match metrics_mode with
-    | `Off -> ()
-    | `Text ->
-      Format.printf "@.metrics:@.%a" Obs.Metrics.pp
-        summary.Harness.Churn.metrics
-    | `Json ->
-      (* Last stdout line, so the snapshot pipes straight into
-         [check-metrics]. *)
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Metrics.to_json summary.Harness.Churn.metrics)));
+    print_snapshot mode summary.Harness.Churn.metrics;
     if not (Harness.Churn.pass summary) then exit 1
   in
   Cmd.v
@@ -720,7 +703,7 @@ let churn_cmd =
           asserting no crashes, no torn reads for pinned readers, monotone \
           epoch ids, visible staleness disclosure and bounded drift \
           against a fresh bulk-ANALYZE baseline.")
-    Term.(const run $ iters $ seed $ metrics_arg)
+    Term.(const run $ iters $ seed_arg 1 $ metrics_arg)
 
 (* --- serve --- *)
 
@@ -774,7 +757,7 @@ let serve_cmd =
       drain_deadline_ms socket metrics_fmt =
     handle_errors @@ fun () ->
     let db, _ = dbspec in
-    let registry, metrics_mode = resolve_metrics metrics_fmt in
+    let registry, mode = resolve_metrics metrics_fmt in
     let config =
       {
         Serve.Server.default_config with
@@ -806,7 +789,7 @@ let serve_cmd =
          else ""));
     (* The registry the sessions wrote into, flushed as the last stdout
        line so it pipes straight into [check-metrics]. *)
-    print_metrics metrics_mode registry
+    print_metrics mode registry
   in
   Cmd.v
     (Cmd.info "serve"
@@ -828,9 +811,6 @@ let serve_chaos_cmd =
       value & opt int 500
       & info [ "sessions" ] ~docv:"N" ~doc:"Number of randomized sessions.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let quick =
     Arg.(
       value & flag
@@ -839,22 +819,11 @@ let serve_chaos_cmd =
   in
   let run sessions seed quick metrics_fmt =
     handle_errors @@ fun () ->
-    let registry, metrics_mode = resolve_metrics metrics_fmt in
-    ignore registry;
+    let mode = metrics_mode metrics_fmt in
     let sessions = if quick then min sessions 60 else sessions in
     let summary = Harness.Serve_chaos.run ~seed ~sessions () in
     print_string (Harness.Serve_chaos.render summary);
-    (match metrics_mode with
-    | `Off -> ()
-    | `Text ->
-      Format.printf "@.metrics:@.%a" Obs.Metrics.pp
-        summary.Harness.Serve_chaos.metrics
-    | `Json ->
-      (* Last stdout line, so the snapshot pipes straight into
-         [check-metrics]. *)
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Metrics.to_json summary.Harness.Serve_chaos.metrics)));
+    print_snapshot mode summary.Harness.Serve_chaos.metrics;
     if not (Harness.Serve_chaos.pass summary) then exit 1
   in
   Cmd.v
@@ -866,7 +835,7 @@ let serve_chaos_cmd =
           concurrent catalog churn against the real server loop — \
           asserting zero crashes, total structured accounting and monotone \
           epoch visibility.")
-    Term.(const run $ sessions $ seed $ quick $ metrics_arg)
+    Term.(const run $ sessions $ seed_arg 1 $ quick $ metrics_arg)
 
 (* --- check-metrics --- *)
 
@@ -876,67 +845,65 @@ let serve_chaos_cmd =
    shape; exits 2 with the first violation otherwise. *)
 let check_metrics_json json =
   let ( let* ) = Result.bind in
+  let all check xs =
+    List.fold_left
+      (fun acc x ->
+        let* () = acc in
+        check x)
+      (Ok ()) xs
+  in
   let* fields =
     match json with
     | Obs.Json.Obj fields -> Ok fields
     | _ -> Error "top level is not an object"
   in
-  let* () =
-    List.fold_left
-      (fun acc section ->
-        let* () = acc in
-        match List.assoc_opt section fields with
-        | Some (Obs.Json.Obj _) -> Ok ()
-        | Some _ -> Error (Printf.sprintf "%S is not an object" section)
-        | None -> Error (Printf.sprintf "missing section %S" section))
-      (Ok ())
-      [ "counters"; "gauges"; "histograms" ]
+  let counter (name, v) =
+    match v with
+    | Obs.Json.Int n when n >= 0 -> Ok ()
+    | _ ->
+      Error (Printf.sprintf "counter %S is not a non-negative integer" name)
   in
-  let section name =
+  let gauge (name, v) =
+    match v with
+    | Obs.Json.Float _ | Obs.Json.Int _ | Obs.Json.Null -> Ok ()
+    | _ -> Error (Printf.sprintf "gauge %S is not numeric" name)
+  in
+  let histogram (name, v) =
+    let numeric entries field =
+      match List.assoc_opt field entries with
+      | Some (Obs.Json.Int _ | Obs.Json.Float _ | Obs.Json.Null) -> Ok ()
+      | Some _ | None ->
+        Error (Printf.sprintf "histogram %S lacks numeric %S" name field)
+    in
+    match v with
+    | Obs.Json.Obj entries -> all (numeric entries) [ "count"; "sum" ]
+    | _ -> Error (Printf.sprintf "histogram %S is not an object" name)
+  in
+  let sections =
+    [ ("counters", counter); ("gauges", gauge); ("histograms", histogram) ]
+  in
+  let entries name =
     match List.assoc_opt name fields with
     | Some (Obs.Json.Obj entries) -> entries
     | _ -> []
   in
+  (* Every section must be present before any entry is checked. *)
   let* () =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* () = acc in
-        match v with
-        | Obs.Json.Int n when n >= 0 -> Ok ()
-        | _ -> Error (Printf.sprintf "counter %S is not a non-negative integer" name))
-      (Ok ()) (section "counters")
+    all
+      (fun (section, _) ->
+        match List.assoc_opt section fields with
+        | Some (Obs.Json.Obj _) -> Ok ()
+        | Some _ -> Error (Printf.sprintf "%S is not an object" section)
+        | None -> Error (Printf.sprintf "missing section %S" section))
+      sections
   in
   let* () =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* () = acc in
-        match v with
-        | Obs.Json.Float _ | Obs.Json.Int _ | Obs.Json.Null -> Ok ()
-        | _ -> Error (Printf.sprintf "gauge %S is not numeric" name))
-      (Ok ()) (section "gauges")
-  in
-  let* () =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* () = acc in
-        let numeric field entries =
-          match List.assoc_opt field entries with
-          | Some (Obs.Json.Int _ | Obs.Json.Float _ | Obs.Json.Null) -> Ok ()
-          | Some _ | None ->
-            Error (Printf.sprintf "histogram %S lacks numeric %S" name field)
-        in
-        match v with
-        | Obs.Json.Obj entries ->
-          let* () = numeric "count" entries in
-          let* () = numeric "sum" entries in
-          Ok ()
-        | _ -> Error (Printf.sprintf "histogram %S is not an object" name))
-      (Ok ()) (section "histograms")
+    all (fun (section, check) -> all check (entries section)) sections
   in
   Ok
-    (List.length (section "counters")
-    + List.length (section "gauges")
-    + List.length (section "histograms"))
+    (List.fold_left
+       (fun n (section, _) -> n + List.length (entries section))
+       0 sections)
 
 let check_metrics_cmd =
   let run () =

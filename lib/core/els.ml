@@ -80,16 +80,20 @@ let estimate_result config db query order =
   | Error _ as e -> e
   | Ok x -> checked_estimate "Els.estimate" x
 
-let intermediate_sizes_result config db query order =
-  match wrap (fun () -> intermediate_sizes config db query order) with
-  | Error _ as e -> e
-  | Ok sizes ->
-    let rec check = function
-      | [] -> Ok sizes
-      | x :: rest -> begin
-        match checked_estimate "Els.intermediate_sizes" x with
-        | Ok _ -> check rest
-        | Error _ as e -> e
-      end
-    in
-    check sizes
+(* Every intermediate size, then the final one: a single-table order has
+   no intermediate sizes, but its base size is still checked. *)
+let estimate_order_result config db query order =
+  let check site x = Result.map ignore (checked_estimate site x) in
+  let ( let* ) = Result.bind in
+  let* state =
+    wrap (fun () -> Incremental.estimate_order (prepare config db query) order)
+  in
+  let* () =
+    List.fold_left
+      (fun acc x ->
+        let* () = acc in
+        check "Els.intermediate_sizes" x)
+      (Ok ()) (Incremental.history state)
+  in
+  let* () = check "Els.estimate" state.Incremental.size in
+  Ok state

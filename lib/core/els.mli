@@ -87,9 +87,14 @@ val estimate_result :
   (float, Els_error.t) result
 (** [Ok] estimates are always finite and non-negative. *)
 
-val intermediate_sizes_result :
+val estimate_order_result :
   Config.t ->
   Catalog.Db.t ->
   Query.t ->
   string list ->
-  (float list, Els_error.t) result
+  (Incremental.state, Els_error.t) result
+(** One prepare, the whole estimation state along the order: the final
+    size and {!Incremental.history}. [Ok] means every intermediate size is
+    finite and non-negative (a breach is reported at site
+    ["Els.intermediate_sizes"]) and so is the final size (site
+    ["Els.estimate"]), checked in that order. *)

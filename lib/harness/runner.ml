@@ -64,7 +64,3 @@ let run ?methods ?budget ?trace config db query =
     plan = choice.Optimizer.plan;
     provenance = choice.Optimizer.provenance;
   }
-
-let estimate_only config db query order =
-  let profile = Els.prepare config db query in
-  Els.Incremental.history (Els.Incremental.estimate_order profile order)

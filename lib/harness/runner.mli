@@ -45,7 +45,3 @@ val run :
     @raise Invalid_argument when the catalog tables are stats-only.
     @raise Els.Els_error.Error ([Budget_exhausted]) when the row budget or
     deadline trips during execution. *)
-
-val estimate_only :
-  Els.Config.t -> Catalog.Db.t -> Query.t -> string list -> float list
-(** Just the estimator along a fixed order, no optimizer/executor. *)

@@ -4,8 +4,6 @@ type node = {
   cost : float;
 }
 
-let scan_filters profile table = Els.Profile.scan_filters profile table
-
 let method_applicable method_ eligible =
   match method_ with
   | Exec.Plan.Nested_loop -> true
@@ -21,7 +19,7 @@ let scan_node profile table =
   {
     plan =
       Exec.Plan.scan ~source:tp.Els.Profile.source
-        ~filters:(scan_filters profile table) table;
+        ~filters:(Els.Profile.scan_filters profile table) table;
     state = Els.Incremental.start profile table;
     cost = Cost.scan ~base_rows:tp.Els.Profile.base_rows;
   }
@@ -52,7 +50,7 @@ let extend profile node table method_ eligible =
   let tp = Els.Profile.table profile table in
   let inner =
     Exec.Plan.scan ~source:tp.Els.Profile.source
-      ~filters:(scan_filters profile table) table
+      ~filters:(Els.Profile.scan_filters profile table) table
   in
   {
     plan =
@@ -118,35 +116,36 @@ let plan_order ?charge ~methods profile order =
   | first :: rest ->
     complete_order ?charge ~methods profile (scan_node profile first) rest
 
-let greedy_complete ?charge ~methods profile node remaining =
-  let rec grow node remaining =
-    if remaining = [] then node
-    else begin
-      let candidates =
-        List.filter_map
-          (fun table ->
-            Option.map
-              (fun (node', connected) -> (table, node', connected))
-              (best_extension ?charge profile methods node table))
-          remaining
-      in
-      (* Prefer predicate-connected extensions, as DP does. *)
-      let connected = List.filter (fun (_, _, c) -> c) candidates in
-      let pool = if connected <> [] then connected else candidates in
-      match pool with
-      | [] -> no_method_error methods remaining
-      | first :: rest ->
-        let table, node', _ =
-          List.fold_left
-            (fun (bt, bn, bc) (t, n, c) ->
-              if n.cost < bn.cost then (t, n, c) else (bt, bn, bc))
-            first rest
-        in
-        grow node'
-          (List.filter (fun t -> not (String.equal t table)) remaining)
-    end
+let greedy_step ?charge ~methods profile node remaining =
+  let candidates =
+    List.filter_map
+      (fun table ->
+        Option.map
+          (fun (node', connected) -> (table, node', connected))
+          (best_extension ?charge profile methods node table))
+      remaining
   in
-  grow node remaining
+  (* Prefer predicate-connected extensions, as DP does. *)
+  let connected = List.filter (fun (_, _, c) -> c) candidates in
+  let pool = if connected <> [] then connected else candidates in
+  match pool with
+  | [] -> no_method_error methods remaining
+  | first :: rest ->
+    let table, node', _ =
+      List.fold_left
+        (fun (bt, bn, bc) (t, n, c) ->
+          if n.cost < bn.cost then (t, n, c) else (bt, bn, bc))
+        first rest
+    in
+    (node', List.filter (fun t -> not (String.equal t table)) remaining)
+
+let rec greedy_complete ?charge ~methods profile node remaining =
+  if remaining = [] then node
+  else
+    let node', remaining' =
+      greedy_step ?charge ~methods profile node remaining
+    in
+    greedy_complete ?charge ~methods profile node' remaining'
 
 let optimize_traced
     ?(methods = [ Exec.Plan.Nested_loop; Exec.Plan.Sort_merge; Exec.Plan.Hash ])
@@ -304,10 +303,8 @@ let optimize_traced
         (List.init !completed_size (fun i -> !completed_size - i))
     in
     let left_deep =
-      if n = 0 then None
-      else
-        attempt Provenance.Left_deep_fallback (fun () ->
-            plan_order ~methods profile (Array.to_list tables))
+      attempt Provenance.Left_deep_fallback (fun () ->
+          plan_order ~methods profile (Array.to_list tables))
     in
     let candidates =
       Option.to_list full_candidate @ completions @ Option.to_list left_deep

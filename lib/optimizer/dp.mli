@@ -62,13 +62,6 @@ val optimize_traced :
     plan, whether (and on which resource) the budget tripped, and how many
     node expansions were performed. *)
 
-val scan_filters : Els.Profile.t -> string -> Query.Predicate.t list
-(** The local predicates of the profile's working conjunction pushed into
-    the scan of the given table (constant comparisons and intra-table
-    column equalities). Alias of {!Els.Profile.scan_filters}: lookup goes
-    through the profile's normalized per-table index, so mixed-case table
-    names cannot silently drop filters. *)
-
 val method_applicable : Exec.Plan.join_method -> Query.Predicate.t list -> bool
 (** Whether the method can join with the given eligible predicates:
     sort-merge, hash and index nested loop need at least one equi-key;
@@ -125,6 +118,20 @@ val plan_order :
     {!complete_order} over the rest.
     @raise Invalid_argument on the empty list. *)
 
+val greedy_step :
+  ?charge:(unit -> unit) ->
+  methods:Exec.Plan.join_method list ->
+  Els.Profile.t ->
+  node ->
+  string list ->
+  node * string list
+(** One greedy step: among [remaining], append the (table, method) pair
+    with the least cost, preferring predicate-connected extensions; the
+    first candidate wins a cost tie. Returns the grown node and the tables
+    still missing from it.
+    @raise Els.Els_error.Error ([Invalid_query]) when no remaining table
+    has an applicable method. *)
+
 val greedy_complete :
   ?charge:(unit -> unit) ->
   methods:Exec.Plan.join_method list ->
@@ -132,9 +139,7 @@ val greedy_complete :
   node ->
   string list ->
   node
-(** Greedy completion: repeatedly append the (table, method) pair with the
-    least added cost among [remaining], preferring predicate-connected
-    extensions. O(n²·methods), always terminates — the rung exact DP
-    degrades to when its budget runs out.
+(** {!greedy_step} until no table remains. O(n²·methods), always
+    terminates — the rung exact DP degrades to when its budget runs out.
     @raise Els.Els_error.Error ([Invalid_query]) when no remaining table
     has an applicable method. *)

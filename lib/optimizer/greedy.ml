@@ -44,29 +44,8 @@ let optimize_traced ?(methods = default_methods) ?estimator ?budget profile
     let node, remaining = !current in
     if remaining = [] then node
     else begin
-      let candidates =
-        List.filter_map
-          (fun table ->
-            Option.map
-              (fun (node', connected) -> (table, node', connected))
-              (Dp.best_extension ~charge profile methods node table))
-          remaining
-      in
-      (* Prefer predicate-connected extensions, as DP does. *)
-      let connected = List.filter (fun (_, _, c) -> c) candidates in
-      let pool = if connected <> [] then connected else candidates in
-      match pool with
-      | [] -> Dp.no_method_error methods remaining
-      | first :: rest ->
-        let table, node', _ =
-          List.fold_left
-            (fun (bt, bn, bc) (t, n, c) ->
-              if n.Dp.cost < bn.Dp.cost then (t, n, c) else (bt, bn, bc))
-            first rest
-        in
-        current :=
-          (node', List.filter (fun t -> not (String.equal t table)) remaining);
-        grow ()
+      current := Dp.greedy_step ~charge ~methods profile node remaining;
+      grow ()
     end
   in
   match grow () with

@@ -1,10 +1,3 @@
-(* Cost a fixed left-deep order, cheapest applicable method per step.
-   A step with no applicable method (e.g. [~methods:[Hash]] and no
-   eligible equi-predicate) is a structured [Invalid_query] error — this
-   used to be an [assert false] crash. *)
-let plan_of_order ?charge ~methods profile order =
-  Dp.plan_order ?charge ~methods profile order
-
 let optimize_traced
     ?(methods = [ Exec.Plan.Nested_loop; Exec.Plan.Sort_merge; Exec.Plan.Hash ])
     ?estimator ?(restarts = 8) ?(max_steps = 100) ?(seed = 1) ?budget profile
@@ -29,10 +22,10 @@ let optimize_traced
     match budget with None -> () | Some b -> Rel.Budget.check_exn b
   in
   let rng = Rel.Prng.create seed in
-  let cost_of order = (plan_of_order ~charge ~methods profile order).Dp.cost in
+  let cost_of order = (Dp.plan_order ~charge ~methods profile order).Dp.cost in
   let best = ref None in
   let consider order =
-    let node = plan_of_order ~charge ~methods profile order in
+    let node = Dp.plan_order ~charge ~methods profile order in
     match !best with
     | Some incumbent when incumbent.Dp.cost <= node.Dp.cost -> ()
     | Some _ | None -> best := Some node

@@ -4,8 +4,8 @@
     randomized query optimizers [14, 5]. This enumerator searches the
     space of left-deep join orders by iterative improvement: random
     restarts, each descending through random adjacent-swap neighbors until
-    no accepted move occurs for a while. For each visited order the
-    cheapest join method per step is chosen greedily.
+    no accepted move occurs for a while. Each visited order is costed by
+    {!Dp.plan_order}, the cheapest join method per step.
 
     Deterministic given [seed]. With a {!Rel.Budget} the walk checks the
     deadline between restarts and charges every costed extension; on
@@ -43,15 +43,3 @@ val optimize_traced :
   Dp.node * Provenance.t
 (** [optimize] plus the provenance record (rung, exhaustion, expansion
     count). *)
-
-val plan_of_order :
-  ?charge:(unit -> unit) ->
-  methods:Exec.Plan.join_method list ->
-  Els.Profile.t ->
-  string list ->
-  Dp.node
-(** Cost a fixed left-deep order, choosing the cheapest applicable method
-    at each step (exposed for tests and for costing externally supplied
-    orders); alias of {!Dp.plan_order}.
-    @raise Els.Els_error.Error ([Invalid_query]) when a step has no
-    applicable method — previously an [assert false] crash. *)

@@ -383,14 +383,13 @@ let handle_estimate ss ~budget ~sql ~estimator ~order =
       if norm order = norm query.Query.tables then Ok order
       else invalid "order must be a permutation of the query's tables"
   in
-  let* sizes = Els.intermediate_sizes_result config edb query order in
-  let* estimate = Els.estimate_result config edb query order in
+  let* state = Els.estimate_order_result config edb query order in
   let* () = check_budget ~site:"serve.estimate" budget in
   Ok
     ( "estimate",
       [
-        ("estimate", Obs.Json.Float estimate);
-        ("sizes", json_of_sizes sizes);
+        ("estimate", Obs.Json.Float state.Els.Incremental.size);
+        ("sizes", json_of_sizes (Els.Incremental.history state));
         ("order", json_of_strings order);
         ("epoch", Obs.Json.Int (Catalog.Epoch.id epoch));
       ]

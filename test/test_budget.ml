@@ -221,8 +221,8 @@ let expect_invalid_query name f =
 let test_hash_only_cartesian_is_structured_error () =
   let db, q = cartesian_db_query () in
   let profile = Els.prepare Els.Config.els db q in
-  expect_invalid_query "random_walk.plan_of_order" (fun () ->
-      Optimizer.Random_walk.plan_of_order ~methods:[ Exec.Plan.Hash ] profile
+  expect_invalid_query "dp.plan_order" (fun () ->
+      Optimizer.Dp.plan_order ~methods:[ Exec.Plan.Hash ] profile
         q.Query.tables);
   expect_invalid_query "dp" (fun () ->
       Optimizer.Dp.optimize ~methods:[ Exec.Plan.Hash ] profile q);

@@ -10,9 +10,19 @@ type case = {
   args : string;
   stdin : string option;
   expect : int;
+  stdout_has : string option;  (** a substring stdout must contain *)
 }
 
-let case ?stdin name args expect = { name; args; stdin; expect }
+let case ?stdin ?stdout_has name args expect =
+  { name; args; stdin; expect; stdout_has }
+
+(* A one-table csv: database, which has no canonical query. *)
+let csv_db =
+  let f = Filename.temp_file "elsdb_cli" ".csv" in
+  Out_channel.with_open_text f (fun oc ->
+      Out_channel.output_string oc "a\n1\n2\n");
+  at_exit (fun () -> Sys.remove f);
+  "csv:" ^ f
 
 let cases =
   [
@@ -43,6 +53,11 @@ let cases =
         {|{"id":"1","op":"health"}
 {"id":"2","op":"drain"}|}
       "serve clean session" "serve" 0;
+    (* a db spec carries its default query: section8's restriction scales
+       as s < 100 / SCALE, and csv: has none, so --sql is required *)
+    case ~stdout_has:"s.s < 100" "section8 default query scales"
+      "closure --db section8:1" 0;
+    case "csv db without --sql" ("closure --db " ^ Filename.quote csv_db) 2;
   ]
 
 let contains haystack needle =
@@ -50,7 +65,8 @@ let contains haystack needle =
   let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
   n = 0 || scan 0
 
-let run_case { name; args; stdin; expect } () =
+let run_case { name; args; stdin; expect; stdout_has } () =
+  let out_file = Filename.temp_file "elsdb_cli" ".out" in
   let err_file = Filename.temp_file "elsdb_cli" ".err" in
   let feed =
     match stdin with
@@ -63,15 +79,23 @@ let run_case { name; args; stdin; expect } () =
       "<" ^ Filename.quote f
   in
   let cmd =
-    Printf.sprintf "%s %s %s >/dev/null 2>%s" (Filename.quote bin) args feed
-      (Filename.quote err_file)
+    Printf.sprintf "%s %s %s >%s 2>%s" (Filename.quote bin) args feed
+      (Filename.quote out_file) (Filename.quote err_file)
   in
   let code = Sys.command cmd in
-  let stderr_text =
-    In_channel.with_open_text err_file In_channel.input_all
+  let read f =
+    let text = In_channel.with_open_text f In_channel.input_all in
+    Sys.remove f;
+    text
   in
-  Sys.remove err_file;
+  let stdout_text = read out_file in
+  let stderr_text = read err_file in
   Alcotest.(check int) (name ^ ": exit code") expect code;
+  Option.iter
+    (fun needle ->
+      Alcotest.(check bool) (name ^ ": stdout has " ^ needle) true
+        (contains stdout_text needle))
+    stdout_has;
   Alcotest.(check bool) (name ^ ": no backtrace") false
     (contains stderr_text "Raised at"
     || contains stderr_text "Raised by"

@@ -132,6 +132,49 @@ let test_local_sweep_shape () =
         < float_of_int p.Harness.Local_sweep.true_size))
     points
 
+(* The F10/F14/F16 panels at the scales `bench/main.exe --quick` runs
+   them: every row finite, one row per (scenario, registry estimator) in
+   scenario-major order, and each row's sizes exactly the one-shot
+   estimator's along the FROM order. *)
+let test_panels () =
+  let estimators = List.map Els.Estimator.label (Els.Estimator.registry ()) in
+  List.iter
+    (fun (panel, scenarios) ->
+      let rows = Harness.Panel.run scenarios in
+      Alcotest.(check bool) (panel ^ ": pass") true (Harness.Panel.pass rows);
+      Alcotest.(check (list (pair string string)))
+        (panel ^ ": one row per scenario x estimator")
+        (List.concat_map
+           (fun (s : Harness.Panel.scenario) ->
+             List.map (fun e -> (s.name, e)) estimators)
+           scenarios)
+        (List.map
+           (fun (r : Harness.Panel.row) -> (r.scenario, r.estimator))
+           rows);
+      List.iter
+        (fun (r : Harness.Panel.row) ->
+          let s =
+            List.find
+              (fun (s : Harness.Panel.scenario) -> s.name = r.scenario)
+              scenarios
+          in
+          let config =
+            Els.Config.of_estimator (Els.Estimator.of_string_exn r.estimator)
+          in
+          let expected =
+            Els.intermediate_sizes config s.db s.query s.query.Query.tables
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s/%s: sizes" panel r.scenario r.estimator)
+            true
+            (List.equal Float.equal expected r.sizes))
+        rows)
+    [
+      ("f10", Harness.Panel.f10 ~scale:20 ~seed:42);
+      ("f14", Harness.Panel.f14 ~seed:42);
+      ("f16", Harness.Panel.f16 ~scale:50 ~seed:42);
+    ]
+
 let suite =
   [
     Alcotest.test_case "report: table" `Quick test_report_table;
@@ -146,4 +189,5 @@ let suite =
     Alcotest.test_case "error propagation shape" `Quick
       test_error_propagation_shape;
     Alcotest.test_case "local sweep shape" `Quick test_local_sweep_shape;
+    Alcotest.test_case "panels: F10/F14/F16" `Quick test_panels;
   ]

@@ -152,14 +152,14 @@ let test_scan_filters_placement () =
       Alcotest.(check int)
         (Printf.sprintf "filter on %s" table)
         1
-        (List.length (Optimizer.Dp.scan_filters profile table)))
+        (List.length (Els.Profile.scan_filters profile table)))
     [ "s"; "m"; "b"; "g" ];
   (* Without closure, only s has one. *)
   let profile_nc = Els.prepare (Els.Config.sm ~ptc:false) (fst (s8_db_query 10)) q in
   Alcotest.(check int) "only s filtered" 1
-    (List.length (Optimizer.Dp.scan_filters profile_nc "s"));
+    (List.length (Els.Profile.scan_filters profile_nc "s"));
   Alcotest.(check int) "g unfiltered" 0
-    (List.length (Optimizer.Dp.scan_filters profile_nc "g"))
+    (List.length (Els.Profile.scan_filters profile_nc "g"))
 
 let test_choose_reports () =
   let db, q = s8_db_query 50 in

@@ -168,10 +168,9 @@ let test_case_normalization () =
     (Els.Profile.table_bit profile "R");
   Alcotest.(check int) "scan_filters survive mixed case" 1
     (List.length (Els.Profile.scan_filters profile "R"));
-  Alcotest.(check (list string)) "Dp.scan_filters agrees"
-    (List.map Query.Predicate.to_string (Optimizer.Dp.scan_filters profile "r"))
-    (List.map Query.Predicate.to_string
-       (Optimizer.Dp.scan_filters profile "R"));
+  Alcotest.(check (list string)) "scan_filters: R and r agree"
+    (List.map Query.Predicate.to_string (Els.Profile.scan_filters profile "r"))
+    (List.map Query.Predicate.to_string (Els.Profile.scan_filters profile "R"));
   let st = Els.Incremental.start profile "R" in
   Alcotest.(check (list string)) "start normalizes" [ "r" ]
     (Els.Incremental.joined profile st);

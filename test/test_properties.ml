@@ -512,11 +512,13 @@ let prop_ls_one_selectivity_per_class =
             ok)
         (permutations names))
 
-(* The selectivity memo cache is estimate-transparent: the kernel, which
-   reads every join selectivity from the profile's cache, and the
-   reference tier, which recomputes each one from the statistics, produce
-   bit-identical sizes at every step of every order, under every
-   registered estimator's canonical configuration. *)
+(* The compiled kernel agrees with the list-scan reference tier: the
+   kernel, which evaluates every join selectivity once at compile time,
+   and the reference tier, which recomputes each one from the statistics
+   at every step, produce bit-identical sizes at every step of every
+   order, under every registered estimator's canonical configuration.
+   (The name predates the kernel; it is kept so test lists stay
+   comparable across versions.) *)
 let prop_cache_transparent =
   QCheck2.Test.make ~count ~name:"memo cache is bit-identical to uncached"
     ~print:print_chain_spec gen_chain_spec (fun spec ->
@@ -534,10 +536,12 @@ let prop_cache_transparent =
             (permutations names))
         (Els.Config.panel ()))
 
-(* Differential: the indexed bitset hot path (the per-table eligibility
-   index and the compiled kernel) returns exactly the same eligible
-   predicates (same order) and bit-identical step selectivities as the
-   list-scan reference tier, for every registered estimator. *)
+(* Differential: the kernel path (the per-table eligibility index and
+   the compiled kernel) returns exactly the same eligible predicates
+   (same order) and bit-identical step selectivities as the list-scan
+   reference tier, for every registered estimator. (The name predates
+   the kernel; it is kept so test lists stay comparable across
+   versions.) *)
 let prop_index_matches_scan =
   QCheck2.Test.make ~count ~name:"indexed hot path = list-scan baseline"
     ~print:print_chain_spec gen_chain_spec (fun spec ->

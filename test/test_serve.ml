@@ -83,9 +83,9 @@ let parse_response line =
    response pipe's kernel buffer holds a small session's worth of output,
    so no concurrent reader is needed here (the chaos harness covers the
    streaming case). *)
-let drive ?config frames =
-  let db = Harness.Fault.base_db ~seed:11 () in
-  let server = Serve.Server.create ?config db in
+let serve_db () = Harness.Fault.base_db ~seed:11 ()
+
+let drive_server server frames =
   let in_r, in_w = Unix.pipe ~cloexec:true () in
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   let wc = Unix.out_channel_of_descr in_w in
@@ -110,6 +110,14 @@ let drive ?config frames =
   close_in rc;
   (stats, responses)
 
+let drive ?config frames =
+  drive_server (Serve.Server.create ?config (serve_db ())) frames
+
+let number = function
+  | Obs.Json.Float x -> x
+  | Obs.Json.Int n -> float_of_int n
+  | _ -> Alcotest.fail "expected a number"
+
 let by_id responses id =
   match List.find_opt (fun r -> r.rid = Some id) responses with
   | Some r -> r
@@ -129,10 +137,40 @@ let test_session_basic () =
       {|{"id":"d","op":"drain"}|};
     ]
   in
-  let stats, responses = drive frames in
+  let server = Serve.Server.create (serve_db ()) in
+  let pin () = Catalog.Store.pin (Serve.Server.store server) in
+  let before = pin () in
+  let stats, responses = drive_server server frames in
+  let after = pin () in
   List.iter
     (fun id -> Alcotest.(check bool) (id ^ " ok") true (by_id responses id).ok)
     [ "h"; "e1"; "x"; "r"; "a"; "d" ];
+  (* The estimate is the last intermediate size, and bit-identical to
+     Els.estimate on the epoch the request pinned (the analyze op
+     publishes a new one, so that is either side of the session). *)
+  let e1 = (by_id responses "e1").top in
+  let estimate = number (List.assoc "estimate" e1) in
+  (match List.assoc "sizes" e1 with
+  | Obs.Json.List (_ :: _ as sizes) ->
+    let last = List.nth sizes (List.length sizes - 1) in
+    Alcotest.(check bool) "estimate = last size" true
+      (Float.equal estimate (number last))
+  | _ -> Alcotest.fail "estimate response lacks sizes");
+  let pinned =
+    match List.assoc "epoch" e1 with
+    | Obs.Json.Int id when id = Catalog.Epoch.id before -> before
+    | Obs.Json.Int id when id = Catalog.Epoch.id after -> after
+    | _ -> Alcotest.fail "estimate response names an unknown epoch"
+  in
+  let edb = Catalog.Epoch.db pinned in
+  let query =
+    match Sqlfront.Binder.compile edb sql with
+    | Ok q -> q
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check bool) "estimate = Els.estimate on the pinned epoch" true
+    (Float.equal estimate
+       (Els.estimate Els.Config.els edb query query.Query.tables));
   Alcotest.(check int) "all answered" 6 (List.length responses);
   Alcotest.(check int) "frames" 6 stats.Serve.Server.frames;
   Alcotest.(check int) "no internal errors" 0
