@@ -154,19 +154,10 @@ let resolve_config algo estimator =
   | Some config, Some e -> Els.Config.with_estimator e config
 
 let enumerator_arg =
-  let parse = function
-    | "dp" -> Ok Optimizer.Exhaustive
-    | "greedy" -> Ok Optimizer.Greedy_order
-    | "random" -> Ok (Optimizer.Randomized 1)
-    | s -> Error (`Msg (Printf.sprintf "unknown enumerator %S (dp, greedy, random)" s))
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Optimizer.enumerator_of_string s)
   in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-      | Optimizer.Exhaustive -> "dp"
-      | Optimizer.Greedy_order -> "greedy"
-      | Optimizer.Randomized _ -> "random")
-  in
+  let print ppf e = Format.pp_print_string ppf (Optimizer.enumerator_name e) in
   Arg.(
     value
     & opt (conv (parse, print)) Optimizer.Exhaustive

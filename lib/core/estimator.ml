@@ -16,8 +16,7 @@ type t = {
   label : string;
   summary : string;
   combine : float list -> float;
-  cap : (step_input -> float) option;
-  cap_note : (step_input -> string) option;
+  cap : (step_input -> float * string) option;
   flags : flags;
 }
 
@@ -35,7 +34,6 @@ let m =
     summary = "Rule M: multiply every eligible join selectivity (Selinger)";
     combine = (fun sels -> List.fold_left ( *. ) 1. sels);
     cap = None;
-    cap_note = None;
     (* Canonically with PTC: panels compare combining rules under equal
        (closed) predicate sets. Plain SM is [Config.sm ~ptc:false]. *)
     flags = { closure = true; local_aware = false; single_table = false };
@@ -48,7 +46,6 @@ let ss =
     summary = "Rule SS: keep only the smallest selectivity per class";
     combine = (fun sels -> List.fold_left Float.min 1. sels);
     cap = None;
-    cap_note = None;
     flags = { closure = true; local_aware = false; single_table = false };
   }
 
@@ -63,7 +60,6 @@ let ls =
         | [] -> 1.
         | s :: rest -> List.fold_left Float.max s rest);
     cap = None;
-    cap_note = None;
     flags = { closure = true; local_aware = true; single_table = true };
   }
 
@@ -80,8 +76,7 @@ let pess =
        the cap, so classes combine to 1 and a step's raw size is the
        cartesian product before capping. *)
     combine = (fun _ -> 1.);
-    cap = Some min_rows;
-    cap_note = Some (fun _ -> "min-rows (degree-1 Lp-norm bound)");
+    cap = Some (fun s -> (min_rows s, "min-rows (degree-1 Lp-norm bound)"));
     flags = { closure = true; local_aware = true; single_table = true };
   }
 
@@ -95,14 +90,39 @@ let pess =
    conjunction can only shrink the output) and degrade to PESS's min-rows
    when no degree statistics are available. The degree statistics are the
    {e base tables}': exact for the first (two-way) step, a heuristic for
-   later steps whose left input is an intermediate. *)
+   later steps whose left input is an intermediate. Each cap returns the
+   label of the [Float.min] term that set its bound; a later term takes
+   over only when strictly tighter, so on a tie the first term's label
+   wins. *)
 
-let degree_fold s per_edge =
-  List.fold_left
-    (fun acc (a, b) -> Float.min acc (per_edge a b))
-    (min_rows s) s.degrees
+let no_degrees_label = "min-rows (no degree statistics collected)"
 
-let no_degrees s = s.degrees = []
+(* The caps fold with top-level loops, not [List.fold_left] over a
+   closure or a tuple accumulator: a cap runs on every capped kernel
+   step, and a closure or a tuple per term would add to each step's
+   allocation. *)
+
+(* [Float.min] of [bound] and [term a b] over the degree pairs. *)
+let rec min_over term bound = function
+  | [] -> bound
+  | (a, b) :: rest -> min_over term (Float.min bound (term a b)) rest
+
+(* A cap under one label: the min over the degree pairs, seeded at
+   infinity, or min-rows when there are no pairs. *)
+let fold_edges s label term =
+  match s.degrees with
+  | [] -> (min_rows s, no_degrees_label)
+  | edges -> (min_over term Float.infinity edges, label)
+
+(* LP2 seeds with min-rows; each pair's L2(a)·L2(b) takes the label over
+   only when strictly tighter. *)
+let rec lp2_over bound label = function
+  | [] -> (bound, label)
+  | (a, b) :: rest ->
+    let l2 = Stats.Degree.l2 a *. Stats.Degree.l2 b in
+    lp2_over (Float.min bound l2)
+      (if l2 < bound then "degree-sequence L2 norms (ANALYZE)" else label)
+      rest
 
 let lp2 =
   {
@@ -115,12 +135,10 @@ let lp2 =
     cap =
       Some
         (fun s ->
-          degree_fold s (fun a b -> Stats.Degree.l2 a *. Stats.Degree.l2 b));
-    cap_note =
-      Some
-        (fun s ->
-          if no_degrees s then "min-rows (no degree statistics collected)"
-          else "degree-sequence L2 norms (ANALYZE)");
+          lp2_over (min_rows s)
+            (if s.degrees = [] then no_degrees_label
+             else "min-rows (tighter than the degree-sequence L2 bound)")
+            s.degrees);
     flags = { closure = true; local_aware = true; single_table = true };
   }
 
@@ -136,17 +154,8 @@ let degseq =
     cap =
       Some
         (fun s ->
-          match s.degrees with
-          | [] -> min_rows s
-          | edges ->
-            List.fold_left
-              (fun acc (a, b) -> Float.min acc (Stats.Degree.join_bound a b))
-              Float.infinity edges);
-    cap_note =
-      Some
-        (fun s ->
-          if no_degrees s then "min-rows (no degree statistics collected)"
-          else "top-k degree sequences (ANALYZE)");
+          fold_edges s "top-k degree sequences (ANALYZE)"
+            Stats.Degree.join_bound);
     flags = { closure = true; local_aware = true; single_table = true };
   }
 
@@ -166,21 +175,10 @@ let ent =
     cap =
       Some
         (fun s ->
-          match s.degrees with
-          | [] -> min_rows s
-          | edges ->
-            List.fold_left
-              (fun acc (a, b) ->
-                Float.min acc
-                  (Float.min
-                     (s.left_rows *. Stats.Degree.linf b)
-                     (s.right_rows *. Stats.Degree.linf a)))
-              Float.infinity edges);
-    cap_note =
-      Some
-        (fun s ->
-          if no_degrees s then "min-rows (no degree statistics collected)"
-          else "degree-sequence L∞ norms (ANALYZE)");
+          fold_edges s "degree-sequence L∞ norms (ANALYZE)" (fun a b ->
+              Float.min
+                (s.left_rows *. Stats.Degree.linf b)
+                (s.right_rows *. Stats.Degree.linf a)));
     flags = { closure = true; local_aware = true; single_table = true };
   }
 

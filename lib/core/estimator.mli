@@ -46,15 +46,15 @@ type t = {
       (** fold one equivalence class's eligible join selectivities into a
           single factor; the empty list must combine to 1 (a cartesian
           step) *)
-  cap : (step_input -> float) option;
-      (** optional per-step output-cardinality cap. Applied by
-          {!Incremental} only to predicate-connected steps — a cartesian
-          step has no equality class to justify a bound. Caps other than
-          PESS's min-rows lower to the compiled kernel as a closure. *)
-  cap_note : (step_input -> string) option;
-      (** derivation-card provenance for the cap: names the statistic the
-          cap read (e.g. which degree norm, or min-rows when degraded).
-          Observability only — never consulted by the value path. *)
+  cap : (step_input -> float * string) option;
+      (** optional per-step output-cardinality cap: the bound, and the
+          label of the term that produced it (e.g. which degree norm, or
+          min-rows), which the derivation card prints. A cap that takes
+          the [Float.min] of several terms labels the first term reaching
+          the minimum. Applied by {!Incremental} only to
+          predicate-connected steps — a cartesian step has no equality
+          class to justify a bound. Caps other than PESS's min-rows lower
+          to the compiled kernel as a closure, which ignores the label. *)
   flags : flags;
 }
 
@@ -86,7 +86,9 @@ val lp2 : t
 (** AGM/Lp-norm step cap [min(|R1|', |R2|', L2(a)·L2(b))]: the
     Cauchy–Schwarz join-size bound from the bridging columns' degree
     L2 norms (Join Size Bounds using Lp-Norms on Degree Sequences). With
-    no degree statistics on a step it degrades to PESS's min-rows. *)
+    no degree statistics on a step it degrades to PESS's min-rows. The
+    cap's label names whichever term bound the step: min-rows or the L2
+    norms. *)
 
 val degseq : t
 (** Degree-sequence two-approximation (Instance Optimal Join Size

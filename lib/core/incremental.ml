@@ -122,10 +122,14 @@ let eligible_scan profile joined name =
   eligible_scan_between profile joined [ Profile.normalize name ]
 
 (* One equivalence-class group of a step: its predicates, their guarded
-   selectivities and the guarded estimator combination. *)
+   selectivities with the statistics each comparison's CDF convolution
+   read ([None] for an equality), and the guarded estimator
+   combination. *)
 type group = {
   preds : Predicate.t list;
   sels : float list;
+  cdf_stats :
+    (Stats.Selectivity_est.source * Stats.Selectivity_est.source) option list;
   combined : float;
 }
 
@@ -134,16 +138,19 @@ let scan_groups profile preds =
   let combine = (Profile.estimator profile).Estimator.combine in
   List.map
     (fun preds ->
-      let sels =
-        List.map
-          (fun p ->
-            Guard.selectivity guard ~site:"Profile.join_selectivity"
-              (Selectivity.join profile p))
-          preds
+      let sels, cdf_stats =
+        List.split
+          (List.map
+             (fun p ->
+               let s, sources = Selectivity.join_with_sources profile p in
+               (Guard.selectivity guard ~site:"Profile.join_selectivity" s,
+                sources))
+             preds)
       in
       {
         preds;
         sels;
+        cdf_stats;
         combined =
           Guard.selectivity guard ~site:"Profile.class_selectivity"
             (combine sels);
@@ -194,28 +201,33 @@ let group_kind preds =
   end
   | [] -> "eq"
 
-let column_records profile ~cdf preds =
-  let crefs =
-    List.rev
-      (List.fold_left
-         (fun acc p ->
-           List.fold_left
-             (fun acc c ->
-               if List.exists (Query.Cref.equal c) acc then acc else c :: acc)
-             acc (Predicate.columns p))
-         [] preds)
+(* The columns a group's predicates touch, first occurrence first, each
+   with its d′ provenance. A comparison's selectivity comes from its
+   columns' distributions, not their d′, so its two columns carry the
+   statistics the convolution read: the left column's CDF and the right
+   column's buckets. *)
+let column_records profile g =
+  let cdf source =
+    Some ("cdf(" ^ Stats.Selectivity_est.source_name source ^ ")")
   in
-  (* For a comparison group the selectivity comes from the columns' CDFs,
-     not their d′, so the provenance label names the CDF's backing
-     statistic instead of the cardinality derivation. *)
-  let cdf_label cref =
-    "cdf("
-    ^ Stats.Selectivity_est.(
-        source_name (cdf_source (Profile.column_stats profile cref)))
-    ^ ")"
+  let labelled p sources =
+    match p, sources with
+    | Predicate.Col_cmp { left; right; _ }, Some (l, r) ->
+      [ (left, cdf l); (right, cdf r) ]
+    | _, _ -> List.map (fun c -> (c, None)) (Predicate.columns p)
   in
-  List.map
-    (fun cref ->
+  let columns =
+    List.fold_left2
+      (fun acc p sources ->
+        List.fold_left
+          (fun acc ((c, _) as column) ->
+            if List.exists (fun (c', _) -> Query.Cref.equal c c') acc then acc
+            else column :: acc)
+          acc (labelled p sources))
+      [] g.preds g.cdf_stats
+  in
+  List.rev_map
+    (fun (cref, cdf_label) ->
       let table = Profile.table profile cref.Query.Cref.table in
       match Query.Cref.Map.find_opt cref table.Profile.columns with
       | Some col ->
@@ -223,7 +235,7 @@ let column_records profile ~cdf preds =
           Obs.Derivation.column = Query.Cref.to_string cref;
           base_distinct = col.Profile.base_distinct;
           join_distinct = Profile.join_card profile cref;
-          source = (if cdf then cdf_label cref else col.Profile.d_source);
+          source = Option.value cdf_label ~default:col.Profile.d_source;
         }
       | None ->
         (* Never mentioned in predicates: [join_card] falls back to the
@@ -232,12 +244,11 @@ let column_records profile ~cdf preds =
           Obs.Derivation.column = Query.Cref.to_string cref;
           base_distinct = table.Profile.base_rows;
           join_distinct = Profile.join_card profile cref;
-          source = (if cdf then cdf_label cref else "catalog");
+          source = Option.value cdf_label ~default:"catalog";
         })
-    crefs
+    columns
 
 let class_record profile ~rule g =
-  let kind = group_kind g.preds in
   let root =
     match Predicate.columns (List.hd g.preds) with
     | col :: _ -> Eqclass.find profile.Profile.classes col
@@ -245,12 +256,11 @@ let class_record profile ~rule g =
   in
   {
     Obs.Derivation.class_root = Query.Cref.to_string root;
-    kind;
+    kind = group_kind g.preds;
     rule;
     inputs = List.map2 (fun p s -> (Predicate.to_string p, s)) g.preds g.sels;
     combined = g.combined;
-    columns =
-      column_records profile ~cdf:(not (String.equal kind "eq")) g.preds;
+    columns = column_records profile g;
   }
 
 (* One reference-tier step joining [right_rows] rows to an intermediate
@@ -266,18 +276,17 @@ let scan_step ?sink profile ~site ~index ~table ~left_mask ~left_rows
   let est = Profile.estimator profile in
   let groups = scan_groups profile preds in
   let raw = left_rows *. right_rows *. scan_selectivity groups in
-  let capped_by =
+  let cap =
     match est.Estimator.cap with
     | Some cap when preds <> [] ->
-      let input =
-        { Estimator.left_rows; right_rows;
-          degrees = step_degrees profile ~left_mask preds }
-      in
-      Some (cap input, input)
+      Some
+        (cap
+           { Estimator.left_rows; right_rows;
+             degrees = step_degrees profile ~left_mask preds })
     | Some _ | None -> None
   in
   let capped =
-    match capped_by with Some (c, _) -> Float.min raw c | None -> raw
+    match cap with Some (bound, _) -> Float.min raw bound | None -> raw
   in
   let size =
     Guard.cardinality profile.Profile.guard ~site
@@ -293,11 +302,8 @@ let scan_step ?sink profile ~site ~index ~table ~left_mask ~left_rows
           right_rows;
           classes =
             List.map (class_record profile ~rule:est.Estimator.id) groups;
-          cap = Option.map fst capped_by;
-          cap_source =
-            (match (capped_by, est.Estimator.cap_note) with
-            | Some (_, input), Some note -> Some (note input)
-            | _, _ -> None);
+          cap = Option.map fst cap;
+          cap_source = Option.map snd cap;
           output = size;
         })
     sink;

@@ -36,7 +36,7 @@ type combine =
   | Unit
   | Combine of (float list -> float)
 
-type cap = No_cap | Min_rows | Cap of (Estimator.step_input -> float)
+type cap = No_cap | Min_rows | Cap of (Estimator.step_input -> float * string)
 
 (* Scratch slot indices in [acc]. *)
 let slot_result = 0 (* combined selectivity, then final size *)
@@ -269,9 +269,9 @@ let step_degrees k ~mask1 ~mask2 =
 
 (* The [Cap] arm of [finish_size], out of line: reads the raw size and
    the inputs back from the scratch slots and leaves the capped size in
-   [acc.(slot_result)]. *)
+   [acc.(slot_result)]. The cap's label is for derivation cards only. *)
 let apply_cap k f ~mask1 ~mask2 =
-  let bound =
+  let bound, _label =
     f
       {
         Estimator.left_rows = k.acc.(slot_left);

@@ -51,9 +51,10 @@ type combine =
 type cap =
   | No_cap
   | Min_rows  (** pessimistic degree-1 bound: min(‖R1‖′, ‖R2‖′) *)
-  | Cap of (Estimator.step_input -> float)
+  | Cap of (Estimator.step_input -> float * string)
       (** any other estimator's cap, given the step's input sizes and the
-          degree pairs of its bridging equality predicates *)
+          degree pairs of its bridging equality predicates; the kernel
+          uses the bound and drops the label *)
 
 type t
 

@@ -7,6 +7,7 @@ type restriction =
 type combined = {
   selectivity : float;
   restriction : restriction;
+  source : Stats.Selectivity_est.source option;
 }
 
 let satisfies op v const = Rel.Cmp.eval op v const
@@ -42,7 +43,9 @@ let interval_nonempty lower upper =
   | _, _ -> true
 
 let combine stats preds =
-  let contradiction = { selectivity = 0.; restriction = Contradiction } in
+  let contradiction =
+    { selectivity = 0.; restriction = Contradiction; source = None }
+  in
   (* SQL: a comparison with NULL never holds, so the conjunction is empty. *)
   if List.exists (fun (_, const) -> Rel.Value.is_null const) preds then
     contradiction
@@ -71,19 +74,23 @@ let combine stats preds =
           && List.for_all (fun c -> not (Rel.Value.equal_sem v c)) !nes)
       then contradiction
       else
-        {
-          selectivity = Stats.Selectivity_est.comparison stats Rel.Cmp.Eq v;
-          restriction = Equality v;
-        }
+        let selectivity, source =
+          Stats.Selectivity_est.comparison_with_source stats Rel.Cmp.Eq v
+        in
+        { selectivity; restriction = Equality v; source = Some source }
     | [] ->
       let lower = fold_tightest tighter_lower !lowers in
       let upper = fold_tightest tighter_upper !uppers in
       if not (interval_nonempty lower upper) then contradiction
       else begin
-        let range_sel =
+        let range_sel, source =
           match lower, upper with
-          | None, None -> 1.
-          | _, _ -> Stats.Selectivity_est.range_pair stats ~lower ~upper
+          | None, None -> (1., None)
+          | _, _ ->
+            let s, source =
+              Stats.Selectivity_est.range_pair_with_source stats ~lower ~upper
+            in
+            (s, Some source)
         in
         (* Each surviving <> excludes one value's share of the rows. *)
         let in_interval c =
@@ -113,7 +120,7 @@ let combine stats preds =
           if lower = None && upper = None && !nes = [] then Unrestricted
           else Range selectivity
         in
-        { selectivity; restriction }
+        { selectivity; restriction; source }
       end
   end
 

@@ -20,6 +20,11 @@ type restriction =
 type combined = {
   selectivity : float; (** fraction of the table's rows surviving *)
   restriction : restriction;
+  source : Stats.Selectivity_est.source option;
+      (** the statistic behind an [Equality]'s selectivity or a [Range]'s
+          bounds, from the evaluation that computed it; [None] when no
+          equality or bound applies ([Unrestricted], [Contradiction], a
+          [Range] of [<>] predicates only) *)
 }
 
 val combine :

@@ -46,7 +46,6 @@ type t = {
   config : Config.t;
   predicates : Predicate.t list;
   classes : Eqclass.t;
-  tables : (string * table_profile) list;
   index : index;
   sel_cache : float array;
   stats : cache_stats;
@@ -124,12 +123,12 @@ let local_effects guard db_table predicates columns =
               Guard.selectivity guard ~site:"Profile.local_pred"
                 combined.Local_pred.selectivity }
         in
-        (col, stats, preds, combined))
+        (col, stats, combined))
       (Cref.Set.elements columns)
   in
   let selectivity =
     List.fold_left
-      (fun acc (_, _, _, combined) -> acc *. combined.Local_pred.selectivity)
+      (fun acc (_, _, combined) -> acc *. combined.Local_pred.selectivity)
       1. per_column
   in
   let rows =
@@ -137,44 +136,38 @@ let local_effects guard db_table predicates columns =
       ~upper:(Float.max 0. base_rows)
       (base_rows *. selectivity)
   in
-  (* Label which statistic shaped a column's d′ (the derivation card's
-     vocabulary). Pure observation: [Selectivity_est.comparison_source]
-     mirrors the estimator's branch structure without computing numbers. *)
-  let d_source_of stats preds combined =
-    let src op c =
-      Stats.Selectivity_est.(source_name (comparison_source stats op c))
-    in
-    match combined.Local_pred.restriction with
-    | Local_pred.Contradiction -> "contradiction"
-    | Local_pred.Equality v -> "equality(" ^ src Rel.Cmp.Eq v ^ ")"
-    | Local_pred.Range _ -> begin
-      let is_range (op, _) =
-        match op with
-        | Rel.Cmp.Lt | Rel.Cmp.Le | Rel.Cmp.Gt | Rel.Cmp.Ge -> true
-        | Rel.Cmp.Eq | Rel.Cmp.Ne -> false
-      in
-      match List.find_opt is_range preds with
-      | Some (op, c) -> "range(" ^ src op c ^ ")"
-      | None -> "ne" (* only <> predicates restrict this column *)
-    end
-    | Local_pred.Unrestricted -> if rows >= base_rows then "base" else "urn"
-  in
   let column_profiles =
     List.fold_left
-      (fun acc (col, stats, preds, combined) ->
+      (fun acc (col, stats, combined) ->
         let base_distinct = float_of_int stats.Stats.Col_stats.distinct in
-        let local_distinct =
+        let direct () =
+          (* Direct effect on the predicated column itself; never more
+             than the surviving rows. *)
+          Float.min (Local_pred.reduced_distinct stats combined) rows
+        in
+        let labelled kind =
+          match combined.Local_pred.source with
+          | Some source ->
+            kind ^ "(" ^ Stats.Selectivity_est.source_name source ^ ")"
+          | None -> kind
+        in
+        (* d′ and the derivation card's label for what shaped it, decided
+           by one match. *)
+        let local_distinct, d_source =
           match combined.Local_pred.restriction with
           | Local_pred.Unrestricted ->
             (* Thinning caused by other columns' predicates (Section 5's
                urn argument). *)
-            if rows >= base_rows then base_distinct
-            else Stats.Urn.expected_distinct ~urns:base_distinct ~balls:rows
-          | Local_pred.Equality _ | Local_pred.Range _ | Local_pred.Contradiction
+            if rows >= base_rows then (base_distinct, "base")
+            else
+              ( Stats.Urn.expected_distinct ~urns:base_distinct ~balls:rows,
+                "urn" )
+          | Local_pred.Equality _ -> (direct (), labelled "equality")
+          | Local_pred.Range _ when Option.is_none combined.Local_pred.source
             ->
-            (* Direct effect on the predicated column itself; never more
-               than the surviving rows. *)
-            Float.min (Local_pred.reduced_distinct stats combined) rows
+            (direct (), "ne") (* only <> predicates restrict this column *)
+          | Local_pred.Range _ -> (direct (), labelled "range")
+          | Local_pred.Contradiction -> (direct (), "contradiction")
         in
         let local_distinct =
           (* d′ ∈ [1, d] only when the table and column are nonempty;
@@ -190,8 +183,7 @@ let local_effects guard db_table predicates columns =
         Cref.Map.add col
           { cref = col; base_distinct; local_distinct;
             join_distinct = local_distinct;
-            d_source = d_source_of stats preds combined;
-            col_stats = stats }
+            d_source; col_stats = stats }
           acc)
       Cref.Map.empty per_column
   in
@@ -421,7 +413,6 @@ let build ?trace ?(annotations = []) config db query =
     config;
     predicates = working;
     classes;
-    tables;
     index;
     sel_cache = Array.make (Array.length index.pred_infos) Float.nan;
     stats = { sel_hits = 0; sel_misses = 0; reference_steps = 0 };
@@ -486,22 +477,26 @@ let selectivity_of_cards d1 d2 =
 (* Raw (unguarded, uncached) selectivity of one column-comparison
    predicate. Equality is the paper's 1/max(d1, d2) over the effective
    cardinalities; inequality and band go through the histogram-CDF
-   convolution of {!Stats.Selectivity_est}, the rule-2d generalization. *)
+   convolution of {!Stats.Selectivity_est}, the rule-2d generalization,
+   which also names the statistic it read on each side. *)
 let comparison_selectivity t ~left ~op ~right =
+  let convolved (s, sources) = (s, Some sources) in
   match op with
   | Predicate.Eq ->
-    selectivity_of_cards (join_card t left) (join_card t right)
+    (selectivity_of_cards (join_card t left) (join_card t right), None)
   | Predicate.Band eps ->
-    Stats.Selectivity_est.join_band (column_stats t left) ~eps
-      (column_stats t right)
+    convolved
+      (Stats.Selectivity_est.join_band (column_stats t left) ~eps
+         (column_stats t right))
   | Predicate.Lt | Predicate.Le | Predicate.Gt | Predicate.Ge ->
     let cmp_op =
       match Predicate.cmp_of_comparison op with
       | Some o -> o
       | None -> assert false
     in
-    Stats.Selectivity_est.join_comparison (column_stats t left) cmp_op
-      (column_stats t right)
+    convolved
+      (Stats.Selectivity_est.join_comparison (column_stats t left) cmp_op
+         (column_stats t right))
 
 let join_selectivity t id =
   (* NaN marks an unfilled slot: real selectivities live in [0, 1], and a
@@ -513,7 +508,7 @@ let join_selectivity t id =
       match t.index.pred_infos.(id).pred with
       | Predicate.Col_cmp { left; op; right } ->
         Guard.selectivity t.guard ~site:"Profile.join_selectivity"
-          (comparison_selectivity t ~left ~op ~right)
+          (fst (comparison_selectivity t ~left ~op ~right))
       | Predicate.Cmp _ ->
         invalid_arg "Profile.join_selectivity: not a join predicate"
     in

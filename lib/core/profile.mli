@@ -37,8 +37,10 @@ type column_profile = {
   d_source : string;
       (** which statistic shaped [local_distinct] — the derivation card's
           d′ provenance, e.g. ["equality(mcv)"], ["range(histogram)"],
-          ["urn"], ["single-table(urn)"]. Observation only: never read by
-          the estimator. *)
+          ["ne"], ["urn"], ["single-table(urn)"] — decided by the match
+          that computes [local_distinct], from the source the local
+          selectivity reported. Observation only: never read by the
+          estimator. *)
   col_stats : Stats.Col_stats.t;
       (** the catalog statistics behind the numbers above (trivial when
           the catalog had none) — the CDF source for comparison-join
@@ -91,7 +93,6 @@ type t = {
   predicates : Query.Predicate.t list;
       (** the working conjunction: closed iff [config.closure] *)
   classes : Eqclass.t;
-  tables : (string * table_profile) list;  (** in FROM order *)
   index : index;
   sel_cache : float array;
       (** predicate id → memoized join selectivity; NaN marks an unfilled
@@ -184,12 +185,15 @@ val selectivity_of_cards : float -> float -> float
 
 val comparison_selectivity :
   t -> left:Query.Cref.t -> op:Query.Predicate.comparison ->
-  right:Query.Cref.t -> float
+  right:Query.Cref.t ->
+  float * (Stats.Selectivity_est.source * Stats.Selectivity_est.source) option
 (** Raw (unguarded, uncached) selectivity of one column comparison:
-    [Eq] is the paper's [1/max(d1, d2)] over effective cardinalities;
-    inequality and band operators go through the histogram-CDF
-    convolution of {!Stats.Selectivity_est} — the rule-2d
-    generalization. *)
+    [Eq] is the paper's [1/max(d1, d2)] over effective cardinalities
+    (their provenance is each column's [d_source], so no sources are
+    returned); inequality and band operators go through the
+    histogram-CDF convolution of {!Stats.Selectivity_est} — the rule-2d
+    generalization — and return the statistics behind the [left]
+    column's CDF and the [right] column's buckets. *)
 
 val join_selectivity : t -> int -> float
 (** Guarded selectivity of the join predicate with the given id, memoized

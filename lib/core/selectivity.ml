@@ -1,6 +1,6 @@
 let of_cards = Profile.selectivity_of_cards
 
-let join profile p =
+let join_with_sources profile p =
   match p with
   | Query.Predicate.Col_cmp { left; op; right }
     when not (Query.Cref.same_table left right) ->
@@ -9,6 +9,8 @@ let join profile p =
     invalid_arg
       (Printf.sprintf "Selectivity.join: %s is not a join predicate"
          (Query.Predicate.to_string p))
+
+let join profile p = fst (join_with_sources profile p)
 
 let group_by_class profile predicates =
   let classes = profile.Profile.classes in

@@ -11,9 +11,17 @@ val of_cards : float -> float -> float
 (** [of_cards d1 d2 = min 1 (1 / max d1 d2)]; 0 when either side is 0
     (a contradicted column joins nothing). *)
 
-val join : Profile.t -> Query.Predicate.t -> float
-(** Selectivity of a join predicate under the profile's configuration.
+val join_with_sources :
+  Profile.t ->
+  Query.Predicate.t ->
+  float * (Stats.Selectivity_est.source * Stats.Selectivity_est.source) option
+(** Selectivity of a join predicate under the profile's configuration,
+    with the statistics a comparison join's CDF convolution read
+    ({!Profile.comparison_selectivity}).
     @raise Invalid_argument when the predicate is not a join predicate. *)
+
+val join : Profile.t -> Query.Predicate.t -> float
+(** The selectivity of {!join_with_sources}. *)
 
 val group_by_class :
   Profile.t -> Query.Predicate.t list -> Query.Predicate.t list list

@@ -45,9 +45,9 @@ type step = {
       (** the estimator's step bound, when one applied (bridged step under
           a capping estimator) *)
   cap_source : string option;
-      (** provenance of the cap: which statistic it read (e.g. a degree
-          norm from ANALYZE, or min-rows when degraded). Ignored by
-          {!replay}. *)
+      (** provenance of the cap: the label the cap returned with its
+          bound, naming the term that bound the step (e.g. a degree norm
+          from ANALYZE, or min-rows). Ignored by {!replay}. *)
   output : float;  (** the step's final (guarded) size *)
 }
 

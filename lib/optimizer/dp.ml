@@ -149,13 +149,8 @@ let rec greedy_complete ?charge ~methods profile node remaining =
 
 let optimize_traced
     ?(methods = [ Exec.Plan.Nested_loop; Exec.Plan.Sort_merge; Exec.Plan.Hash ])
-    ?estimator ?budget profile query =
+    ?budget profile query =
   if methods = [] then invalid_arg "Dp.optimize: no join methods";
-  let profile =
-    match estimator with
-    | None -> profile
-    | Some e -> Els.Profile.with_estimator e profile
-  in
   let tables = Array.of_list query.Query.tables in
   let n = Array.length tables in
   if n = 0 then invalid_arg "Dp.optimize: query with no tables";
@@ -331,5 +326,5 @@ let optimize_traced
   end
   | exception Rel.Budget.Exhausted resource -> anytime_result resource
 
-let optimize ?methods ?estimator ?budget profile query =
-  fst (optimize_traced ?methods ?estimator ?budget profile query)
+let optimize ?methods ?budget profile query =
+  fst (optimize_traced ?methods ?budget profile query)

@@ -35,17 +35,16 @@ type node = {
 
 val optimize :
   ?methods:Exec.Plan.join_method list ->
-  ?estimator:Els.Estimator.t ->
   ?budget:Rel.Budget.t ->
   Els.Profile.t ->
   Query.t ->
   node
 (** Best left-deep plan for all the query's tables. [methods] defaults to
     all three join methods; the paper's experiment restricts it to
-    [[Nested_loop; Sort_merge]]. [estimator] overrides the profile's
-    estimator for this enumeration (via {!Els.Profile.with_estimator} —
-    the profile's built statistics are shared, not recomputed). [budget]
-    bounds the search; see the module preamble for the degradation ladder.
+    [[Nested_loop; Sort_merge]]. To enumerate under another estimator,
+    pass {!Els.Profile.with_estimator}'s copy of the profile (the built
+    statistics are shared, not recomputed). [budget] bounds the search;
+    see the module preamble for the degradation ladder.
     @raise Invalid_argument on an empty FROM list or empty [methods].
     @raise Els.Els_error.Error ([Invalid_query]) when [methods] cannot
     join the query at all (no nested loop and a step without an eligible
@@ -53,7 +52,6 @@ val optimize :
 
 val optimize_traced :
   ?methods:Exec.Plan.join_method list ->
-  ?estimator:Els.Estimator.t ->
   ?budget:Rel.Budget.t ->
   Els.Profile.t ->
   Query.t ->

@@ -1,14 +1,8 @@
 let default_methods =
   [ Exec.Plan.Nested_loop; Exec.Plan.Sort_merge; Exec.Plan.Hash ]
 
-let optimize_traced ?(methods = default_methods) ?estimator ?budget profile
-    query =
+let optimize_traced ?(methods = default_methods) ?budget profile query =
   if methods = [] then invalid_arg "Greedy.optimize: no join methods";
-  let profile =
-    match estimator with
-    | None -> profile
-    | Some e -> Els.Profile.with_estimator e profile
-  in
   let tables = query.Query.tables in
   if tables = [] then invalid_arg "Greedy.optimize: query with no tables";
   let expansions = ref 0 in
@@ -60,5 +54,5 @@ let optimize_traced ?(methods = default_methods) ?estimator ?budget profile
       Provenance.degraded Provenance.Left_deep_fallback resource
         ~expansions:!expansions )
 
-let optimize ?methods ?estimator ?budget profile query =
-  fst (optimize_traced ?methods ?estimator ?budget profile query)
+let optimize ?methods ?budget profile query =
+  fst (optimize_traced ?methods ?budget profile query)

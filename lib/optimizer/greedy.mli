@@ -14,20 +14,17 @@
 
 val optimize :
   ?methods:Exec.Plan.join_method list ->
-  ?estimator:Els.Estimator.t ->
   ?budget:Rel.Budget.t ->
   Els.Profile.t ->
   Query.t ->
   Dp.node
-(** Same result type as {!Dp.optimize} so callers can swap enumerators;
-    [estimator] overrides the profile's estimator as in {!Dp.optimize}.
+(** Same result type as {!Dp.optimize} so callers can swap enumerators.
     @raise Invalid_argument on an empty FROM list or empty [methods].
     @raise Els.Els_error.Error ([Invalid_query]) when no remaining table
     has an applicable join method at some step. *)
 
 val optimize_traced :
   ?methods:Exec.Plan.join_method list ->
-  ?estimator:Els.Estimator.t ->
   ?budget:Rel.Budget.t ->
   Els.Profile.t ->
   Query.t ->

@@ -19,6 +19,26 @@ type enumerator =
   | Greedy_order  (** O(n²) greedy construction *)
   | Randomized of int  (** iterative improvement with the given seed *)
 
+let enumerator_name = function
+  | Exhaustive -> "dp"
+  | Greedy_order -> "greedy"
+  | Randomized _ -> "random"
+
+let enumerators = [ Exhaustive; Greedy_order; Randomized 1 ]
+
+let enumerator_of_string name =
+  let needle = String.lowercase_ascii (String.trim name) in
+  match
+    List.find_opt (fun e -> String.equal (enumerator_name e) needle) enumerators
+  with
+  | Some e -> Ok e
+  | None ->
+    let candidates = List.map enumerator_name enumerators in
+    Error
+      (Printf.sprintf "unknown enumerator %S, expected one of: %s%s" name
+         (String.concat ", " candidates)
+         (Catalog.Suggest.hint ~candidates name))
+
 let choose ?methods ?(enumerator = Exhaustive) ?estimator ?budget ?trace config
     db query =
   (* Swap before [build] so the pipeline toggles stay as configured but

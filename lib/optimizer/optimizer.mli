@@ -32,6 +32,15 @@ type enumerator =
   | Greedy_order  (** O(n²) greedy construction *)
   | Randomized of int  (** iterative improvement with the given seed *)
 
+val enumerator_name : enumerator -> string
+(** ["dp"], ["greedy"] or ["random"]: the enumerator's name on the CLI
+    [--enumerator] flag and in the serve protocol. *)
+
+val enumerator_of_string : string -> (enumerator, string) result
+(** Case-insensitive inverse of {!enumerator_name} (["random"] is
+    [Randomized 1]); an unknown name yields a one-line message listing the
+    names with a did-you-mean suggestion ({!Catalog.Suggest}). *)
+
 val choose :
   ?methods:Exec.Plan.join_method list ->
   ?enumerator:enumerator ->

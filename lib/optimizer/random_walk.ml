@@ -1,13 +1,11 @@
+(* Random restarts, and adjacent swaps tried per restart. *)
+let restarts = 8
+let max_steps = 100
+
 let optimize_traced
     ?(methods = [ Exec.Plan.Nested_loop; Exec.Plan.Sort_merge; Exec.Plan.Hash ])
-    ?estimator ?(restarts = 8) ?(max_steps = 100) ?(seed = 1) ?budget profile
-    query =
+    ?(seed = 1) ?budget profile query =
   if methods = [] then invalid_arg "Random_walk.optimize: no join methods";
-  let profile =
-    match estimator with
-    | None -> profile
-    | Some e -> Els.Profile.with_estimator e profile
-  in
   let tables = Array.of_list query.Query.tables in
   let n = Array.length tables in
   if n = 0 then invalid_arg "Random_walk.optimize: query with no tables";
@@ -31,7 +29,7 @@ let optimize_traced
     | Some _ | None -> best := Some node
   in
   let search () =
-    for _ = 1 to max 1 restarts do
+    for _ = 1 to restarts do
       boundary ();
       let order = Array.copy tables in
       Rel.Prng.shuffle rng order;
@@ -83,8 +81,5 @@ let optimize_traced
           ~expansions:!expansions )
   end
 
-let optimize ?methods ?estimator ?restarts ?max_steps ?seed ?budget profile
-    query =
-  fst
-    (optimize_traced ?methods ?estimator ?restarts ?max_steps ?seed ?budget
-       profile query)
+let optimize ?methods ?seed ?budget profile query =
+  fst (optimize_traced ?methods ?seed ?budget profile query)

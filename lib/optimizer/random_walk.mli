@@ -15,17 +15,13 @@
 
 val optimize :
   ?methods:Exec.Plan.join_method list ->
-  ?estimator:Els.Estimator.t ->
-  ?restarts:int ->
-  ?max_steps:int ->
   ?seed:int ->
   ?budget:Rel.Budget.t ->
   Els.Profile.t ->
   Query.t ->
   Dp.node
-(** Defaults: 8 restarts, 100 steps per restart, seed 1. Same result type
-    as {!Dp.optimize}; [estimator] overrides the profile's estimator as in
-    {!Dp.optimize}.
+(** 8 restarts of at most 100 steps each; [seed] defaults to 1. Same
+    result type as {!Dp.optimize}.
     @raise Invalid_argument on an empty FROM list or empty [methods].
     @raise Els.Els_error.Error ([Invalid_query]) when a visited step has
     no applicable join method (e.g. [~methods:[Hash]] across a step with
@@ -33,9 +29,6 @@ val optimize :
 
 val optimize_traced :
   ?methods:Exec.Plan.join_method list ->
-  ?estimator:Els.Estimator.t ->
-  ?restarts:int ->
-  ?max_steps:int ->
   ?seed:int ->
   ?budget:Rel.Budget.t ->
   Els.Profile.t ->

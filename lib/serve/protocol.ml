@@ -234,16 +234,3 @@ let response_error ~id ?(extra = []) err =
            :: error_fields err )
           @ extra) );
     ]
-
-let response_internal ~id exn =
-  Obs.Json.Obj
-    [
-      ("id", json_id id);
-      ("ok", Obs.Json.Bool false);
-      ( "error",
-        Obs.Json.Obj
-          [
-            ("kind", Obs.Json.String "internal");
-            ("detail", Obs.Json.String (Printexc.to_string exn));
-          ] );
-    ]

@@ -91,10 +91,6 @@ val response_error :
     (e.g. the anytime-ladder provenance of a budget-tripped run) join the
     error object. *)
 
-val response_internal : id:string option -> exn -> Obs.Json.t
-(** The per-request exception firewall's answer: kind ["internal"], the
-    exception printed, the request id echoed. *)
-
 val error_kind : Els.Els_error.t -> string
 (** ["missing-stats"], ["corrupt-stats"], ["invalid-query"],
     ["parse-error"], ["invariant-violation"], ["budget-exhausted"] or

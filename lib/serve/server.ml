@@ -265,19 +265,12 @@ let resolve_config estimator =
     | Error msg -> invalid msg
   end
 
-let enumerator_names = [ "dp"; "greedy"; "random" ]
-
 let resolve_enumerator = function
   | None -> Ok Optimizer.Exhaustive
   | Some name -> begin
-    match String.lowercase_ascii name with
-    | "dp" -> Ok Optimizer.Exhaustive
-    | "greedy" -> Ok Optimizer.Greedy_order
-    | "random" -> Ok (Optimizer.Randomized 1)
-    | other ->
-      invalid
-        (Printf.sprintf "unknown enumerator %S%s" other
-           (Catalog.Suggest.hint ~candidates:enumerator_names other))
+    match Optimizer.enumerator_of_string name with
+    | Ok e -> Ok e
+    | Error msg -> invalid msg
   end
 
 let check_budget ~site budget =

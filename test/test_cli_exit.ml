@@ -58,6 +58,8 @@ let cases =
     case ~stdout_has:"s.s < 100" "section8 default query scales"
       "closure --db section8:1" 0;
     case "csv db without --sql" ("closure --db " ^ Filename.quote csv_db) 2;
+    (* enumerator names are case-insensitive, as in the serve protocol *)
+    case "enumerator name in upper case" "explain --enumerator GREEDY" 0;
   ]
 
 let contains haystack needle =

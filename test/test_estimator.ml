@@ -165,8 +165,9 @@ let test_pess_pieces () =
   | None -> Alcotest.fail "pess must cap step outputs"
   | Some cap ->
     Alcotest.(check (float 0.)) "cap is min of the inputs" 3.
-      (cap (input 3. 7.));
-    Alcotest.(check (float 0.)) "cap is symmetric" 3. (cap (input 7. 3.)));
+      (fst (cap (input 3. 7.)));
+    Alcotest.(check (float 0.)) "cap is symmetric" 3.
+      (fst (cap (input 7. 3.))));
   Alcotest.(check string) "canonical config name" "PESS"
     (Els.Config.name Els.Config.pess);
   (* A cartesian step is never capped: with no join predicate the
@@ -200,16 +201,13 @@ let test_degree_family_caps () =
   let input degrees =
     { Els.Estimator.left_rows = 100.; right_rows = 200.; degrees }
   in
-  let cap_of est s =
+  let capped est s =
     match est.Els.Estimator.cap with
     | Some cap -> cap s
     | None -> Alcotest.failf "%s has no cap" (Els.Estimator.id est)
   in
-  let note_of est s =
-    match est.Els.Estimator.cap_note with
-    | Some note -> note s
-    | None -> Alcotest.failf "%s has no cap note" (Els.Estimator.id est)
-  in
+  let cap_of est s = fst (capped est s) in
+  let note_of est s = snd (capped est s) in
   (* lp2: min(100, 200, √10·√8) = √80. *)
   Helpers.check_float ~eps:1e-9 "lp2 = L2(a)·L2(b)"
     (Float.sqrt 10. *. Float.sqrt 8.)
@@ -269,6 +267,38 @@ let test_degree_family_end_to_end () =
         (Els.Config.name (Els.Config.of_estimator est)))
     [ Els.Estimator.lp2; Els.Estimator.degseq; Els.Estimator.ent ]
 
+(* LP2's cap is min(|R1|', |R2|', L2(a)·L2(b)): its label names the term
+   that bound the step, and on a tie the first term (min-rows) keeps it. *)
+let test_lp2_cap_label () =
+  let counts l = List.map (fun (v, c) -> (Rel.Value.Int v, c)) l in
+  (* L2(a)·L2(b) = √10·√8 ≈ 8.94; the second pair's √2·√2 = 2. *)
+  let da = Stats.Degree.of_counts (counts [ (1, 3); (2, 1) ]) in
+  let db = Stats.Degree.of_counts (counts [ (1, 2); (2, 2) ]) in
+  let dc = Stats.Degree.of_counts (counts [ (1, 1); (2, 1) ]) in
+  let l2 = Stats.Degree.l2 da *. Stats.Degree.l2 db in
+  let cap left_rows degrees =
+    match Els.Estimator.lp2.Els.Estimator.cap with
+    | Some cap -> cap { Els.Estimator.left_rows; right_rows = 200.; degrees }
+    | None -> Alcotest.fail "lp2 has no cap"
+  in
+  let check name ~bound ~needle ~absent (value, label) =
+    Helpers.check_float (name ^ ": bound") bound value;
+    Alcotest.(check bool) (Printf.sprintf "%s: %S names %s" name label needle)
+      true (contains ~needle label);
+    Alcotest.(check bool) (Printf.sprintf "%s: %S omits %s" name label absent)
+      false (contains ~needle:absent label)
+  in
+  check "L2 binds" ~bound:l2 ~needle:"L2 norms" ~absent:"min-rows"
+    (cap 100. [ (da, db) ]);
+  check "min-rows binds" ~bound:5. ~needle:"min-rows" ~absent:"L2 norms"
+    (cap 5. [ (da, db) ]);
+  check "tie keeps the first term" ~bound:l2 ~needle:"min-rows"
+    ~absent:"L2 norms" (cap l2 [ (da, db) ]);
+  check "a later, tighter pair" ~bound:2. ~needle:"L2 norms"
+    ~absent:"min-rows" (cap 100. [ (da, db); (dc, dc) ]);
+  check "no degree statistics" ~bound:5. ~needle:"no degree statistics"
+    ~absent:"L2 norms" (cap 5. [])
+
 let suite =
   [
     Alcotest.test_case "golden: section 8 fixtures" `Quick test_golden_section8;
@@ -282,4 +312,6 @@ let suite =
     Alcotest.test_case "degree family caps" `Quick test_degree_family_caps;
     Alcotest.test_case "degree family end to end" `Quick
       test_degree_family_end_to_end;
+    Alcotest.test_case "lp2: the cap label names the binding term" `Quick
+      test_lp2_cap_label;
   ]

@@ -158,11 +158,11 @@ let custom =
            cap =
              Some
                (fun { Els.Estimator.left_rows; right_rows; degrees } ->
-                 List.fold_left
-                   (fun acc (_, b) ->
-                     Float.min acc (left_rows *. Stats.Degree.linf b))
-                   (left_rows *. right_rows) degrees);
-           cap_note = Some (fun _ -> "fan-out");
+                 ( List.fold_left
+                     (fun acc (_, b) ->
+                       Float.min acc (left_rows *. Stats.Degree.linf b))
+                     (left_rows *. right_rows) degrees,
+                   "fan-out" ));
            flags = Els.Estimator.ls.Els.Estimator.flags;
          });
      Els.Estimator.of_string_exn id)

@@ -273,7 +273,9 @@ let test_derivation_partial_card () =
       id = "tripwire";
       cap =
         Some
-          (fun s -> if s.Els.Estimator.left_rows > 100. then -1. else infinity);
+          (fun s ->
+            ((if s.Els.Estimator.left_rows > 100. then -1. else infinity),
+             "tripwire"));
     }
   in
   let config =
@@ -289,6 +291,211 @@ let test_derivation_partial_card () =
     (List.length (Obs.Derivation.base deriv));
   Alcotest.(check int) "first step recorded" 1
     (List.length (Obs.Derivation.steps deriv))
+
+(* --- d′ provenance from the value path ---
+
+   Labels are decided where the numbers are computed: a column's d′ label
+   by the match that computes d′, a comparison column's label by the CDF
+   convolution that computed the step's selectivity. *)
+
+let int_table name rows cols =
+  let schema =
+    Rel.Schema.make
+      (List.map
+         (fun (c, _) -> Rel.Schema.column ~table:name ~name:c Rel.Value.Ty_int)
+         cols)
+  in
+  Catalog.Table.stats_only ~name ~schema ~row_count:rows ~column_stats:cols
+
+let int_ i = Rel.Value.Int i
+let key_stats =
+  Stats.Col_stats.with_bounds ~distinct:100 ~lo:(int_ 1) ~hi:(int_ 100)
+
+let ramp_stats =
+  Stats.Col_stats.of_values ~histogram:Stats.Histogram.Equi_depth
+    (Array.init 100 (fun i -> int_ (i + 1)))
+
+let test_derivation_d_labels () =
+  let skewed =
+    Array.init 100 (fun i ->
+        if i < 60 then int_ 1
+        else if i < 90 then int_ 2
+        else int_ (3 + (i mod 10)))
+  in
+  let db =
+    Helpers.db_of_tables
+      [
+        int_table "r" 100
+          [ ("k", key_stats); ("e", Stats.Col_stats.of_values ~mcv:2 skewed) ];
+        int_table "s" 100 [ ("k", key_stats); ("h", ramp_stats) ];
+        int_table "u" 100 [ ("k", key_stats); ("n", key_stats) ];
+        int_table "v" 100 [ ("k", key_stats); ("c", key_stats) ];
+        int_table "w" 100 [ ("k", key_stats) ];
+        int_table "x" 100 [ ("p", key_stats); ("q", key_stats) ];
+      ]
+  in
+  let c = Query.Cref.v in
+  let query =
+    Query.make ~tables:[ "r"; "s"; "u"; "v"; "w"; "x" ]
+      Query.Predicate.
+        [
+          col_eq (c "r" "k") (c "s" "k");
+          col_eq (c "s" "k") (c "u" "k");
+          col_eq (c "u" "k") (c "v" "k");
+          col_eq (c "v" "k") (c "w" "k");
+          col_eq (c "w" "k") (c "x" "p");
+          col_eq (c "w" "k") (c "x" "q");
+          cmp (c "r" "e") Rel.Cmp.Eq (int_ 1);
+          cmp (c "s" "h") Rel.Cmp.Le (int_ 25);
+          cmp (c "u" "n") Rel.Cmp.Ne (int_ 3);
+          cmp (c "v" "c") Rel.Cmp.Eq (int_ 1);
+          cmp (c "v" "c") Rel.Cmp.Eq (int_ 2);
+        ]
+  in
+  (* ELS: Section 6's single-table treatment applies to x.p = x.q. *)
+  let profile = Els.prepare Els.Config.els db query in
+  let label table column =
+    (Query.Cref.Map.find (c table column)
+       (Els.Profile.table profile table).Els.Profile.columns)
+      .Els.Profile.d_source
+  in
+  List.iter
+    (fun (table, column, expected) ->
+      Alcotest.(check string) (table ^ "." ^ column) expected
+        (label table column))
+    [
+      ("r", "e", "equality(mcv)");
+      ("r", "k", "urn");
+      ("s", "h", "range(histogram)");
+      ("s", "k", "urn");
+      ("u", "n", "ne");
+      ("u", "k", "urn");
+      ("v", "c", "contradiction");
+      ("w", "k", "base");
+      ("x", "p", "single-table(base)");
+      ("x", "q", "single-table(base)");
+    ];
+  (* The card prints the same labels. *)
+  let deriv = Obs.Derivation.create () in
+  ignore (Els.Incremental.derive profile deriv [ "w"; "x"; "r" ]);
+  let sources =
+    List.concat_map
+      (fun step ->
+        List.concat_map
+          (fun cls ->
+            List.map
+              (fun col ->
+                (col.Obs.Derivation.column, col.Obs.Derivation.source))
+              cls.Obs.Derivation.columns)
+          step.Obs.Derivation.classes)
+      (Obs.Derivation.steps deriv)
+  in
+  List.iter
+    (fun (column, expected) ->
+      Alcotest.(check (option string)) ("card: " ^ column) (Some expected)
+        (List.assoc_opt column sources))
+    [ ("w.k", "base"); ("x.p", "single-table(base)"); ("r.k", "urn") ]
+
+(* The one comparison class of [l.x < r.y], derived under Trap so the
+   statistics reach the estimator as given: its selectivity and its
+   columns' labels. *)
+let comparison_card left right =
+  let db =
+    Helpers.db_of_tables
+      [ int_table "l" 100 [ ("x", left) ]; int_table "r" 100 [ ("y", right) ] ]
+  in
+  let query =
+    Query.make ~tables:[ "l"; "r" ]
+      [
+        Query.Predicate.col_cmp (Query.Cref.v "l" "x") Query.Predicate.Lt
+          (Query.Cref.v "r" "y");
+      ]
+  in
+  let config = Els.Config.with_strictness Els.Config.Trap Els.Config.els in
+  let deriv = Obs.Derivation.create () in
+  ignore
+    (Els.Incremental.derive (Els.prepare config db query) deriv [ "l"; "r" ]);
+  match Obs.Derivation.steps deriv with
+  | [ { Obs.Derivation.classes = [ cls ]; _ } ] ->
+    ( List.map snd cls.Obs.Derivation.inputs,
+      List.map
+        (fun col -> (col.Obs.Derivation.column, col.Obs.Derivation.source))
+        cls.Obs.Derivation.columns )
+  | _ -> Alcotest.fail "expected one step with one comparison class"
+
+let test_derivation_cdf_labels () =
+  let labels = Alcotest.(list (pair string string)) in
+  let none = Stats.Col_stats.trivial ~distinct:100 in
+  let zero_mass =
+    { none with
+      Stats.Col_stats.histogram =
+        Some
+          (Stats.Histogram.of_buckets Stats.Histogram.Equi_width
+             [
+               { Stats.Histogram.lo = 1.; hi = 100.; count = 0.; distinct = 0. };
+             ]) }
+  in
+  let inverted =
+    Stats.Col_stats.with_bounds ~distinct:100 ~lo:(int_ 100) ~hi:(int_ 1)
+  in
+  Alcotest.check labels "histograms"
+    [ ("l.x", "cdf(histogram)"); ("r.y", "cdf(histogram)") ]
+    (snd (comparison_card ramp_stats ramp_stats));
+  Alcotest.check labels "histogram over bounds"
+    [ ("l.x", "cdf(histogram)"); ("r.y", "cdf(interpolation)") ]
+    (snd (comparison_card ramp_stats key_stats));
+  List.iter
+    (fun (name, left, right) ->
+      let sels, columns = comparison_card left right in
+      Alcotest.(check (list (float 0.))) (name ^ ": the 1/3 default")
+        [ Stats.Selectivity_est.default_range ] sels;
+      Alcotest.check labels (name ^ ": both columns cdf(default)")
+        [ ("l.x", "cdf(default)"); ("r.y", "cdf(default)") ]
+        columns)
+    [
+      ("left without numeric statistics", none, ramp_stats);
+      ("right without numeric statistics", ramp_stats, none);
+      ("right histogram of zero mass", ramp_stats, zero_mass);
+      ("right bounds inverted", ramp_stats, inverted);
+    ]
+
+let fault_query db =
+  match Sqlfront.Binder.compile_result db Harness.Fault.inequality_sql with
+  | Ok query -> query
+  | Error e -> Alcotest.fail (Els.Els_error.to_string e)
+
+(* End to end: t3.a lost its statistics, so the t2.a < t3.a step falls
+   back to the 1/3 default, and the card says so for both columns
+   rather than crediting t2.a's histogram. *)
+let test_derivation_fault_cdf_default () =
+  let db =
+    Harness.Fault.corrupt_db ~tables:[ "t3" ] ~columns:[ "a" ]
+      Harness.Fault.Drop_stats (Harness.Fault.base_db ())
+  in
+  let config = Els.Config.with_strictness Els.Config.Repair Els.Config.els in
+  let profile = Els.prepare config db (fault_query db) in
+  let deriv = Obs.Derivation.create () in
+  ignore (Els.Incremental.derive profile deriv [ "t1"; "t2"; "t3" ]);
+  let comparison =
+    List.concat_map
+      (fun step ->
+        List.filter
+          (fun cls -> String.equal cls.Obs.Derivation.kind "ineq")
+          step.Obs.Derivation.classes)
+      (Obs.Derivation.steps deriv)
+  in
+  match comparison with
+  | [ cls ] ->
+    Alcotest.(check (list (pair string (float 0.)))) "s = 1/3"
+      [ ("t2.a < t3.a", Stats.Selectivity_est.default_range) ]
+      cls.Obs.Derivation.inputs;
+    Alcotest.(check (list (pair string string))) "both columns cdf(default)"
+      [ ("t2.a", "cdf(default)"); ("t3.a", "cdf(default)") ]
+      (List.map
+         (fun col -> (col.Obs.Derivation.column, col.Obs.Derivation.source))
+         cls.Obs.Derivation.columns)
+  | classes ->
+    Alcotest.failf "expected one comparison class, got %d" (List.length classes)
 
 let test_choose_trace_transparent () =
   let db = Helpers.example1_db () and query = Helpers.example1_query () in
@@ -453,6 +660,12 @@ let suite =
       test_derivation_partial_card;
     Alcotest.test_case "optimizer: trace-transparent" `Quick
       test_choose_trace_transparent;
+    Alcotest.test_case "derivation: d′ labels from the value path" `Quick
+      test_derivation_d_labels;
+    Alcotest.test_case "derivation: comparison columns name the CDF read"
+      `Quick test_derivation_cdf_labels;
+    Alcotest.test_case "derivation: cdf(default) after dropped statistics"
+      `Quick test_derivation_fault_cdf_default;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -206,6 +206,44 @@ let test_index_contents () =
     (Query.Cref.equal join_info.Els.Profile.root
        (Els.Eqclass.find profile.Els.Profile.classes (c "r" "a")))
 
+(* Guard violations are counted per evaluation, across profile copies.
+   A NaN histogram on t2.a makes the t2.a < t3.a selectivity NaN, which
+   breaches its guard; under Trap the NaN passes through into the
+   selectivity cache, where NaN also marks an empty slot, so every
+   evaluation recomputes and recounts: building counts the catalog issue,
+   each kernel compile (a [with_estimator] copy shares the guard and the
+   cache) counts the selectivity, and each derivation replays the step on
+   the reference tier, breaching the predicate's, the class's and the
+   step size's guards. These numbers pin today's accounting. *)
+let test_guard_counters_across_copies () =
+  let db =
+    Harness.Fault.corrupt_db ~tables:[ "t2" ] ~columns:[ "a" ]
+      Harness.Fault.Nan_histogram (Harness.Fault.base_db ())
+  in
+  let query =
+    match Sqlfront.Binder.compile_result db Harness.Fault.inequality_sql with
+    | Ok query -> query
+    | Error e -> Alcotest.fail (Els.Els_error.to_string e)
+  in
+  let config = Els.Config.with_strictness Els.Config.Trap Els.Config.els in
+  let profile = Els.Profile.build config db query in
+  let violations () = (Els.Profile.guard_stats profile).Els.Guard.violations in
+  Alcotest.(check int) "after Profile.build" 1 (violations ());
+  ignore (Els.Profile.kernel profile : Els.Kernel.t);
+  Alcotest.(check int) "after kernel compile" 2 (violations ());
+  let copy = Els.Profile.with_estimator Els.Estimator.m profile in
+  ignore (Els.Profile.kernel copy : Els.Kernel.t);
+  Alcotest.(check int) "after the copy's kernel compile" 3 (violations ());
+  let derive () =
+    ignore
+      (Els.Incremental.derive profile (Obs.Derivation.create ())
+         [ "t1"; "t2"; "t3" ])
+  in
+  derive ();
+  Alcotest.(check int) "after one derivation" 6 (violations ());
+  derive ();
+  Alcotest.(check int) "after two derivations" 9 (violations ())
+
 let suite =
   [
     Alcotest.test_case "no local predicates" `Quick test_no_local_preds;
@@ -224,4 +262,6 @@ let suite =
     Alcotest.test_case "errors" `Quick test_profile_errors;
     Alcotest.test_case "case normalization" `Quick test_case_normalization;
     Alcotest.test_case "hot-path index contents" `Quick test_index_contents;
+    Alcotest.test_case "guard counters across copies" `Quick
+      test_guard_counters_across_copies;
   ]

@@ -753,7 +753,7 @@ let prop_convolution_in_unit =
     (fun (lvals, rvals, lhist, rhist, op) ->
       let left = stats_of_ints ~histogram:lhist lvals in
       let right = stats_of_ints ~histogram:rhist rvals in
-      let s =
+      let s, _sources =
         match op with
         | Op_band eps -> Stats.Selectivity_est.join_band left ~eps right
         | Op_lt -> Stats.Selectivity_est.join_comparison left Rel.Cmp.Lt right
@@ -818,7 +818,7 @@ let prop_convolution_point_mass_exact =
       triple vals vals (oneofl [ Op_lt; Op_le; Op_gt; Op_ge; Op_band 2. ]))
     (fun (lvals, rvals, op) ->
       let left = point_stats lvals and right = point_stats rvals in
-      let estimated, expected =
+      let (estimated, _sources), expected =
         match op with
         | Op_lt ->
           ( Stats.Selectivity_est.join_comparison left Rel.Cmp.Lt right,

@@ -241,6 +241,157 @@ let test_cdf_eval_guard () =
         | _ -> false))
     [ Rel.Cmp.Eq; Rel.Cmp.Ne; Rel.Cmp.Gt; Rel.Cmp.Ge ]
 
+(* --- Selectivity_est provenance ---
+
+   Every estimate returns the statistic of the branch that computed it.
+   Each case pairs a full set of statistics with a record carrying only
+   the statistic its label names: that record alone must reproduce the
+   value (and the label), so the label cannot name a statistic the value
+   did not come from. *)
+
+let source =
+  let pp ppf s =
+    Format.pp_print_string ppf (Stats.Selectivity_est.source_name s)
+  in
+  Alcotest.testable pp ( = )
+
+let only ?(distinct = 0) ?bounds ?histogram ?mcv () =
+  { (Stats.Col_stats.trivial ~distinct) with
+    Stats.Col_stats.min_value = Option.map fst bounds;
+    max_value = Option.map snd bounds;
+    histogram;
+    mcv }
+
+let test_sel_sources () =
+  let int_ i = Rel.Value.Int i in
+  (* 60% ones, 30% twos, ten other values: MCV k=2 tracks 1 and 2. *)
+  let skewed =
+    Array.init 1000 (fun i ->
+        if i < 600 then int_ 1
+        else if i < 900 then int_ 2
+        else int_ (3 + (i mod 10)))
+  in
+  let full =
+    Stats.Col_stats.of_values ~histogram:Stats.Histogram.Equi_depth ~mcv:2
+      skewed
+  in
+  let histogram = full.Stats.Col_stats.histogram
+  and mcv = full.Stats.Col_stats.mcv
+  and distinct = full.Stats.Col_stats.distinct in
+  let keys = bounded_stats ~d:1000 ~lo:1 ~hi:1000 in
+  let key_bounds = (int_ 1, int_ 1000) in
+  let cases =
+    [
+      ("tracked value", full, Rel.Cmp.Eq, int_ 1, Stats.Selectivity_est.Src_mcv,
+       only ?mcv ());
+      ("untracked value", full, Rel.Cmp.Eq, int_ 7,
+       Stats.Selectivity_est.Src_mcv_remainder, only ~distinct ?mcv ());
+      ("<> keeps its equality's statistic", full, Rel.Cmp.Ne, int_ 1,
+       Stats.Selectivity_est.Src_mcv, only ?mcv ());
+      ("range over a histogram", full, Rel.Cmp.Le, int_ 2,
+       Stats.Selectivity_est.Src_histogram, only ?histogram ());
+      ("range over bounds", keys, Rel.Cmp.Lt, int_ 100,
+       Stats.Selectivity_est.Src_interpolation, only ~bounds:key_bounds ());
+      ("equality by 1/d", Stats.Col_stats.trivial ~distinct:50, Rel.Cmp.Eq,
+       int_ 3, Stats.Selectivity_est.Src_uniform, only ~distinct:50 ());
+      ("constant outside the bounds", keys, Rel.Cmp.Eq, int_ 5000,
+       Stats.Selectivity_est.Src_bounds, only ~bounds:key_bounds ());
+      ("equality without statistics", Stats.Col_stats.trivial ~distinct:0,
+       Rel.Cmp.Eq, int_ 1, Stats.Selectivity_est.Src_default, only ());
+      ("range without statistics", Stats.Col_stats.trivial ~distinct:0,
+       Rel.Cmp.Lt, int_ 1, Stats.Selectivity_est.Src_default, only ());
+    ]
+  in
+  List.iter
+    (fun (name, stats, op, c, expected, alone) ->
+      let s, src = Stats.Selectivity_est.comparison_with_source stats op c in
+      let s', src' = Stats.Selectivity_est.comparison_with_source alone op c in
+      Alcotest.check source (name ^ ": source") expected src;
+      Alcotest.check source (name ^ ": alone, same source") expected src';
+      Alcotest.(check (float 0.)) (name ^ ": alone, same value") s s';
+      Alcotest.(check (float 0.)) (name ^ ": float wrapper") s
+        (Stats.Selectivity_est.comparison stats op c))
+    cases;
+  (* The named statistic computes the value by itself. *)
+  check_float "mcv fraction"
+    (Option.get (Stats.Mcv.lookup (Option.get mcv) (int_ 1)))
+    (Stats.Selectivity_est.comparison full Rel.Cmp.Eq (int_ 1));
+  check_float "histogram mass"
+    (Stats.Histogram.selectivity (Option.get histogram) Rel.Cmp.Le 2.)
+    (Stats.Selectivity_est.comparison full Rel.Cmp.Le (int_ 2));
+  (* A range pair reads one statistic on both sides, unless a side falls
+     back to the default. *)
+  let pair lower upper =
+    Stats.Selectivity_est.range_pair_with_source keys ~lower ~upper
+  in
+  Alcotest.check source "interval over bounds"
+    Stats.Selectivity_est.Src_interpolation
+    (snd
+       (pair (Some (Rel.Cmp.Gt, int_ 100)) (Some (Rel.Cmp.Le, int_ 200))));
+  Alcotest.check source "a defaulted side defaults the pair"
+    Stats.Selectivity_est.Src_default
+    (snd
+       (pair
+          (Some (Rel.Cmp.Gt, Rel.Value.String "x"))
+          (Some (Rel.Cmp.Le, int_ 200))));
+  Alcotest.check source "one-sided pair"
+    Stats.Selectivity_est.Src_histogram
+    (snd
+       (Stats.Selectivity_est.range_pair_with_source full ~lower:None
+          ~upper:(Some (Rel.Cmp.Lt, int_ 2))))
+
+(* A comparison join reports the statistic behind the left column's CDF
+   and the right column's buckets; when the 1/3 (or band) default
+   applied, both are the default. *)
+let test_join_sources () =
+  let pair = Alcotest.pair source source in
+  let values = Array.init 100 (fun i -> Rel.Value.Int (i + 1)) in
+  let hist =
+    Stats.Col_stats.of_values ~histogram:Stats.Histogram.Equi_depth values
+  in
+  let bounds = bounded_stats ~d:100 ~lo:1 ~hi:100 in
+  let none = Stats.Col_stats.trivial ~distinct:100 in
+  let zero_mass =
+    only ~distinct:100
+      ~histogram:
+        (Stats.Histogram.of_buckets Stats.Histogram.Equi_width
+           [
+             { Stats.Histogram.lo = 1.; hi = 100.; count = 0.; distinct = 0. };
+           ])
+      ()
+  in
+  let inverted = bounded_stats ~d:100 ~lo:100 ~hi:1 in
+  let lt l r = Stats.Selectivity_est.join_comparison l Rel.Cmp.Lt r in
+  let open Stats.Selectivity_est in
+  Alcotest.check pair "histograms" (Src_histogram, Src_histogram)
+    (snd (lt hist hist));
+  Alcotest.check pair "bounds" (Src_interpolation, Src_interpolation)
+    (snd (lt bounds bounds));
+  Alcotest.check pair "mixed" (Src_histogram, Src_interpolation)
+    (snd (lt hist bounds));
+  Alcotest.check pair "band" (Src_interpolation, Src_histogram)
+    (snd (join_band bounds ~eps:2. hist));
+  (* The histograms alone reproduce the value. *)
+  Alcotest.(check (float 0.)) "histogram alone" (fst (lt hist hist))
+    (fst (lt (only ?histogram:hist.Stats.Col_stats.histogram ())
+            (only ?histogram:hist.Stats.Col_stats.histogram ())));
+  List.iter
+    (fun (name, l, r) ->
+      Alcotest.(check (float 0.)) (name ^ ": the 1/3 default") default_range
+        (fst (lt l r));
+      Alcotest.check pair (name ^ ": both sides default")
+        (Src_default, Src_default) (snd (lt l r)))
+    [
+      ("left without numeric statistics", none, hist);
+      ("right without numeric statistics", hist, none);
+      ("right histogram of zero mass", hist, zero_mass);
+      ("right bounds inverted", hist, inverted);
+    ];
+  Alcotest.(check (float 0.)) "band default" default_eq
+    (fst (join_band none ~eps:2. hist));
+  Alcotest.check pair "band default: both sides" (Src_default, Src_default)
+    (snd (join_band none ~eps:2. hist))
+
 (* --- Degree --- *)
 
 let test_degree_of_values () =
@@ -381,6 +532,10 @@ let suite =
       `Quick test_sel_non_integer_constant;
     Alcotest.test_case "selectivity: cdf_eval refuses non-CDF ops" `Quick
       test_cdf_eval_guard;
+    Alcotest.test_case "selectivity: every branch names its statistic" `Quick
+      test_sel_sources;
+    Alcotest.test_case "selectivity: comparison joins name both sides" `Quick
+      test_join_sources;
     Alcotest.test_case "degree: of_values norms" `Quick test_degree_of_values;
     Alcotest.test_case "degree: truncation past capacity" `Quick
       test_degree_truncation;
