@@ -357,7 +357,6 @@ let audit_db db =
   (out, issues)
 
 let check_db db = snd (audit_db db)
-let repair_db db = audit_db db
 
 let validate strictness db =
   match strictness with

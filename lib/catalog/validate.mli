@@ -62,11 +62,6 @@ val repair_table : Table.t -> Table.t * issue list
     sequences are dropped (estimation then falls back to the uniform/urn
     model; degree-capped estimators fall back to min-rows). *)
 
-val check_db : Db.t -> issue list
-val repair_db : Db.t -> Db.t * issue list
-(** Whole-catalog variants; [repair_db] leaves the input untouched and
-    returns a fresh catalog. *)
-
 val validate : strictness -> Db.t -> (Db.t * issue list, issue) result
 (** Audit a catalog under a strictness mode. [Strict] returns the first
     issue as [Error]; [Repair] returns a repaired catalog plus all issues

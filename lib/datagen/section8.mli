@@ -12,12 +12,10 @@
     "correct answer" to 100; values below 100 in a 1-based key domain
     number 99). *)
 
-val scale_default : int
-(** 1 = the paper's cardinalities. *)
-
 val build : ?scale:int -> seed:int -> unit -> Catalog.Db.t
-(** Stored + analyzed catalog. [scale] divides every cardinality (for quick
-    tests: [scale = 10] gives ‖S‖=100 … ‖G‖=10000). *)
+(** Stored + analyzed catalog. [scale] divides every cardinality: the
+    default 1 gives the paper's, [scale = 10] gives ‖S‖=100 … ‖G‖=10000
+    for quick tests. *)
 
 val query : unit -> Query.t
 (** [SELECT COUNT( ) FROM s,m,b,g WHERE s=m AND m=b AND b=g AND s<100] —

@@ -5,37 +5,30 @@ type result = {
   elapsed_s : float;
 }
 
-let rec operator_of_plan ?budget counters db plan =
+let relation_of db ~table ~source =
+  let relation = Catalog.Db.relation_exn db source in
+  if String.equal table source then relation
+  else Rel.Relation.rename relation table
+
+let rec operator_of_plan counters db plan =
   match plan with
   | Plan.Scan { table; source; filters } ->
-    let relation = Catalog.Db.relation_exn db source in
-    let relation =
-      if String.equal table source then relation
-      else Rel.Relation.rename relation table
-    in
-    Scan.relation ?budget counters ~filters relation
+    Scan.relation counters ~filters (relation_of db ~table ~source)
   | Plan.Join { method_; outer; inner; predicates } -> begin
-    let outer_op = operator_of_plan ?budget counters db outer in
+    let outer = operator_of_plan counters db outer in
+    let make_inner () = operator_of_plan counters db inner in
     match method_ with
     | Plan.Nested_loop ->
-      Nested_loop.join ?budget counters predicates ~outer:outer_op
-        ~make_inner:(fun () -> operator_of_plan ?budget counters db inner)
+      Nested_loop.join counters predicates ~outer ~make_inner
     | Plan.Sort_merge ->
-      Sort_merge.join ?budget counters predicates ~outer:outer_op
-        ~inner:(operator_of_plan ?budget counters db inner)
+      Sort_merge.join counters predicates ~outer ~inner:(make_inner ())
     | Plan.Hash ->
-      Hash_join.join ?budget counters predicates ~outer:outer_op
-        ~inner:(operator_of_plan ?budget counters db inner)
+      Hash_join.join counters predicates ~outer ~inner:(make_inner ())
     | Plan.Index_nested_loop -> begin
       match inner with
       | Plan.Scan { table; source; filters } ->
-        let relation = Catalog.Db.relation_exn db source in
-        let relation =
-          if String.equal table source then relation
-          else Rel.Relation.rename relation table
-        in
-        Index_nested_loop.join ?budget counters predicates
-          ~inner_filters:filters ~outer:outer_op ~inner:relation
+        Index_nested_loop.join counters predicates ~inner_filters:filters
+          ~outer ~inner:(relation_of db ~table ~source)
       | Plan.Join _ ->
         invalid_arg
           "Executor: index nested loop requires a base-table inner"
@@ -56,37 +49,29 @@ let budget_error counters resource =
           counters.Counters.tuples_read counters.Counters.tuples_output;
     }
 
-let run ?budget db plan =
-  let counters = Counters.create () in
+let execute ?budget db plan drain =
+  let counters = Counters.create ?budget () in
   let t0 = Unix.gettimeofday () in
-  match
-    let op = operator_of_plan ?budget counters db plan in
-    Operator.to_relation op
-  with
-  | relation ->
-    let elapsed_s = Unix.gettimeofday () -. t0 in
+  let outcome =
+    match drain (operator_of_plan counters db plan) with
+    | value -> Ok value
+    | exception Rel.Budget.Exhausted resource ->
+      Error (budget_error counters resource)
+  in
+  (outcome, counters, Unix.gettimeofday () -. t0)
+
+let run ?budget db plan =
+  match execute ?budget db plan Operator.to_relation with
+  | Ok relation, counters, elapsed_s ->
     {
       relation;
       row_count = Rel.Relation.cardinality relation;
       counters;
       elapsed_s;
     }
-  | exception Rel.Budget.Exhausted resource ->
-    Els.Els_error.raise_ (budget_error counters resource)
+  | Error e, _, _ -> Els.Els_error.raise_ e
 
-let count_result ?budget db plan =
-  let counters = Counters.create () in
-  let t0 = Unix.gettimeofday () in
-  let rows =
-    match
-      let op = operator_of_plan ?budget counters db plan in
-      Operator.count op
-    with
-    | rows -> Ok rows
-    | exception Rel.Budget.Exhausted resource ->
-      Error (budget_error counters resource)
-  in
-  (rows, counters, Unix.gettimeofday () -. t0)
+let count_result ?budget db plan = execute ?budget db plan Operator.count
 
 let count ?budget db plan =
   match count_result ?budget db plan with

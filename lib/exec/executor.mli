@@ -1,7 +1,7 @@
 (** Plan execution.
 
     Turns a physical {!Plan.t} into an operator tree over the catalog's
-    stored relations and drains it, reporting both the result and the work
+    stored relations and runs it, reporting both the result and the work
     performed — the stand-in for the paper's Starburst runtime. *)
 
 type result = {
@@ -13,10 +13,10 @@ type result = {
 
 val run : ?budget:Rel.Budget.t -> Catalog.Db.t -> Plan.t -> result
 (** Execute a plan. Every base table mentioned must be stored (not
-    stats-only). With a [budget], every operator spends budgeted rows in
-    lock-step with its work counters ([tuples_read] and [tuples_output])
-    and probes the shared deadline; execution cannot degrade the way
-    enumeration can, so a trip cancels the run.
+    stats-only). A [budget] goes to the run's {!Counters}, which spend one
+    budgeted row per tuple read or output and so also probe its deadline;
+    execution cannot degrade the way enumeration can, so a trip cancels
+    the run.
     @raise Els.Els_error.Error ([Budget_exhausted]) when the budget trips
     mid-execution; the raw {!Rel.Budget.Exhausted} never escapes.
     @raise Invalid_argument when a table is stats-only.

@@ -1,25 +1,19 @@
-let join ?budget counters preds ~outer ~inner =
+let join counters preds ~outer ~inner =
   let left_schema = Operator.schema outer in
   let right_schema = Operator.schema inner in
   let out_schema = Rel.Schema.concat left_schema right_schema in
-  let keys, residual = Join_keys.split ~left:left_schema ~right:right_schema preds in
+  let keys, residual =
+    Join_keys.split ~left:left_schema ~right:right_schema preds
+  in
   if keys = [] then
     invalid_arg "Hash_join.join: no equi-join key between the inputs";
   let left_cols = List.map fst keys and right_cols = List.map snd keys in
-  let accept_residual = Query.Eval.compile_all out_schema residual in
-  let n_residual = List.length residual in
-  let spend n =
-    match budget with
-    | None -> ()
-    | Some b -> Rel.Budget.spend_rows_exn b n
-  in
+  let n_keys = List.length keys in
+  let emit = Emit.joiner counters out_schema residual in
   let table : (int, Rel.Tuple.t list ref) Hashtbl.t = Hashtbl.create 4096 in
-  let key_has_null cols tuple =
-    List.exists (fun i -> Rel.Value.is_null tuple.(i)) cols
-  in
   Operator.iter
     (fun tuple ->
-      if not (key_has_null right_cols tuple) then begin
+      if not (Join_keys.has_null right_cols tuple) then begin
         let h = Rel.Tuple.hash_at right_cols tuple in
         match Hashtbl.find_opt table h with
         | Some bucket -> bucket := tuple :: !bucket
@@ -31,40 +25,19 @@ let join ?budget counters preds ~outer ~inner =
       (fun i j -> Rel.Value.equal left.(i) right.(j))
       left_cols right_cols
   in
-  let current = ref None (* outer tuple and its remaining candidates *) in
-  let rec pull () =
-    match !current with
-    | Some (left, candidate :: rest) ->
-      current := Some (left, rest);
-      Counters.compared counters (List.length keys);
-      if keys_match left candidate then begin
-        let joined = Rel.Tuple.concat left candidate in
-        Counters.compared counters n_residual;
-        if accept_residual joined then begin
-          Counters.output counters 1;
-          spend 1;
-          Some joined
-        end
-        else pull ()
-      end
-      else pull ()
-    | Some (_, []) ->
-      current := None;
-      pull ()
-    | None -> begin
-      match Operator.next outer with
-      | None -> None
-      | Some left ->
-        Counters.compared counters 1 (* hash computation *);
-        let candidates =
-          if key_has_null left_cols left then []
-          else
-            match Hashtbl.find_opt table (Rel.Tuple.hash_at left_cols left) with
-            | Some bucket -> !bucket
-            | None -> []
-        in
-        current := Some (left, candidates);
-        pull ()
-    end
-  in
-  Operator.make out_schema pull
+  Operator.make out_schema (fun k ->
+      Operator.iter
+        (fun left ->
+          Counters.compared counters 1 (* hash computation *);
+          if not (Join_keys.has_null left_cols left) then
+            match
+              Hashtbl.find_opt table (Rel.Tuple.hash_at left_cols left)
+            with
+            | None -> ()
+            | Some bucket ->
+              List.iter
+                (fun right ->
+                  Counters.compared counters n_keys;
+                  if keys_match left right then emit k left right)
+                !bucket)
+        outer)

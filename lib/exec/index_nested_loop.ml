@@ -1,4 +1,4 @@
-let join ?budget counters preds ~inner_filters ~outer ~inner =
+let join counters preds ~inner_filters ~outer ~inner =
   let outer_schema = Operator.schema outer in
   let inner_schema = Rel.Relation.schema inner in
   let out_schema = Rel.Schema.concat outer_schema inner_schema in
@@ -13,55 +13,26 @@ let join ?budget counters preds ~inner_filters ~outer ~inner =
        checked as residual equalities on the matched tuples. *)
     let accept_inner = Query.Eval.compile_all inner_schema inner_filters in
     let n_inner_filters = List.length inner_filters in
-    let accept_residual = Query.Eval.compile_all out_schema residual in
-    let n_residual = List.length residual in
-    let spend n =
-      match budget with
-      | None -> ()
-      | Some b -> Rel.Budget.spend_rows_exn b n
-    in
+    let n_more_keys = List.length more_keys in
+    let emit = Emit.joiner counters out_schema residual in
     (* Building the index scans the inner once. *)
     Counters.read counters (Rel.Relation.cardinality inner);
-    spend (Rel.Relation.cardinality inner);
     let index = Index.build inner ~column:inner_col in
-    let current = ref None in
-    let rec pull () =
-      match !current with
-      | Some (left, candidate :: rest) ->
-        current := Some (left, rest);
-        Counters.read counters 1;
-        spend 1;
-        Counters.compared counters n_inner_filters;
-        if not (accept_inner candidate) then pull ()
-        else begin
-          let extra_keys_match =
-            List.for_all
-              (fun (i, j) -> Rel.Value.sql_equal left.(i) candidate.(j))
-              more_keys
-          in
-          Counters.compared counters (List.length more_keys);
-          if not extra_keys_match then pull ()
-          else begin
-            let joined = Rel.Tuple.concat left candidate in
-            Counters.compared counters n_residual;
-            if accept_residual joined then begin
-              Counters.output counters 1;
-              spend 1;
-              Some joined
-            end
-            else pull ()
-          end
-        end
-      | Some (_, []) ->
-        current := None;
-        pull ()
-      | None -> begin
-        match Operator.next outer with
-        | None -> None
-        | Some left ->
-          Counters.compared counters 1 (* the probe *);
-          current := Some (left, Index.lookup index left.(outer_col));
-          pull ()
-      end
-    in
-    Operator.make out_schema pull
+    Operator.make out_schema (fun k ->
+        Operator.iter
+          (fun left ->
+            Counters.compared counters 1 (* the probe *);
+            List.iter
+              (fun right ->
+                Counters.read counters 1;
+                Counters.compared counters n_inner_filters;
+                if accept_inner right then begin
+                  Counters.compared counters n_more_keys;
+                  if
+                    List.for_all
+                      (fun (i, j) -> Rel.Value.sql_equal left.(i) right.(j))
+                      more_keys
+                  then emit k left right
+                end)
+              (Index.lookup index left.(outer_col)))
+          outer)

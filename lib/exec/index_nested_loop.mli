@@ -5,11 +5,12 @@
     tuples are touched. The inner's pushed-down filters and any residual
     join predicates are evaluated per match.
 
-    Work accounting: building the index reads the inner once; each probe
-    charges one comparison plus one read per matched tuple. *)
+    Work accounting: building the index reads the inner once, when the
+    join is built; each probe charges one comparison plus one read per
+    matched tuple. Reads and emitted rows spend the counters' row budget
+    like every other operator's. *)
 
 val join :
-  ?budget:Rel.Budget.t ->
   Counters.t ->
   Query.Predicate.t list ->
   inner_filters:Query.Predicate.t list ->
@@ -18,7 +19,5 @@ val join :
   Operator.t
 (** [join counters preds ~inner_filters ~outer ~inner]. [preds] must
     contain at least one column equality bridging the outer schema and the
-    inner relation's schema. With a [budget], the index-build scan, each
-    matched-tuple read and each emitted tuple spend budgeted rows
-    mirroring the counters (raising {!Rel.Budget.Exhausted} on trip).
+    inner relation's schema.
     @raise Invalid_argument otherwise. *)

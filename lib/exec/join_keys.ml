@@ -57,3 +57,6 @@ let comparison_driver ~left ~right preds =
     end
   in
   find preds
+
+let has_null cols tuple =
+  List.exists (fun i -> Rel.Value.is_null tuple.(i)) cols

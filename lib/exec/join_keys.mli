@@ -22,3 +22,7 @@ val comparison_driver :
     schemas, as [(pred, left_pos, right_pos, op)] with [op] oriented
     left-versus-right (mirrored when the predicate was spelled the other
     way round) — the sort driver of a comparison sort-merge join. *)
+
+val has_null : int list -> Rel.Tuple.t -> bool
+(** Whether any of the key columns holds NULL — such a tuple never
+    matches under SQL equality. *)

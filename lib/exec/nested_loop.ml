@@ -1,45 +1,9 @@
-let join ?budget counters preds ~outer ~make_inner =
+let join counters preds ~outer ~make_inner =
   let inner_schema = Operator.schema (make_inner ()) in
   let out_schema = Rel.Schema.concat (Operator.schema outer) inner_schema in
-  let accept = Query.Eval.compile_all out_schema preds in
-  let n_preds = List.length preds in
-  let spend n =
-    match budget with
-    | None -> ()
-    | Some b -> Rel.Budget.spend_rows_exn b n
-  in
-  let outer_tuple = ref None in
-  let inner_op = ref None in
-  let rec pull () =
-    match !outer_tuple with
-    | None -> begin
-      match Operator.next outer with
-      | None -> None
-      | Some tuple ->
-        outer_tuple := Some tuple;
-        inner_op := Some (make_inner ());
-        pull ()
-    end
-    | Some left -> begin
-      let inner =
-        match !inner_op with
-        | Some op -> op
-        | None -> assert false
-      in
-      match Operator.next inner with
-      | None ->
-        outer_tuple := None;
-        inner_op := None;
-        pull ()
-      | Some right ->
-        Counters.compared counters n_preds;
-        let joined = Rel.Tuple.concat left right in
-        if accept joined then begin
-          Counters.output counters 1;
-          spend 1;
-          Some joined
-        end
-        else pull ()
-    end
-  in
-  Operator.make out_schema pull
+  let emit = Emit.joiner counters out_schema preds in
+  Operator.make out_schema (fun k ->
+      Operator.iter
+        (fun left ->
+          Operator.iter (fun right -> emit k left right) (make_inner ()))
+        outer)

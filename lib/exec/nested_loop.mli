@@ -8,12 +8,12 @@
     Works for any predicate set, including none (cartesian product). *)
 
 val join :
-  ?budget:Rel.Budget.t ->
   Counters.t ->
   Query.Predicate.t list ->
   outer:Operator.t ->
   make_inner:(unit -> Operator.t) ->
   Operator.t
-(** [make_inner] must produce a fresh cursor over the same input each time
-    it is called. With a [budget], every emitted tuple spends one budgeted
-    row (raising {!Rel.Budget.Exhausted} on trip). *)
+(** [make_inner] must produce a fresh operator over the same input each
+    time it is called; it is called once when the join is built (for the
+    inner's schema) and once per outer tuple. Every emitted row goes
+    through {!Emit.joiner}, so it spends the counters' row budget. *)

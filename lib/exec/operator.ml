@@ -1,44 +1,18 @@
 type t = {
   schema : Rel.Schema.t;
-  next_fn : unit -> Rel.Tuple.t option;
+  iter : (Rel.Tuple.t -> unit) -> unit;
 }
 
-let make schema next_fn = { schema; next_fn }
+let make schema iter = { schema; iter }
 let schema t = t.schema
-let next t = t.next_fn ()
-
-let of_list schema tuples =
-  let remaining = ref tuples in
-  make schema (fun () ->
-      match !remaining with
-      | [] -> None
-      | tuple :: rest ->
-        remaining := rest;
-        Some tuple)
+let iter k t = t.iter k
+let of_list schema tuples = make schema (fun k -> List.iter k tuples)
 
 let of_relation relation =
-  let i = ref 0 in
-  let n = Rel.Relation.cardinality relation in
-  make (Rel.Relation.schema relation) (fun () ->
-      if !i >= n then None
-      else begin
-        let tuple = Rel.Relation.get relation !i in
-        incr i;
-        Some tuple
-      end)
-
-let iter f t =
-  let rec loop () =
-    match next t with
-    | None -> ()
-    | Some tuple ->
-      f tuple;
-      loop ()
-  in
-  loop ()
+  make (Rel.Relation.schema relation) (fun k -> Rel.Relation.iter k relation)
 
 let to_relation t =
-  let out = Rel.Relation.create (schema t) in
+  let out = Rel.Relation.create t.schema in
   iter (Rel.Relation.insert out) t;
   out
 

@@ -1,28 +1,36 @@
-(** Pull-based physical operators (volcano-style cursors).
+(** Push-based physical operators.
 
-    An operator yields tuples of a fixed schema until exhausted. Operators
-    are single-use: once [next] returns [None] the cursor stays exhausted.
-    Joins that need to rescan their inner input materialize it instead —
-    this is an in-memory engine, so materialization is an array copy, and
-    rescans are charged to the work counters by the operator that performs
-    them. *)
+    An operator is a producer of tuples of a fixed schema: {!iter} runs
+    it, handing each tuple to a consumer as it is produced. A scan is a
+    loop over a relation and a join a loop over its inputs, so a plan runs
+    depth-first with no cursor state between rows. Work an operator does
+    when it is built — a hash join's build side, a sort-merge join's
+    sorted inputs, an index — happens once, at construction. Running an
+    operator twice redoes its per-row work and charges it to the work
+    counters again: this is how {!Nested_loop.join} rescans its inner for
+    every outer tuple. A budget trip raises {!Rel.Budget.Exhausted} out of
+    the charging {!Counters} call and ends the run. *)
 
 type t
 
-val make : Rel.Schema.t -> (unit -> Rel.Tuple.t option) -> t
+val make : Rel.Schema.t -> ((Rel.Tuple.t -> unit) -> unit) -> t
+(** [make schema produce]: running the operator calls [produce k], which
+    must call [k] once per tuple, in order. *)
+
 val schema : t -> Rel.Schema.t
-val next : t -> Rel.Tuple.t option
+
+val iter : (Rel.Tuple.t -> unit) -> t -> unit
+(** Run the operator, passing each tuple to the consumer. *)
 
 val of_list : Rel.Schema.t -> Rel.Tuple.t list -> t
 val of_relation : Rel.Relation.t -> t
-(** Plain cursor over a relation; does not touch any counter (use
+(** Plain producer over a relation; does not touch any counter (use
     {!Scan.relation} for counted base-table scans). *)
 
 val to_relation : t -> Rel.Relation.t
-(** Drain the operator into a fresh relation. *)
+(** Run the operator into a fresh relation. *)
 
-val iter : (Rel.Tuple.t -> unit) -> t -> unit
 val count : t -> int
-(** Drain and count. *)
+(** Run and count. *)
 
 val fold : ('acc -> Rel.Tuple.t -> 'acc) -> 'acc -> t -> 'acc

@@ -14,10 +14,7 @@ let columns crefs input =
                (Query.Cref.to_string c)))
       crefs
   in
-  let out_schema = Rel.Schema.project in_schema positions in
-  Operator.make out_schema (fun () ->
-      match Operator.next input with
-      | None -> None
-      | Some tuple -> Some (Rel.Tuple.project tuple positions))
+  Operator.make (Rel.Schema.project in_schema positions) (fun k ->
+      Operator.iter (fun tuple -> k (Rel.Tuple.project tuple positions)) input)
 
 let count_star input = Operator.count input

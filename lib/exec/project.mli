@@ -5,4 +5,4 @@ val columns : Query.Cref.t list -> Operator.t -> Operator.t
     @raise Invalid_argument when a column is missing from the input. *)
 
 val count_star : Operator.t -> int
-(** Drain the input and return the row count — [SELECT COUNT( )]. *)
+(** Run the input and return the row count — [SELECT COUNT( )]. *)

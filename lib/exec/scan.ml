@@ -1,23 +1,11 @@
-let relation ?budget counters ?(filters = []) rel =
+let relation counters ?(filters = []) rel =
   let schema = Rel.Relation.schema rel in
   let accept = Query.Eval.compile_all schema filters in
   let n_filters = List.length filters in
-  let spend n =
-    match budget with
-    | None -> ()
-    | Some b -> Rel.Budget.spend_rows_exn b n
-  in
-  let i = ref 0 in
-  let n = Rel.Relation.cardinality rel in
-  let rec pull () =
-    if !i >= n then None
-    else begin
-      let tuple = Rel.Relation.get rel !i in
-      incr i;
-      Counters.read counters 1;
-      spend 1;
-      Counters.compared counters n_filters;
-      if accept tuple then Some tuple else pull ()
-    end
-  in
-  Operator.make schema pull
+  Operator.make schema (fun k ->
+      Rel.Relation.iter
+        (fun tuple ->
+          Counters.read counters 1;
+          Counters.compared counters n_filters;
+          if accept tuple then k tuple)
+        rel)

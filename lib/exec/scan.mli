@@ -1,12 +1,7 @@
 (** Base-table scans with optional pushed-down filters. *)
 
 val relation :
-  ?budget:Rel.Budget.t ->
-  Counters.t ->
-  ?filters:Query.Predicate.t list ->
-  Rel.Relation.t ->
-  Operator.t
-(** Sequential scan. Every tuple read is charged to [tuples_read]; every
-    filter evaluation to [comparisons]. Surviving tuples flow out. With a
-    [budget], every read also spends one budgeted row (raising
-    {!Rel.Budget.Exhausted} on trip), mirroring the counter exactly. *)
+  Counters.t -> ?filters:Query.Predicate.t list -> Rel.Relation.t -> Operator.t
+(** Sequential scan. Every tuple read is charged to [tuples_read] (and
+    spends the counters' row budget); every filter evaluation to
+    [comparisons]. Surviving tuples flow out. *)

@@ -1,3 +1,77 @@
+let counted counters compare a b =
+  Counters.compared counters 1;
+  compare a b
+
+(* Materialize an input, keep the tuples [keep] accepts and sort them,
+   charging one comparison per sort comparison. *)
+let sorted counters keep compare input =
+  let arr =
+    Array.of_list
+      (Operator.fold (fun acc t -> if keep t then t :: acc else acc) [] input)
+  in
+  Array.sort (counted counters compare) arr;
+  arr
+
+(* --- key merge -----------------------------------------------------------
+
+   Both inputs sorted on their equi-key columns; each left tuple is paired
+   with the run of right tuples sharing its key, and a left tuple with
+   the same key as its predecessor re-pairs with the same run. NULL keys
+   are stepped over. *)
+let key_merge counters emit ~left_cols ~right_cols ~outer ~inner =
+  let all _ = true in
+  let left_arr = sorted counters all (Rel.Tuple.compare_at left_cols) outer in
+  let right_arr =
+    sorted counters all (Rel.Tuple.compare_at right_cols) inner
+  in
+  let nl = Array.length left_arr and nr = Array.length right_arr in
+  (* Cross-input key comparison: compare the projections pairwise. *)
+  let cross_compare =
+    counted counters (fun left right ->
+        let rec loop ls rs =
+          match ls, rs with
+          | [], [] -> 0
+          | i :: ls, j :: rs ->
+            let c = Rel.Value.compare left.(i) right.(j) in
+            if c <> 0 then c else loop ls rs
+          | [], _ :: _ | _ :: _, [] -> assert false
+        in
+        loop left_cols right_cols)
+  in
+  let right_compare = counted counters (Rel.Tuple.compare_at right_cols) in
+  (* End of the right run starting at [run]. *)
+  let rec run_end run fin =
+    if fin < nr && right_compare right_arr.(run) right_arr.(fin) = 0 then
+      run_end run (fin + 1)
+    else fin
+  in
+  fun k ->
+    (* Pair left tuple [li], and each following left tuple with the same
+       key, with the right run [run, fin); the next left index. *)
+    let rec pair li run fin =
+      for j = run to fin - 1 do
+        emit k left_arr.(li) right_arr.(j)
+      done;
+      let li = li + 1 in
+      if li < nl && cross_compare left_arr.(li) right_arr.(run) = 0 then
+        pair li run fin
+      else li
+    in
+    let rec merge li ri =
+      if li < nl && ri < nr then
+        if Join_keys.has_null left_cols left_arr.(li) then merge (li + 1) ri
+        else if Join_keys.has_null right_cols right_arr.(ri) then
+          merge li (ri + 1)
+        else
+          let c = cross_compare left_arr.(li) right_arr.(ri) in
+          if c < 0 then merge (li + 1) ri
+          else if c > 0 then merge li (ri + 1)
+          else
+            let fin = run_end ri (ri + 1) in
+            merge (pair li ri fin) fin
+    in
+    merge 0 0
+
 (* --- comparison merge ---------------------------------------------------
 
    The inequality/band generalization: both inputs sorted on the driving
@@ -9,15 +83,7 @@
    advances, so the merge does O(n log n) sort comparisons plus
    O(output) emission work. NULL driver keys never qualify and are
    dropped up front (as are non-numeric keys under a band). *)
-let comparison_join ?budget counters ~out_schema ~lcol ~rcol ~op ~residual
-    ~outer ~inner =
-  let accept_residual = Query.Eval.compile_all out_schema residual in
-  let n_residual = List.length residual in
-  let spend n =
-    match budget with
-    | None -> ()
-    | Some b -> Rel.Budget.spend_rows_exn b n
-  in
+let comparison_merge counters emit ~lcol ~rcol ~op ~outer ~inner =
   let keep col tuple =
     (not (Rel.Value.is_null tuple.(col)))
     &&
@@ -31,241 +97,68 @@ let comparison_join ?budget counters ~out_schema ~lcol ~rcol ~op ~residual
     | Query.Predicate.Gt | Query.Predicate.Ge ->
       true
   in
-  let sorted col operator =
-    let tuples =
-      List.filter (keep col) (Operator.fold (fun acc t -> t :: acc) [] operator)
-    in
-    let arr = Array.of_list tuples in
-    Array.sort
-      (fun a b ->
-        Counters.compared counters 1;
+  let sorted_on col =
+    sorted counters (keep col) (fun a b ->
         Rel.Value.compare_sem a.(col) b.(col))
-      arr;
-    arr
   in
-  let left_arr = sorted lcol outer in
-  let right_arr = sorted rcol inner in
-  let nl = Array.length left_arr and nr = Array.length right_arr in
-  (* Window of qualifying left indexes for the current right tuple:
-     [win_lo, win_hi). Both bounds are monotone in the right key. *)
-  let win_lo = ref 0 and win_hi = ref 0 in
-  let li = ref 0 in
-  let ri = ref (-1) in
-  let counted_sem l r =
+  let left_arr = sorted_on lcol outer in
+  let right_arr = sorted_on rcol inner in
+  let nl = Array.length left_arr in
+  (* The first index from [i] whose left key fails [p]. *)
+  let rec skip p i =
+    if i < nl && p left_arr.(i).(lcol) then skip p (i + 1) else i
+  in
+  (* A left key against the current right key, charged. *)
+  let versus rkey l = counted counters Rel.Value.compare_sem l rkey in
+  let band_key l =
     Counters.compared counters 1;
-    Rel.Value.compare_sem l r
+    Rel.Value.float_exn l
   in
-  let advance_windows rkey =
-    (match op with
-    | Query.Predicate.Lt ->
-      (* left < right: prefix of lefts strictly below the right key. *)
-      win_lo := 0;
-      while !win_hi < nl && counted_sem left_arr.(!win_hi).(lcol) rkey < 0 do
-        incr win_hi
-      done
-    | Query.Predicate.Le ->
-      win_lo := 0;
-      while !win_hi < nl && counted_sem left_arr.(!win_hi).(lcol) rkey <= 0 do
-        incr win_hi
-      done
-    | Query.Predicate.Gt ->
-      (* left > right: suffix of lefts strictly above the right key. *)
-      win_hi := nl;
-      while !win_lo < nl && counted_sem left_arr.(!win_lo).(lcol) rkey <= 0 do
-        incr win_lo
-      done
-    | Query.Predicate.Ge ->
-      win_hi := nl;
-      while !win_lo < nl && counted_sem left_arr.(!win_lo).(lcol) rkey < 0 do
-        incr win_lo
-      done
-    | Query.Predicate.Band eps ->
-      let x = Rel.Value.float_exn rkey in
-      let fkey i = Rel.Value.float_exn left_arr.(i).(lcol) in
-      while
-        !win_lo < nl
-        && begin
-             Counters.compared counters 1;
-             fkey !win_lo < x -. eps
-           end
-      do
-        incr win_lo
-      done;
-      if !win_hi < !win_lo then win_hi := !win_lo;
-      while
-        !win_hi < nl
-        && begin
-             Counters.compared counters 1;
-             fkey !win_hi <= x +. eps
-           end
-      do
-        incr win_hi
-      done
-    | Query.Predicate.Eq ->
-      invalid_arg "Sort_merge.comparison_join: Eq is a merge key, not a driver");
-    li := !win_lo
-  in
-  let rec pull () =
-    if !ri >= nr then None
-    else if !ri >= 0 && !li < !win_hi then begin
-      let joined =
-        Rel.Tuple.concat left_arr.(!li) right_arr.(!ri)
-      in
-      incr li;
-      Counters.compared counters n_residual;
-      if accept_residual joined then begin
-        Counters.output counters 1;
-        spend 1;
-        Some joined
-      end
-      else pull ()
-    end
-    else begin
-      incr ri;
-      if !ri >= nr then None
-      else begin
-        advance_windows right_arr.(!ri).(rcol);
-        pull ()
-      end
-    end
-  in
-  Operator.make out_schema pull
+  fun k ->
+    (* Qualifying left indexes for the current right tuple: [lo, hi),
+       both bounds monotone in the right key. *)
+    let lo = ref 0 and hi = ref 0 in
+    Array.iter
+      (fun right ->
+        let rkey = right.(rcol) in
+        (match op with
+        | Query.Predicate.Lt -> hi := skip (fun l -> versus rkey l < 0) !hi
+        | Query.Predicate.Le -> hi := skip (fun l -> versus rkey l <= 0) !hi
+        | Query.Predicate.Gt ->
+          hi := nl;
+          lo := skip (fun l -> versus rkey l <= 0) !lo
+        | Query.Predicate.Ge ->
+          hi := nl;
+          lo := skip (fun l -> versus rkey l < 0) !lo
+        | Query.Predicate.Band eps ->
+          let x = Rel.Value.float_exn rkey in
+          lo := skip (fun l -> band_key l < x -. eps) !lo;
+          hi := skip (fun l -> band_key l <= x +. eps) (max !hi !lo)
+        | Query.Predicate.Eq ->
+          invalid_arg
+            "Sort_merge.comparison_merge: Eq is a merge key, not a driver");
+        for li = !lo to !hi - 1 do
+          emit k left_arr.(li) right
+        done)
+      right_arr
 
-let join ?budget counters preds ~outer ~inner =
-  let left_schema = Operator.schema outer in
-  let right_schema = Operator.schema inner in
-  let out_schema = Rel.Schema.concat left_schema right_schema in
-  let keys, residual =
-    Join_keys.split ~left:left_schema ~right:right_schema preds
+let join counters preds ~outer ~inner =
+  let left = Operator.schema outer and right = Operator.schema inner in
+  let out_schema = Rel.Schema.concat left right in
+  let keys, residual = Join_keys.split ~left ~right preds in
+  let produce =
+    if keys <> [] then
+      key_merge counters
+        (Emit.joiner counters out_schema residual)
+        ~left_cols:(List.map fst keys) ~right_cols:(List.map snd keys) ~outer
+        ~inner
+    else
+      match Join_keys.comparison_driver ~left ~right residual with
+      | Some (driver, lcol, rcol, op) ->
+        let residual = List.filter (fun p -> p != driver) residual in
+        comparison_merge counters
+          (Emit.joiner counters out_schema residual)
+          ~lcol ~rcol ~op ~outer ~inner
+      | None -> invalid_arg "Sort_merge.join: no join key between the inputs"
   in
-  if keys = [] then begin
-    match
-      Join_keys.comparison_driver ~left:left_schema ~right:right_schema
-        residual
-    with
-    | Some (driver_pred, lcol, rcol, op) ->
-      let residual =
-        List.filter (fun p -> not (p == driver_pred)) residual
-      in
-      comparison_join ?budget counters ~out_schema ~lcol ~rcol ~op ~residual
-        ~outer ~inner
-    | None ->
-      invalid_arg "Sort_merge.join: no join key between the inputs"
-  end
-  else
-  let left_cols = List.map fst keys and right_cols = List.map snd keys in
-  let accept_residual = Query.Eval.compile_all out_schema residual in
-  let n_residual = List.length residual in
-  let spend n =
-    match budget with
-    | None -> ()
-    | Some b -> Rel.Budget.spend_rows_exn b n
-  in
-  let counted_compare cols a b =
-    Counters.compared counters 1;
-    Rel.Tuple.compare_at cols a b
-  in
-  let sort cols op =
-    let arr = Array.of_list (Operator.fold (fun acc t -> t :: acc) [] op) in
-    Array.sort (counted_compare cols) arr;
-    arr
-  in
-  let left_arr = sort left_cols outer in
-  let right_arr = sort right_cols inner in
-  let nl = Array.length left_arr and nr = Array.length right_arr in
-  let key_has_null cols tuple =
-    List.exists (fun i -> Rel.Value.is_null tuple.(i)) cols
-  in
-  (* Cross-input key comparison: compare the projections pairwise. *)
-  let cross_compare left right =
-    Counters.compared counters 1;
-    let rec loop ls rs =
-      match ls, rs with
-      | [], [] -> 0
-      | i :: ls, j :: rs ->
-        let c = Rel.Value.compare left.(i) right.(j) in
-        if c <> 0 then c else loop ls rs
-      | [], _ :: _ | _ :: _, [] -> assert false
-    in
-    loop left_cols right_cols
-  in
-  let li = ref 0 and ri = ref 0 in
-  (* Pending output: the current left tuple paired against a right run. *)
-  let run_start = ref 0 and run_len = ref 0 in
-  let run_pos = ref 0 in
-  let in_run = ref false in
-  let rec pull () =
-    if !in_run then begin
-      if !run_pos < !run_len then begin
-        let left = left_arr.(!li) in
-        let right = right_arr.(!run_start + !run_pos) in
-        incr run_pos;
-        let joined = Rel.Tuple.concat left right in
-        Counters.compared counters n_residual;
-        if accept_residual joined then begin
-          Counters.output counters 1;
-          spend 1;
-          Some joined
-        end
-        else pull ()
-      end
-      else begin
-        (* Finished pairing this left tuple with the run; advance left and
-           re-pair if the next left tuple has the same key. *)
-        in_run := false;
-        incr li;
-        if
-          !li < nl
-          && !run_len > 0
-          && cross_compare left_arr.(!li) right_arr.(!run_start) = 0
-        then begin
-          in_run := true;
-          run_pos := 0;
-          pull ()
-        end
-        else pull ()
-      end
-    end
-    else if !li >= nl || !ri >= nr then None
-    else begin
-      let left = left_arr.(!li) in
-      if key_has_null left_cols left then begin
-        incr li;
-        pull ()
-      end
-      else if key_has_null right_cols right_arr.(!ri) then begin
-        incr ri;
-        pull ()
-      end
-      else begin
-        let c = cross_compare left right_arr.(!ri) in
-        if c < 0 then begin
-          incr li;
-          pull ()
-        end
-        else if c > 0 then begin
-          incr ri;
-          pull ()
-        end
-        else begin
-          (* Key match: delimit the right run sharing this key. *)
-          let start = !ri in
-          let fin = ref (start + 1) in
-          while
-            !fin < nr
-            && counted_compare right_cols right_arr.(start) right_arr.(!fin)
-               = 0
-          do
-            incr fin
-          done;
-          run_start := start;
-          run_len := !fin - start;
-          run_pos := 0;
-          in_run := true;
-          ri := !fin;
-          pull ()
-        end
-      end
-    end
-  in
-  Operator.make out_schema pull
+  Operator.make out_schema produce

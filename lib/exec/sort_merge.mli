@@ -1,9 +1,10 @@
 (** Sort-merge join: equality keys, inequality and band drivers.
 
-    With equi-join keys, both inputs are materialized and sorted on them
-    (sort comparisons are charged to the work counters), then merged,
-    buffering duplicate key runs on the right so m×n matches within a key
-    group are all produced.
+    Both inputs are materialized and sorted when the join is built (sort
+    comparisons are charged to the work counters; input reads are charged
+    by the child operators). With equi-join keys, the sorted inputs are
+    merged, pairing each left tuple with the run of right tuples sharing
+    its key, so m×n matches within a key group are all produced.
 
     With no equi-key but a comparison predicate ([R.a < S.b],
     [|R.a - S.b| <= eps]) bridging the inputs, both sides are sorted on
@@ -18,14 +19,12 @@
     a band driver). *)
 
 val join :
-  ?budget:Rel.Budget.t ->
   Counters.t ->
   Query.Predicate.t list ->
   outer:Operator.t ->
   inner:Operator.t ->
   Operator.t
-(** With a [budget], every emitted tuple spends one budgeted row (raising
-    {!Rel.Budget.Exhausted} on trip); input reads are spent by the child
-    operators during materialization.
+(** Every emitted row goes through {!Emit.joiner}, so it spends the
+    counters' row budget.
     @raise Invalid_argument when neither an equi-key nor a comparison
     predicate bridges the two inputs. *)

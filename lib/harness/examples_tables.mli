@@ -9,11 +9,9 @@ val rules_table : unit -> (string * float * float * float) list
 
 val render_rules_table : unit -> string
 
-val urn_table : unit -> (int * int * float) list
+val render_urn_table : unit -> string
 (** Rows of (‖R‖′, urn estimate of d′ₓ, linear estimate) for the Section 5
     example (dₓ = 10000, ‖R‖ = 100000). *)
-
-val render_urn_table : unit -> string
 
 val single_table_numbers : unit -> float * float
 (** (‖R2‖′, effective join cardinality) for the Section 6 example; the

@@ -92,20 +92,6 @@ type outcome = {
           ladder absorbed it), not a failure *)
 }
 
-val outcome_of :
-  ?estimator:Els.Estimator.t ->
-  ?budget:Rel.Budget.t ->
-  strictness:Catalog.Validate.strictness ->
-  corruption option ->
-  Catalog.Db.t ->
-  string ->
-  outcome
-(** Drive SQL text through binder → validation → guarded profile → DP
-    optimizer against the given catalog, capturing the guard counters.
-    [estimator] (default {!Els.Estimator.ls}) selects the estimation
-    algorithm via its canonical configuration; [budget] bounds the
-    enumeration (its exhaustion state is captured in [budget_tripped]). *)
-
 val run :
   ?seed:int ->
   ?sql:string ->

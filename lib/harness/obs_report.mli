@@ -31,11 +31,8 @@ val absorb_profile : Obs.Metrics.t -> Els.Profile.t -> unit
 (** Cache stats, kernel step count, guard stats and validation issues of
     one built profile. *)
 
-val absorb_guard_stats : Obs.Metrics.t -> Els.Guard.stats -> unit
-val absorb_validation : Obs.Metrics.t -> Catalog.Validate.issue list -> unit
 val absorb_counters : Obs.Metrics.t -> Exec.Counters.t -> unit
 val absorb_budget : Obs.Metrics.t -> Rel.Budget.t -> unit
-val absorb_provenance : Obs.Metrics.t -> Optimizer.Provenance.t -> unit
 
 val absorb_choice : Obs.Metrics.t -> Optimizer.choice -> unit
 (** Profile + provenance of one optimizer decision. *)

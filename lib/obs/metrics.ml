@@ -77,6 +77,14 @@ let observe h x =
       max = (if s.count = 0 then x else Float.max s.max x);
     }
 
+(* Rank ceil(q·n), 1-based; [max 0] covers q = 0. *)
+let quantile sorted q =
+  match Array.length sorted with
+  | 0 -> Float.nan
+  | n ->
+    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+    sorted.(max 0 (min n rank - 1))
+
 type snapshot = (string * value) list  (* sorted by name *)
 
 let snapshot t =

@@ -45,6 +45,12 @@ val set_counter : counter -> int -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
+val quantile : float array -> float -> float
+(** [quantile sorted q]: the nearest-rank [q]-quantile of an ascending
+    array — its [ceil (q·n)]-th element (1-based), so the p50 of
+    [[|1.; 2.; 3.; 4.|]] is [2.] and the p99 of 1..100 is [99.]. [nan]
+    for an empty array. *)
+
 type summary = {
   count : int;
   sum : float;

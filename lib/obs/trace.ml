@@ -68,7 +68,6 @@ let attr tracer key value =
 
 let attr_str tracer key v = attr tracer key (Json.String v)
 let attr_int tracer key v = attr tracer key (Json.Int v)
-let attr_float tracer key v = attr tracer key (Json.Float v)
 
 let roots t = List.rev t.roots_rev
 

@@ -36,7 +36,6 @@ val attr : t option -> string -> Json.t -> unit
 
 val attr_str : t option -> string -> string -> unit
 val attr_int : t option -> string -> int -> unit
-val attr_float : t option -> string -> float -> unit
 
 val roots : t -> span list
 (** Finished root spans, in start order. Spans still open (inside

@@ -68,8 +68,6 @@ type kind =
   | Kind_ineq
   | Kind_band
 
-val comparison_kind : comparison -> kind
-
 val kind : t -> kind option
 (** [None] for local constant comparisons ({!constructor:Cmp}). *)
 
@@ -98,7 +96,6 @@ val references_only : string list -> t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-val comparison_to_string : comparison -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

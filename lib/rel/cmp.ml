@@ -37,10 +37,6 @@ let negate = function
   | Gt -> Le
   | Ge -> Lt
 
-let is_equality = function
-  | Eq -> true
-  | Ne | Lt | Le | Gt | Ge -> false
-
 let to_string = function
   | Eq -> "="
   | Ne -> "<>"

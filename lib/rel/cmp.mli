@@ -25,7 +25,5 @@ val flip : t -> t
 
 val negate : t -> t
 
-val is_equality : t -> bool
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

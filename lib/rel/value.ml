@@ -87,11 +87,6 @@ let float_exn = function
   | Int x -> float_of_int x
   | Null | String _ | Bool _ -> invalid_arg "Value.float_exn: not numeric"
 
-let string_exn = function
-  | String s -> s
-  | Null | Int _ | Float _ | Bool _ ->
-    invalid_arg "Value.string_exn: not a string"
-
 let pp ppf = function
   | Null -> Format.pp_print_string ppf "NULL"
   | Int x -> Format.pp_print_int ppf x

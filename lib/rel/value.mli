@@ -64,9 +64,6 @@ val float_exn : t -> float
 (** [float_exn v] extracts a float, coercing [Int]. @raise Invalid_argument
     on non-numeric values. *)
 
-val string_exn : t -> string
-(** @raise Invalid_argument on non-strings. *)
-
 val pp : Format.formatter -> t -> unit
 (** Render a value as it would appear in a result table. *)
 

@@ -29,7 +29,6 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
-val of_array : 'a array -> 'a t
 val of_list : 'a list -> 'a t
 
 val sort : ('a -> 'a -> int) -> 'a t -> unit

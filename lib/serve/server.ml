@@ -96,12 +96,6 @@ let observe_latency t ms =
       Obs.Metrics.observe (Obs.Metrics.histogram t.reg "serve.latency_ms") ms;
       t.latencies := ms :: !(t.latencies))
 
-(* Nearest-rank quantile over the flush window. *)
-let quantile sorted q =
-  match Array.length sorted with
-  | 0 -> Float.nan
-  | n -> sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-
 let flush_metrics t =
   with_stats t (fun () ->
       let m = t.reg in
@@ -113,10 +107,10 @@ let flush_metrics t =
         Array.sort Float.compare sorted;
         Obs.Metrics.set
           (Obs.Metrics.gauge m "serve.latency_p50_ms")
-          (quantile sorted 0.50);
+          (Obs.Metrics.quantile sorted 0.50);
         Obs.Metrics.set
           (Obs.Metrics.gauge m "serve.latency_p99_ms")
-          (quantile sorted 0.99));
+          (Obs.Metrics.quantile sorted 0.99));
       (* Absorb the store's own monotone totals under the same names the
          churn harness publishes, so one check-metrics schema covers
          both. *)

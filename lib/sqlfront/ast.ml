@@ -41,47 +41,3 @@ type query = {
   from : from_item list;
   where : condition list;
 }
-
-let column_ref_to_string c =
-  match c.qualifier with
-  | Some q -> q ^ "." ^ c.name
-  | None -> c.name
-
-let operand_to_string = function
-  | Col c -> column_ref_to_string c
-  | Lit v -> Rel.Value.to_string v
-
-let bound_to_string b =
-  if b.offset = 0. then operand_to_string b.base
-  else if b.offset < 0. then
-    Printf.sprintf "%s - %g" (operand_to_string b.base) (-.b.offset)
-  else Printf.sprintf "%s + %g" (operand_to_string b.base) b.offset
-
-let condition_to_string = function
-  | Cmp { lhs; op; rhs; _ } ->
-    Printf.sprintf "%s %s %s" (operand_to_string lhs) (Rel.Cmp.to_string op)
-      (operand_to_string rhs)
-  | Between { lhs; lo; hi; _ } ->
-    Printf.sprintf "%s BETWEEN %s AND %s" (operand_to_string lhs)
-      (bound_to_string lo) (bound_to_string hi)
-
-let pp_query ppf q =
-  let select =
-    match q.select with
-    | Sel_star -> "*"
-    | Sel_count_star -> "COUNT(*)"
-    | Sel_columns cols ->
-      String.concat ", " (List.map column_ref_to_string cols)
-  in
-  let from_to_string f =
-    match f.alias with
-    | Some a -> f.table ^ " " ^ a
-    | None -> f.table
-  in
-  Format.fprintf ppf "SELECT %s FROM %s" select
-    (String.concat ", " (List.map from_to_string q.from));
-  match q.where with
-  | [] -> ()
-  | conds ->
-    Format.fprintf ppf " WHERE %s"
-      (String.concat " AND " (List.map condition_to_string conds))

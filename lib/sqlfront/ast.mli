@@ -50,5 +50,3 @@ type query = {
   where : condition list; (** conjunction; empty for no WHERE *)
 }
 
-val condition_to_string : condition -> string
-val pp_query : Format.formatter -> query -> unit

@@ -57,8 +57,4 @@ val merge : rows:int -> t -> rows':int -> t -> t
     bounds widen; histograms, MCVs and degree sequences merge per their
     own algebras (degrees are dropped unless both shards carry them). *)
 
-val numeric_values : Rel.Value.t array -> float array
-(** Non-null numeric values of a column as floats; empty for non-numeric
-    columns. *)
-
 val pp : Format.formatter -> t -> unit

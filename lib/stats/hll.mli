@@ -17,12 +17,9 @@
 
 type t
 
-val default_p : int
-(** Default precision (register-count exponent), 12: 4096 one-byte
-    registers. *)
-
 val create : ?p:int -> unit -> t
-(** Empty sketch with [2^p] registers ([p] defaults to {!default_p}).
+(** Empty sketch with [2^p] registers. [p], the precision, defaults to
+    12: 4096 one-byte registers.
     @raise Invalid_argument when [p] is outside [[4, 16]]. *)
 
 val precision : t -> int

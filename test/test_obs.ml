@@ -150,6 +150,17 @@ let test_metrics_set_counter_monotone () =
     (Obs.Metrics.find (Obs.Metrics.snapshot m) "total"
     = Some (Obs.Metrics.Counter 12))
 
+let test_metrics_quantile () =
+  let q sorted p = Obs.Metrics.quantile (Array.of_list sorted) p in
+  Helpers.check_float "p50 of 1..4" 2. (q [ 1.; 2.; 3.; 4. ] 0.5);
+  let hundred = List.init 100 (fun i -> float_of_int (i + 1)) in
+  Helpers.check_float "p99 of 1..100 is below the maximum" 99.
+    (q hundred 0.99);
+  Helpers.check_float "p50 of 1..100" 50. (q hundred 0.5);
+  Helpers.check_float "p50 of one sample" 7. (q [ 7. ] 0.5);
+  Helpers.check_float "p99 of one sample" 7. (q [ 7. ] 0.99);
+  Alcotest.(check bool) "empty window is nan" true (Float.is_nan (q [] 0.5))
+
 let test_metrics_diff () =
   let m = Obs.Metrics.create () in
   let c = Obs.Metrics.counter m "c" in
@@ -650,6 +661,8 @@ let suite =
     Alcotest.test_case "metrics: instruments" `Quick test_metrics_instruments;
     Alcotest.test_case "metrics: set_counter monotone" `Quick
       test_metrics_set_counter_monotone;
+    Alcotest.test_case "metrics: nearest-rank quantile" `Quick
+      test_metrics_quantile;
     Alcotest.test_case "metrics: diff" `Quick test_metrics_diff;
     Alcotest.test_case "metrics: json shape" `Quick test_metrics_json_shape;
     Alcotest.test_case "derivation: records example 1" `Quick
