@@ -20,8 +20,8 @@
            n=14 DP, node-budget cost sweep, randomized soak smoke
            (supplementary)
      F12 — compiled estimation kernel vs the list-scan reference tier on
-           DP enumeration, with a Gc.minor_words allocation audit
-           (supplementary)
+           DP enumeration, with Gc.minor_words allocation audits of the
+           kernel sweep and of the DP enumerator (supplementary)
      F13 — catalog churn: versioned epochs, partitioned re-ANALYZE and
            self-healing publishes under streamed deltas (supplementary)
      F14 — inequality/band joins vs executed truth (supplementary)
@@ -251,6 +251,51 @@ let run_f12 () =
         incr failures
       end)
     sizes;
+  (* The exhaustive enumerator on the same kind of chain: per-mask
+     arrays, one kernel step per (subset, table) edge. A warmed-up call
+     allocates only its per-call setup and the plan it returns, so the
+     words per expansion stay far below 0.1 (a plan node per expansion
+     costs about 60). *)
+  let dp_n = 12 in
+  let chain =
+    Datagen.Workload.chain ~rows_range:(100, 300) ~distinct_range:(20, 100)
+      ~seed:1 ~n_tables:dp_n ()
+  in
+  let query = chain.Datagen.Workload.query in
+  Printf.printf "\nDP enumeration, n=%d\n%-8s %12s %12s %20s\n" dp_n
+    "rule" "expansions" "steps" "words/expansion";
+  List.iter
+    (fun config ->
+      let name = Els.Config.name config in
+      let profile = Els.prepare config chain.Datagen.Workload.db query in
+      ignore (Optimizer.Dp.optimize_traced profile query) (* warmup *);
+      let steps0 = Els.Profile.kernel_steps profile in
+      let w0 = Gc.minor_words () in
+      let w1 = Gc.minor_words () in
+      let overhead = w1 -. w0 in
+      let w2 = Gc.minor_words () in
+      let _, provenance = Optimizer.Dp.optimize_traced profile query in
+      let w3 = Gc.minor_words () in
+      let expansions = provenance.Optimizer.Provenance.expansions in
+      let words_per_expansion =
+        (w3 -. w2 -. overhead) /. float_of_int expansions
+      in
+      Obs.Metrics.set
+        (Obs.Metrics.gauge registry
+           (Printf.sprintf "f12.dp.%s.alloc_words_per_expansion"
+              (String.lowercase_ascii name)))
+        words_per_expansion;
+      Printf.printf "%-8s %12d %12d %20.6f\n" name expansions
+        (Els.Profile.kernel_steps profile - steps0)
+        words_per_expansion;
+      if Sys.backend_type = Sys.Native && not (words_per_expansion < 0.1)
+      then begin
+        Printf.printf
+          "FAIL: DP allocated %.3f minor words per expansion (want < 0.1)\n"
+          words_per_expansion;
+        incr failures
+      end)
+    Els.Config.[ els; sss; sm ~ptc:true; pess ];
   Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.snapshot registry);
   if !failures > 0 then exit 1
 

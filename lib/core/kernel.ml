@@ -4,8 +4,8 @@
    - floats never escape into a function call on the pass path: loop state
      lives in float-array scratch slots ([acc], [class_acc]) and locals
      used only in float ops, both of which ocamlopt keeps unboxed;
-   - no refs, no local closures, no lists — [connected] recurses through a
-     top-level function, accumulation uses [for] loops;
+   - no refs, no local closures, no lists — accumulation uses [for]
+     loops;
    - per-class accumulation reuses stamped scratch arrays ([class_acc] /
      [class_stamp] / [touched]), invalidated in O(1) by bumping [stamp];
    - guard checks are hand-inlined on the in-range path; the out-of-line
@@ -139,14 +139,6 @@ let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
 let table_count k = k.n_tables
 let table_rows k bit = k.rows.(bit)
 let steps k = k.steps
-
-(* Top level (not a local [let rec]) so no closure is allocated. *)
-let rec connected_from k mask i stop =
-  i < stop
-  && (mask land k.adj_other_mask.(i) <> 0 || connected_from k mask (i + 1) stop)
-
-let connected k ~mask ~bit =
-  connected_from k mask k.adj_off.(bit) k.adj_off.(bit + 1)
 
 (* Fold the predicate at dense index [p] into its class accumulator. No
    float parameters or returns, so the call itself never boxes. *)
@@ -338,10 +330,13 @@ let join_size k ~mask1 ~mask2 ~size1 ~size2 =
 
 let start_into k ~sizes ~bit = sizes.(1 lsl bit) <- k.rows.(bit)
 
-let extend_into k ~sizes ~mask ~bit =
+let extend_into_slot k ~sizes ~mask ~bit ~dst ~slot =
   k.steps <- k.steps + 1;
   accumulate k ~mask ~bit;
   k.acc.(slot_left) <- sizes.(mask);
   k.acc.(slot_right) <- k.rows.(bit);
   finish_size k ~site:"Incremental.extend" ~mask1:mask ~mask2:(1 lsl bit);
-  sizes.(mask lor (1 lsl bit)) <- k.acc.(slot_result)
+  dst.(slot) <- k.acc.(slot_result)
+
+let extend_into k ~sizes ~mask ~bit =
+  extend_into_slot k ~sizes ~mask ~bit ~dst:sizes ~slot:(mask lor (1 lsl bit))

@@ -97,10 +97,6 @@ val steps : t -> int
     and step-selectivity probes) — the denominator of the
     allocations-per-step metric F12 and {!Harness.Obs_report} publish. *)
 
-val connected : t -> mask:int -> bit:int -> bool
-(** Does any join predicate link table [bit] to the tables of [mask]?
-    O(degree), allocation-free. *)
-
 val step_selectivity : t -> mask:int -> bit:int -> float
 (** Combined selectivity of joining table [bit] into the intermediate
     result [mask]: per-class accumulation in first-occurrence order,
@@ -127,6 +123,19 @@ val start_into : t -> sizes:float array -> bit:int -> unit
 val extend_into : t -> sizes:float array -> mask:int -> bit:int -> unit
 (** [sizes.(mask lor (1 lsl bit)) <- extend_size ~mask ~bit
     ~size:sizes.(mask)], with every float kept inside the call frame — the
-    zero-allocation DP entry point (measured, not assumed: the F12
+    zero-allocation entry point (measured, not assumed: the F12
     experiment and the kernel test suite assert a 0 [Gc.minor_words]
     delta per step after warmup, for the four built-in estimators). *)
+
+val extend_into_slot :
+  t ->
+  sizes:float array ->
+  mask:int ->
+  bit:int ->
+  dst:float array ->
+  slot:int ->
+  unit
+(** {!extend_into} writing [dst.(slot)] instead, so a caller can price a
+    candidate before deciding whether it replaces the size stored for
+    [mask lor (1 lsl bit)] — what the exhaustive DP enumerator does, once
+    per (subset, table) edge. Allocation-free in the same way. *)

@@ -323,7 +323,15 @@ let build_table config guard predicates classes db_table query_table ~source =
 let build_index classes tables working =
   let n = List.length tables in
   if n > 62 then
-    invalid_arg "Profile.build: more than 62 tables (bitset index limit)";
+    Els_error.raise_
+      (Els_error.Invalid_query
+         {
+           detail =
+             Printf.sprintf
+               "the query joins %d tables; at most 62 fit the profile's \
+                bitset index"
+               n;
+         });
   let table_names = Array.of_list (List.map fst tables) in
   let profiles = Array.of_list (List.map snd tables) in
   let table_bits = Hashtbl.create (2 * n) in

@@ -133,8 +133,9 @@ val build :
     the catalog audit; tracing never changes any computed number.
     [annotations] (default empty) are staleness notes to stamp onto
     derivation cards; they never influence a computed number either.
-    @raise Invalid_argument when a query table is missing from the catalog
-    or on more than 62 tables (bitset index limit).
+    @raise Invalid_argument when a query table is missing from the catalog.
+    @raise Els_error.Error ([Invalid_query]) on more than 62 tables (the
+    bitset index limit).
     @raise Els_error.Error under [Strict] strictness when a referenced
     table carries corrupt statistics. *)
 

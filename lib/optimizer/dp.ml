@@ -4,58 +4,52 @@ type node = {
   cost : float;
 }
 
-let method_applicable method_ eligible =
+(* Whether a join method can run a step, from two facts about the step's
+   eligible predicates: is there any ([connected]), and is one an
+   equi-join ([equi]). Sort-merge handles any comparison join (its driver
+   generalizes to inequality/band windows); hash and index lookups need
+   an equality key to probe on. *)
+let applies method_ ~connected ~equi =
   match method_ with
   | Exec.Plan.Nested_loop -> true
-  (* Sort-merge handles any comparison join (its driver generalizes to
-     inequality/band windows); hash and index lookups need an equality
-     key to probe on. *)
-  | Exec.Plan.Sort_merge -> eligible <> []
-  | Exec.Plan.Hash | Exec.Plan.Index_nested_loop ->
-    List.exists Query.Predicate.is_equijoin eligible
+  | Exec.Plan.Sort_merge -> connected
+  | Exec.Plan.Hash | Exec.Plan.Index_nested_loop -> equi
+
+let method_applicable method_ eligible =
+  applies method_ ~connected:(eligible <> [])
+    ~equi:(List.exists Query.Predicate.is_equijoin eligible)
+
+let scan_plan profile table =
+  let tp = Els.Profile.table profile table in
+  Exec.Plan.scan ~source:tp.Els.Profile.source
+    ~filters:(Els.Profile.scan_filters profile table) table
 
 let scan_node profile table =
   let tp = Els.Profile.table profile table in
   {
-    plan =
-      Exec.Plan.scan ~source:tp.Els.Profile.source
-        ~filters:(Els.Profile.scan_filters profile table) table;
+    plan = scan_plan profile table;
     state = Els.Incremental.start profile table;
     cost = Cost.scan ~base_rows:tp.Els.Profile.base_rows;
   }
 
-(* Added cost of joining [table] as the inner of [node] with [method_]. *)
-let join_cost profile node table method_ ~out_rows =
-  let tp = Els.Profile.table profile table in
-  let outer_rows = node.state.Els.Incremental.size in
-  let inner_base_rows = tp.Els.Profile.base_rows in
-  let inner_rows = tp.Els.Profile.rows in
-  match method_ with
-  | Exec.Plan.Nested_loop ->
-    Cost.nested_loop ~outer_rows ~inner_base_rows ~out_rows
-  | Exec.Plan.Sort_merge ->
-    Cost.sort_merge ~outer_rows ~inner_base_rows ~inner_rows ~out_rows
-  | Exec.Plan.Hash ->
-    Cost.hash ~outer_rows ~inner_base_rows ~inner_rows ~out_rows
-  | Exec.Plan.Index_nested_loop ->
-    Cost.index_nested_loop ~outer_rows ~inner_base_rows ~out_rows
-
 let extend profile node table method_ eligible =
   let state = Els.Incremental.extend profile node.state table in
+  let tp = Els.Profile.table profile table in
   let cost =
     node.cost
-    +. join_cost profile node table method_
-         ~out_rows:state.Els.Incremental.size
-  in
-  let tp = Els.Profile.table profile table in
-  let inner =
-    Exec.Plan.scan ~source:tp.Els.Profile.source
-      ~filters:(Els.Profile.scan_filters profile table) table
+    +. Cost.join method_ ~outer_rows:node.state.Els.Incremental.size
+         ~inner_base_rows:tp.Els.Profile.base_rows
+         ~inner_rows:tp.Els.Profile.rows ~out_rows:state.Els.Incremental.size
   in
   {
     plan =
       Exec.Plan.Join
-        { method_; outer = node.plan; inner; predicates = eligible };
+        {
+          method_;
+          outer = node.plan;
+          inner = scan_plan profile table;
+          predicates = eligible;
+        };
     state;
     cost;
   }
@@ -147,6 +141,22 @@ let rec greedy_complete ?charge ~methods profile node remaining =
     in
     greedy_complete ?charge ~methods profile node' remaining'
 
+let max_tables = 20
+
+(* A back-pointer packs the bit of the table a mask's plan added last
+   with the index of its join method in [methods]; a seed stores its own
+   bit and method 0. Bits stay below 32 because n <= 20. *)
+let method_shift = 5
+let back_bit p = p land ((1 lsl method_shift) - 1)
+let back_method p = p lsr method_shift
+
+(* Gosper's hack: the next larger int with the same number of set bits,
+   so each subset size is visited in ascending mask order. *)
+let next_same_popcount x =
+  let low = x land -x in
+  let ripple = x + low in
+  (((ripple lxor x) lsr 2) / low) lor ripple
+
 let optimize_traced
     ?(methods = [ Exec.Plan.Nested_loop; Exec.Plan.Sort_merge; Exec.Plan.Hash ])
     ?budget profile query =
@@ -154,11 +164,20 @@ let optimize_traced
   let tables = Array.of_list query.Query.tables in
   let n = Array.length tables in
   if n = 0 then invalid_arg "Dp.optimize: query with no tables";
-  if n > 20 then invalid_arg "Dp.optimize: too many tables for exact DP";
+  if n > max_tables then
+    Els.Els_error.raise_
+      (Els.Els_error.Invalid_query
+         {
+           detail =
+             Printf.sprintf
+               "exact DP enumerates at most %d tables and this query joins \
+                %d; the greedy and random enumerators have no such limit"
+               max_tables n;
+         });
   let expansions = ref 0 in
-  (* One node expansion = one [extend] (or seed scan) charged to the
-     budget; [spend_node] also probes the deadline, so exhaustion is
-     detected within one expansion of the limit. *)
+  (* One node expansion = one seed scan or one (edge, method) candidate
+     charged to the budget; [spend_node] also probes the deadline, so
+     exhaustion is detected within one expansion of the limit. *)
   let charge () =
     incr expansions;
     match budget with
@@ -168,93 +187,150 @@ let optimize_traced
   let boundary () =
     match budget with None -> () | Some b -> Rel.Budget.check_exn b
   in
-  let best : (int, node) Hashtbl.t = Hashtbl.create 1024 in
-  let consider mask candidate =
-    match Hashtbl.find_opt best mask with
-    | Some incumbent when incumbent.cost <= candidate.cost -> ()
-    | Some _ | None -> Hashtbl.replace best mask candidate
-  in
-  (* O(degree) connectivity probe for the expansion loop: the compiled
-     kernel answers without building the eligible-predicate list. *)
   let kernel = Els.Profile.kernel profile in
-  let connects state bit =
-    Els.Kernel.connected kernel ~mask:state.Els.Incremental.mask ~bit
-  in
+  let methods_arr = Array.of_list methods in
   let full = (1 lsl n) - 1 in
-  (* One popcount per mask, up front: masks grouped by subset size so the
-     enumeration loop never recounts bits. *)
-  let by_size = Array.make (n + 1) [] in
-  for mask = full downto 1 do
-    let size = Rel.Bits.popcount mask in
-    by_size.(size) <- mask :: by_size.(size)
+  (* The cheapest plan found for each mask: its cost, its estimated size
+     along its own join order, and its back-pointer (-1: unreached). *)
+  let cost = Array.make (full + 1) 0. in
+  let size = Array.make (full + 1) 0. in
+  let back = Array.make (full + 1) (-1) in
+  (* Per table, the tables one join predicate away, and those one
+     equi-join away: connectivity and method applicability in one [land]
+     each. *)
+  let joins = Array.make n 0 and equijoins = Array.make n 0 in
+  for id = 0 to Els.Profile.pred_count profile - 1 do
+    let info = Els.Profile.pred profile id in
+    match info.Els.Profile.endpoints with
+    | None -> ()
+    | Some (a, b) ->
+      joins.(a) <- joins.(a) lor (1 lsl b);
+      joins.(b) <- joins.(b) lor (1 lsl a);
+      if Query.Predicate.is_equijoin info.Els.Profile.pred then begin
+        equijoins.(a) <- equijoins.(a) lor (1 lsl b);
+        equijoins.(b) <- equijoins.(b) lor (1 lsl a)
+      end
   done;
-  (* Highest subset size whose [best] entries are final. Entries of size
-     s+1 become final only once every size-s mask has been processed, so
+  let table_at bit = Els.Profile.table_at profile bit in
+  let base_rows =
+    Array.init n (fun bit -> (table_at bit).Els.Profile.base_rows)
+  in
+  let rows = Array.init n (fun bit -> (table_at bit).Els.Profile.rows) in
+  let scan_cost = Array.map (fun base_rows -> Cost.scan ~base_rows) base_rows in
+  let io = Array.make Cost.slots 0. in
+  (* Every applicable method of the edge [mask] -> [mask ∪ {bit}] is
+     charged and costed from one kernel step, run after the first
+     charge. A candidate replaces the incumbent unless the incumbent
+     costs no more, so ties keep the first. *)
+  let extend_edge mask bit ~connected ~equi =
+    let target = mask lor (1 lsl bit) in
+    let stepped = ref false in
+    for j = 0 to Array.length methods_arr - 1 do
+      let method_ = methods_arr.(j) in
+      if applies method_ ~connected ~equi then begin
+        charge ();
+        if not !stepped then begin
+          stepped := true;
+          Els.Kernel.extend_into_slot kernel ~sizes:size ~mask ~bit ~dst:io
+            ~slot:Cost.slot_out_rows;
+          io.(Cost.slot_outer_rows) <- size.(mask);
+          io.(Cost.slot_inner_base_rows) <- base_rows.(bit);
+          io.(Cost.slot_inner_rows) <- rows.(bit)
+        end;
+        Cost.join_into method_ io;
+        let c = cost.(mask) +. io.(Cost.slot_cost) in
+        if back.(target) < 0 || not (cost.(target) <= c) then begin
+          cost.(target) <- c;
+          size.(target) <- io.(Cost.slot_out_rows);
+          back.(target) <- (j lsl method_shift) lor bit
+        end
+      end
+    done
+  in
+  (* Prefer predicate-connected extensions: cartesian steps are
+     considered only when no absent table connects at all. *)
+  let expand mask =
+    let any_connected = ref false in
+    for bit = 0 to n - 1 do
+      if mask land (1 lsl bit) = 0 && joins.(bit) land mask <> 0 then
+        any_connected := true
+    done;
+    for bit = 0 to n - 1 do
+      if mask land (1 lsl bit) = 0 then begin
+        let connected = joins.(bit) land mask <> 0 in
+        if connected || not !any_connected then
+          extend_edge mask bit ~connected
+            ~equi:(equijoins.(bit) land mask <> 0)
+      end
+    done
+  in
+  (* Highest subset size whose entries are final. Entries of size s+1
+     become final only once every size-s mask has been processed, so
      everything at or below [completed_size] is identical no matter where
      a budget later trips — the anytime fallback only builds on these
      budget-independent states. *)
   let completed_size = ref 0 in
   let enumerate () =
-    for i = 0 to n - 1 do
+    for bit = 0 to n - 1 do
       charge ();
-      consider (1 lsl i) (scan_node profile tables.(i))
+      Els.Kernel.start_into kernel ~sizes:size ~bit;
+      cost.(1 lsl bit) <- scan_cost.(bit);
+      back.(1 lsl bit) <- bit
     done;
     completed_size := 1;
     (* Grow subsets in increasing size so every mask is final before it is
        extended. *)
-    for size = 1 to n - 1 do
+    for k = 1 to n - 1 do
       boundary ();
-      List.iter
-        (fun mask ->
-          match Hashtbl.find_opt best mask with
-          | None -> ()
-          | Some node ->
-            (* Prefer predicate-connected extensions: cartesian steps are
-               considered only when no absent table connects at all. Two
-               plain passes over the bits — no [List.init n Fun.id], no
-               per-node extension list. *)
-            let any_connected = ref false in
-            for i = 0 to n - 1 do
-              if
-                (not !any_connected)
-                && mask land (1 lsl i) = 0
-                && connects node.state i
-              then any_connected := true
-            done;
-            for i = 0 to n - 1 do
-              if
-                mask land (1 lsl i) = 0
-                && ((not !any_connected) || connects node.state i)
-              then begin
-                let table = tables.(i) in
-                let eligible =
-                  Els.Incremental.eligible profile node.state table
-                in
-                List.iter
-                  (fun method_ ->
-                    (* Sort-merge and hash need at least one equi-key. *)
-                    if method_applicable method_ eligible then begin
-                      charge ();
-                      consider
-                        (mask lor (1 lsl i))
-                        (extend profile node table method_ eligible)
-                    end)
-                  methods
-              end
-            done)
-        by_size.(size);
-      completed_size := size + 1
+      let mask = ref ((1 lsl k) - 1) in
+      while !mask <= full do
+        if back.(!mask) >= 0 then expand !mask;
+        mask := next_same_popcount !mask
+      done;
+      completed_size := k + 1
     done
+  in
+  (* The node the back-pointers record for a reached mask, rebuilt from
+     the stored sizes and costs: no kernel step reruns. *)
+  let rec node_of mask =
+    let p = back.(mask) in
+    let bit = back_bit p in
+    let outer = mask lxor (1 lsl bit) in
+    let state rev_history =
+      { Els.Incremental.mask; size = size.(mask); rev_history }
+    in
+    if outer = 0 then
+      {
+        plan = scan_plan profile tables.(bit);
+        state = state [];
+        cost = cost.(mask);
+      }
+    else
+      let prefix = node_of outer in
+      {
+        plan =
+          Exec.Plan.Join
+            {
+              method_ = methods_arr.(back_method p);
+              outer = prefix.plan;
+              inner = scan_plan profile tables.(bit);
+              predicates =
+                Els.Incremental.eligible profile prefix.state tables.(bit);
+            };
+        state =
+          state (size.(mask) :: prefix.state.Els.Incremental.rev_history);
+        cost = cost.(mask);
+      }
   in
   (* Anytime fallback on exhaustion: pick the cheapest among a ladder of
      candidates whose set only grows with the budget (stopping later never
      removes a candidate), so with the same inputs a bigger budget can
      never choose a costlier plan:
-     - the best full plan materialized so far (deterministic prefix of the
+     - the best full plan found so far (deterministic prefix of the
        expansion order);
-     - a greedy completion of the best node at each finalized subset size
-       (budget-independent states, largest size first so ties prefer the
-       most DP-informed plan);
+     - a greedy completion of the cheapest mask of each finalized subset
+       size (budget-independent states, largest size first so ties prefer
+       the most DP-informed plan);
      - the FROM-order left-deep fallback (budget-independent, last so it
        only wins when strictly cheaper). *)
   let anytime_result resource =
@@ -264,37 +340,32 @@ let optimize_traced
       | exception Els.Els_error.Error _ -> None
     in
     let full_candidate =
-      Option.map
-        (fun node -> (Provenance.Dp, node))
-        (Hashtbl.find_opt best full)
+      if back.(full) >= 0 then Some (Provenance.Dp, node_of full) else None
     in
-    let best_of_size size =
-      List.fold_left
-        (fun acc mask ->
-          match (Hashtbl.find_opt best mask, acc) with
-          | None, acc -> acc
-          | Some node, Some incumbent when incumbent.cost <= node.cost -> acc
-          | Some node, _ -> Some node)
-        None by_size.(size)
+    let cheapest_of_size k =
+      let best = ref (-1) in
+      let mask = ref ((1 lsl k) - 1) in
+      while !mask <= full do
+        let m = !mask in
+        if back.(m) >= 0 && (!best < 0 || not (cost.(!best) <= cost.(m)))
+        then best := m;
+        mask := next_same_popcount m
+      done;
+      !best
     in
     let completions =
       List.filter_map
-        (fun size ->
-          match best_of_size size with
-          | None -> None
-          | Some node ->
+        (fun k ->
+          let mask = cheapest_of_size k in
+          if mask < 0 then None
+          else
             let remaining =
-              List.filter_map
-                (fun i ->
-                  if node.state.Els.Incremental.mask land (1 lsl i) = 0 then
-                    Some tables.(i)
-                  else None)
-                (List.init n Fun.id)
+              List.filteri
+                (fun bit _ -> mask land (1 lsl bit) = 0)
+                (Array.to_list tables)
             in
-            if remaining = [] then Some (Provenance.Dp, node)
-            else
-              attempt Provenance.Greedy (fun () ->
-                  greedy_complete ~methods profile node remaining))
+            attempt Provenance.Greedy (fun () ->
+                greedy_complete ~methods profile (node_of mask) remaining))
         (List.init !completed_size (fun i -> !completed_size - i))
     in
     let left_deep =
@@ -309,21 +380,21 @@ let optimize_traced
     | (rung0, node0) :: rest ->
       let rung, node =
         List.fold_left
-          (fun (br, bn) (r, n') -> if n'.cost < bn.cost then (r, n') else (br, bn))
+          (fun (br, bn) (r, n') ->
+            if n'.cost < bn.cost then (r, n') else (br, bn))
           (rung0, node0) rest
       in
       (node, Provenance.degraded rung resource ~expansions:!expansions)
   in
   match enumerate () with
-  | () -> begin
-    match Hashtbl.find_opt best full with
-    | Some node ->
-      (node, Provenance.completed Provenance.Dp ~expansions:!expansions)
-    | None ->
+  | () ->
+    if back.(full) >= 0 then
+      ( node_of full,
+        Provenance.completed Provenance.Dp ~expansions:!expansions )
+    else
       (* Reachable only when [methods] lacks nested loop and some subset
          has no equi-connected extension. *)
       no_method_error methods (Array.to_list tables)
-  end
   | exception Rel.Budget.Exhausted resource -> anytime_result resource
 
 let optimize ?methods ?budget profile query =

@@ -11,20 +11,41 @@
     Cartesian products are considered only for subsets with no predicate-
     connected extension, as in System R.
 
+    {2 Per-mask arrays}
+
+    The enumeration keeps three arrays indexed by table mask: the cost of
+    the cheapest plan found for the subset, its estimated size along that
+    plan's own order, and a back-pointer packing the bit of the table the
+    plan added last with its join method (-1 for an unreached subset).
+    Masks are visited subset size by subset size, in ascending order.
+    Each edge [S → S ∪ {t}] runs one compiled kernel step
+    ({!Els.Kernel.extend_into_slot}), and every applicable join method is
+    charged and costed from that one size: nested loop always, sort-merge
+    with any eligible join predicate, hash and index nested loop with an
+    eligible equi-join. A candidate replaces the incumbent unless the
+    incumbent costs no more, so ties keep the first candidate, methods in
+    the caller's order. The loop allocates nothing per expansion; the
+    result {!node} is built once, from the back-pointers, with its
+    eligible predicates and scan filters computed on the chosen path
+    only. Because a step runs once per edge rather than once per method,
+    an estimation guard that breaches inside a DP step is counted once
+    per edge.
+
     {2 Budgets and anytime degradation}
 
     Exact DP is exponential, so [optimize] accepts a {!Rel.Budget}: each
-    seed scan and each [extend] is one node expansion charged with
-    {!Rel.Budget.spend_node} (which also probes the deadline), and the
-    deadline is additionally checked at every subset-size boundary. On
-    exhaustion the enumerator does not fail — it returns the cheapest of a
-    ladder of anytime candidates: the best full plan materialized so far,
-    a greedy completion of the best partial plan at each finalized subset
-    size, and the FROM-order left-deep fallback. The candidate set only
-    grows as the budget does, so with identical inputs a larger budget
-    never yields a costlier plan, and {!optimize_traced} reports which
-    rung actually produced the answer. With [?budget:None] the enumeration
-    is bit-identical to the unbudgeted implementation. *)
+    seed scan and each (edge, method) candidate is one node expansion
+    charged with {!Rel.Budget.spend_node} (which also probes the
+    deadline), and the deadline is additionally checked at every
+    subset-size boundary. On exhaustion the enumerator does not fail — it
+    returns the cheapest of a ladder of anytime candidates: the best full
+    plan found so far, a greedy completion of the cheapest partial plan
+    at each finalized subset size (each built from the arrays), and the
+    FROM-order left-deep fallback. The candidate set only grows as the
+    budget does, so with identical inputs a larger budget never yields a
+    costlier plan, and {!optimize_traced} reports which rung actually
+    produced the answer. With [?budget:None] the enumeration is
+    bit-identical to the unbudgeted implementation. *)
 
 type node = {
   plan : Exec.Plan.t;
@@ -46,9 +67,10 @@ val optimize :
     statistics are shared, not recomputed). [budget] bounds the search;
     see the module preamble for the degradation ladder.
     @raise Invalid_argument on an empty FROM list or empty [methods].
-    @raise Els.Els_error.Error ([Invalid_query]) when [methods] cannot
-    join the query at all (no nested loop and a step without an eligible
-    equi-join predicate). *)
+    @raise Els.Els_error.Error ([Invalid_query]) on more than 20 tables
+    (the greedy and random enumerators have no such limit), or when
+    [methods] cannot join the query at all (no nested loop and a step
+    without an eligible equi-join predicate). *)
 
 val optimize_traced :
   ?methods:Exec.Plan.join_method list ->
@@ -62,8 +84,9 @@ val optimize_traced :
 
 val method_applicable : Exec.Plan.join_method -> Query.Predicate.t list -> bool
 (** Whether the method can join with the given eligible predicates:
-    sort-merge, hash and index nested loop need at least one equi-key;
-    nested loop always applies. Shared by all three enumerators. *)
+    sort-merge needs at least one, hash and index nested loop an
+    equi-join; nested loop always applies. Shared by all three
+    enumerators. *)
 
 val scan_node : Els.Profile.t -> string -> node
 (** A single-table access node with its filters and estimation state;

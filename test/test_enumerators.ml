@@ -191,6 +191,314 @@ let test_greedy_goldens () =
         (Optimizer.Provenance.to_string provenance))
     greedy_goldens
 
+(* DP plan goldens, captured before the exhaustive enumerator moved from
+   per-mask plan nodes to per-mask arrays. The greedy scenarios plus
+   Section 8 at scale 20, under every built-in registry estimator, with
+   the default method set, all four methods and the paper's [NL; SM],
+   with no node budget and budgets 3, 20 and 200. A run renders as the
+   join order, each join's method and predicates innermost first, the
+   cost and the intermediate estimates as hex floats, and the provenance.
+   Unbudgeted default-method runs are pinned literally; the other eleven
+   runs of each (scenario, estimator) are pinned by one digest over their
+   rendered rows. *)
+let dp_scenarios =
+  List.map
+    (fun (name, spec) ->
+      (name, spec.Datagen.Workload.db, spec.Datagen.Workload.query))
+    golden_workloads
+  @ [
+      ( "section8-20",
+        Datagen.Section8.build ~scale:20 ~seed:1 (),
+        Datagen.Section8.query_scaled ~scale:20 );
+    ]
+
+let dp_estimators = Els.Estimator.[ m; ss; ls; pess; lp2; degseq; ent ]
+
+let dp_method_sets =
+  Exec.Plan.
+    [
+      ("default", None);
+      ("all", Some [ Nested_loop; Sort_merge; Hash; Index_nested_loop ]);
+      ("nl-sm", Some [ Nested_loop; Sort_merge ]);
+    ]
+
+let dp_node_budgets = [ None; Some 3; Some 20; Some 200 ]
+
+let dp_run profile query ?methods node_budget =
+  let budget =
+    Option.map (fun n -> Rel.Budget.create ~node_budget:n ()) node_budget
+  in
+  let node, provenance =
+    Optimizer.Dp.optimize_traced ?methods ?budget profile query
+  in
+  let rec joins = function
+    | Exec.Plan.Scan _ -> []
+    | Exec.Plan.Join { method_; outer; predicates; _ } ->
+      joins outer
+      @ [
+          Printf.sprintf "%s[%s]"
+            (Exec.Plan.method_name method_)
+            (String.concat " AND "
+               (List.map Query.Predicate.to_string predicates));
+        ]
+  in
+  let plan = node.Optimizer.Dp.plan in
+  ( String.concat "," (Exec.Plan.join_order plan),
+    String.concat ";" (joins plan),
+    Printf.sprintf "%h" node.Optimizer.Dp.cost,
+    String.concat ","
+      (List.map (Printf.sprintf "%h")
+         (Els.Incremental.history node.Optimizer.Dp.state)),
+    Optimizer.Provenance.to_string provenance )
+
+let render_dp_run (order, joins, cost, estimates, provenance) =
+  String.concat " | " [ order; joins; cost; estimates; provenance ]
+
+let dp_digest profile query =
+  let rows =
+    List.concat_map
+      (fun (set, methods) ->
+        List.filter_map
+          (fun node_budget ->
+            match (methods, node_budget) with
+            | None, None -> None
+            | _ ->
+              Some
+                (Printf.sprintf "%s/%s: %s" set
+                   (match node_budget with
+                   | None -> "-"
+                   | Some n -> string_of_int n)
+                   (render_dp_run (dp_run profile query ?methods node_budget))))
+          dp_node_budgets)
+      dp_method_sets
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" rows))
+
+(* (scenario, estimator, order, joins, cost, estimates, provenance) *)
+let dp_goldens =
+  [
+    ( "chain6", "m", "t4,t5,t6,t2,t1,t3",
+      "HJ[t4.a = t5.a];HJ[t4.a = t6.a AND t5.a = t6.a];HJ[t2.a = t4.a AND t2.a = t5.a AND t2.a = t6.a];NL[t1.a = t2.a AND t1.a = t4.a AND t1.a = t5.a AND t1.a = t6.a];NL[t1.a = t3.a AND t2.a = t3.a AND t3.a = t4.a AND t3.a = t5.a AND t3.a = t6.a]",
+      "0x1.5c593372c5216p+12", "0x1.4bbp+9,0x1.931033d91d2a2p+4,0x1.eb4180f51e6abp-8,0x1.2254acc2c6958p-23,0x1.ae31d38dd3d75p-47",
+      "dp (completed, 564 expansions)" );
+    ( "chain6", "ss", "t4,t5,t6,t2,t1,t3",
+      "HJ[t4.a = t5.a];HJ[t4.a = t6.a AND t5.a = t6.a];HJ[t2.a = t4.a AND t2.a = t5.a AND t2.a = t6.a];HJ[t1.a = t2.a AND t1.a = t4.a AND t1.a = t5.a AND t1.a = t6.a];HJ[t1.a = t3.a AND t2.a = t3.a AND t3.a = t4.a AND t3.a = t5.a AND t3.a = t6.a]",
+      "0x1.7121e5d147ae2p+20", "0x1.4bbp+9,0x1.f188p+10,0x1.7526p+13,0x1.95cc866666667p+16,0x1.34a10d047ae15p+20",
+      "dp (completed, 564 expansions)" );
+    ( "chain6", "ls", "t4,t5,t6,t2,t3,t1",
+      "HJ[t4.a = t5.a];HJ[t4.a = t6.a AND t5.a = t6.a];HJ[t2.a = t4.a AND t2.a = t5.a AND t2.a = t6.a];HJ[t2.a = t3.a AND t3.a = t4.a AND t3.a = t5.a AND t3.a = t6.a];HJ[t1.a = t2.a AND t1.a = t3.a AND t1.a = t4.a AND t1.a = t5.a AND t1.a = t6.a]",
+      "0x1.1a35a857f989cp+24", "0x1.4bbp+9,0x1.f7d440cf6474ap+11,0x1.a9c565a471bcbp+14,0x1.05abfbcd10915p+19,0x1.08b6e9e449518p+24",
+      "dp (completed, 564 expansions)" );
+    ( "chain6", "pess", "t1,t5,t2,t3,t4,t6",
+      "HJ[t1.a = t5.a];HJ[t1.a = t2.a AND t2.a = t5.a];HJ[t1.a = t3.a AND t2.a = t3.a AND t3.a = t5.a];HJ[t1.a = t4.a AND t2.a = t4.a AND t3.a = t4.a AND t4.a = t5.a];HJ[t1.a = t6.a AND t2.a = t6.a AND t3.a = t6.a AND t4.a = t6.a AND t5.a = t6.a]",
+      "0x1.a948p+13", "0x1.31p+8,0x1.31p+8,0x1.31p+8,0x1.31p+8,0x1.31p+8",
+      "dp (completed, 564 expansions)" );
+    ( "chain6", "lp2", "t1,t5,t2,t3,t4,t6",
+      "HJ[t1.a = t5.a];HJ[t1.a = t2.a AND t2.a = t5.a];HJ[t1.a = t3.a AND t2.a = t3.a AND t3.a = t5.a];HJ[t1.a = t4.a AND t2.a = t4.a AND t3.a = t4.a AND t4.a = t5.a];HJ[t1.a = t6.a AND t2.a = t6.a AND t3.a = t6.a AND t4.a = t6.a AND t5.a = t6.a]",
+      "0x1.a948p+13", "0x1.31p+8,0x1.31p+8,0x1.31p+8,0x1.31p+8,0x1.31p+8",
+      "dp (completed, 564 expansions)" );
+    ( "chain6", "degseq", "t4,t5,t6,t2,t1,t3",
+      "HJ[t4.a = t5.a];HJ[t4.a = t6.a AND t5.a = t6.a];HJ[t2.a = t4.a AND t2.a = t5.a AND t2.a = t6.a];HJ[t1.a = t2.a AND t1.a = t4.a AND t1.a = t5.a AND t1.a = t6.a];HJ[t1.a = t3.a AND t2.a = t3.a AND t3.a = t4.a AND t3.a = t5.a AND t3.a = t6.a]",
+      "0x1.ad58p+14", "0x1.5cp+9,0x1.ep+9,0x1.ep+10,0x1.5cp+11,0x1.e6cp+11",
+      "dp (completed, 564 expansions)" );
+    ( "chain6", "ent", "t4,t5,t6,t2,t1,t3",
+      "HJ[t4.a = t5.a];HJ[t4.a = t6.a AND t5.a = t6.a];HJ[t2.a = t4.a AND t2.a = t5.a AND t2.a = t6.a];HJ[t1.a = t2.a AND t1.a = t4.a AND t1.a = t5.a AND t1.a = t6.a];HJ[t1.a = t3.a AND t2.a = t3.a AND t3.a = t4.a AND t3.a = t5.a AND t3.a = t6.a]",
+      "0x1.ad58p+14", "0x1.5cp+9,0x1.ep+9,0x1.ep+10,0x1.5cp+11,0x1.e6cp+11",
+      "dp (completed, 564 expansions)" );
+    ( "zipf-star4", "m", "fact,d1,d2,d4,d3",
+      "HJ[d1.k = fact.k1];HJ[d2.k = fact.k2];HJ[d4.k = fact.k4];HJ[d3.k = fact.k3]",
+      "0x1.0cf3f16cddadbp+22", "0x1.45bdd49c34116p+13,0x1.fdffd5eccda45p+14,0x1.d838bc98e455cp+17,0x1.d2db0045b331fp+21",
+      "dp (completed, 113 expansions)" );
+    ( "zipf-star4", "ss", "fact,d1,d2,d4,d3",
+      "HJ[d1.k = fact.k1];HJ[d2.k = fact.k2];HJ[d4.k = fact.k4];HJ[d3.k = fact.k3]",
+      "0x1.0cf3f16cddadbp+22", "0x1.45bdd49c34116p+13,0x1.fdffd5eccda45p+14,0x1.d838bc98e455cp+17,0x1.d2db0045b331fp+21",
+      "dp (completed, 113 expansions)" );
+    ( "zipf-star4", "ls", "fact,d1,d2,d4,d3",
+      "HJ[d1.k = fact.k1];HJ[d2.k = fact.k2];HJ[d4.k = fact.k4];HJ[d3.k = fact.k3]",
+      "0x1.0cf3f16cddadbp+22", "0x1.45bdd49c34116p+13,0x1.fdffd5eccda45p+14,0x1.d838bc98e455cp+17,0x1.d2db0045b331fp+21",
+      "dp (completed, 113 expansions)" );
+    ( "zipf-star4", "pess", "fact,d1,d2,d3,d4",
+      "HJ[d1.k = fact.k1];HJ[d2.k = fact.k2];HJ[d3.k = fact.k3];HJ[d4.k = fact.k4]",
+      "0x1.9d38p+13", "0x1.ecp+6,0x1.ecp+6,0x1.ecp+6,0x1.ecp+6",
+      "dp (completed, 113 expansions)" );
+    ( "zipf-star4", "lp2", "fact,d1,d2,d3,d4",
+      "HJ[d1.k = fact.k1];HJ[d2.k = fact.k2];HJ[d3.k = fact.k3];HJ[d4.k = fact.k4]",
+      "0x1.9d38p+13", "0x1.ecp+6,0x1.ecp+6,0x1.ecp+6,0x1.ecp+6",
+      "dp (completed, 113 expansions)" );
+    ( "zipf-star4", "degseq", "fact,d1,d2,d4,d3",
+      "HJ[d1.k = fact.k1];HJ[d2.k = fact.k2];HJ[d4.k = fact.k4];HJ[d3.k = fact.k3]",
+      "0x1.c93e8p+17", "0x1.96ap+13,0x1.22bcp+14,0x1.336p+15,0x1.37cdp+16",
+      "dp (completed, 113 expansions)" );
+    ( "zipf-star4", "ent", "fact,d2,d4,d1,d3",
+      "HJ[d2.k = fact.k2];HJ[d4.k = fact.k4];HJ[d1.k = fact.k1];HJ[d3.k = fact.k3]",
+      "0x1.44f32p+20", "0x1.388p+14,0x1.388p+17,0x1.587fp+17,0x1.27d58p+19",
+      "dp (completed, 113 expansions)" );
+    ( "cmp-chain3", "m", "c1,c2,c3",
+      "HJ[c1.a = c2.a];SM[c2.a < c3.a]",
+      "0x1.8c7477eb24c6bp+22", "0x1.2615a240e6c2bp+13,0x1.81e6a60ff22fcp+22",
+      "dp (completed, 18 expansions)" );
+    ( "cmp-chain3", "ss", "c1,c2,c3",
+      "HJ[c1.a = c2.a];SM[c2.a < c3.a]",
+      "0x1.8c7477eb24c6bp+22", "0x1.2615a240e6c2bp+13,0x1.81e6a60ff22fcp+22",
+      "dp (completed, 18 expansions)" );
+    ( "cmp-chain3", "ls", "c1,c2,c3",
+      "HJ[c1.a = c2.a];SM[c2.a < c3.a]",
+      "0x1.8c7477eb24c6bp+22", "0x1.2615a240e6c2bp+13,0x1.81e6a60ff22fcp+22",
+      "dp (completed, 18 expansions)" );
+    ( "cmp-chain3", "pess", "c1,c2,c3",
+      "HJ[c1.a = c2.a];SM[c2.a < c3.a]",
+      "0x1.4a2f1cd880a07p+15", "0x1.ep+9,0x1.ep+9",
+      "dp (completed, 18 expansions)" );
+    ( "cmp-chain3", "lp2", "c1,c2,c3",
+      "HJ[c1.a = c2.a];SM[c2.a < c3.a]",
+      "0x1.4a2f1cd880a07p+15", "0x1.ep+9,0x1.ep+9",
+      "dp (completed, 18 expansions)" );
+    ( "cmp-chain3", "degseq", "c2,c3,c1",
+      "SM[c2.a < c3.a];HJ[c1.a = c2.a]",
+      "0x1.8ecf1cd880a07p+15", "0x1.ep+9,0x1.308p+13",
+      "dp (completed, 18 expansions)" );
+    ( "cmp-chain3", "ent", "c2,c3,c1",
+      "SM[c2.a < c3.a];HJ[c1.a = c2.a]",
+      "0x1.8ecf1cd880a07p+15", "0x1.ep+9,0x1.308p+13",
+      "dp (completed, 18 expansions)" );
+    ( "section8-20", "m", "s,m,b,g",
+      "HJ[m.m = s.s];NL[b.b = m.m AND b.b = s.s];NL[b.b = g.g AND g.g = m.m AND g.g = s.s]",
+      "0x1.3f041bee9f0abp+9", "0x1.0624dd2f1a9fcp-5,0x1.5fd7fe1796496p-26,0x1.82db34012b252p-61",
+      "dp (completed, 88 expansions)" );
+    ( "section8-20", "ss", "s,m,b,g",
+      "HJ[m.m = s.s];NL[b.b = m.m AND b.b = s.s];NL[b.b = g.g AND g.g = m.m AND g.g = s.s]",
+      "0x1.3f24dedcf1bf6p+9", "0x1.0624dd2f1a9fcp-5,0x1.ad7f29abcaf49p-15,0x1.5fd7fe1796496p-25",
+      "dp (completed, 88 expansions)" );
+    ( "section8-20", "ls", "s,m,b,g",
+      "HJ[m.m = s.s];HJ[b.b = m.m AND b.b = s.s];HJ[b.b = g.g AND g.g = m.m AND g.g = s.s]",
+      "0x1.f96p+12", "0x1p+2,0x1p+2,0x1p+2",
+      "dp (completed, 88 expansions)" );
+    ( "section8-20", "pess", "s,m,b,g",
+      "HJ[m.m = s.s];HJ[b.b = m.m AND b.b = s.s];HJ[b.b = g.g AND g.g = m.m AND g.g = s.s]",
+      "0x1.f96p+12", "0x1p+2,0x1p+2,0x1p+2",
+      "dp (completed, 88 expansions)" );
+    ( "section8-20", "lp2", "s,m,b,g",
+      "HJ[m.m = s.s];HJ[b.b = m.m AND b.b = s.s];HJ[b.b = g.g AND g.g = m.m AND g.g = s.s]",
+      "0x1.f96p+12", "0x1p+2,0x1p+2,0x1p+2",
+      "dp (completed, 88 expansions)" );
+    ( "section8-20", "degseq", "s,m,b,g",
+      "HJ[m.m = s.s];HJ[b.b = m.m AND b.b = s.s];HJ[b.b = g.g AND g.g = m.m AND g.g = s.s]",
+      "0x1.01cp+13", "0x1p+4,0x1.9p+5,0x1.9p+5",
+      "dp (completed, 88 expansions)" );
+    ( "section8-20", "ent", "s,m,b,g",
+      "HJ[m.m = s.s];HJ[b.b = m.m AND b.b = s.s];HJ[b.b = g.g AND g.g = m.m AND g.g = s.s]",
+      "0x1.f96p+12", "0x1p+2,0x1p+2,0x1p+2",
+      "dp (completed, 88 expansions)" );
+  ]
+
+(* (scenario, estimator, digest of the eleven other runs) *)
+let dp_digests =
+  [
+    ("chain6", "m", "f7189dc3f0043bb82b9473cf000c680f");
+    ("chain6", "ss", "76dc7dac0ade1b8a08f6889d001cd722");
+    ("chain6", "ls", "a819baf6f4e4bb0a19905e7e2df4270c");
+    ("chain6", "pess", "8692b5e588e31f60dfce3640e63cc8b8");
+    ("chain6", "lp2", "8692b5e588e31f60dfce3640e63cc8b8");
+    ("chain6", "degseq", "ac7ddf9116589a6f8c8910245ab6bc04");
+    ("chain6", "ent", "982ede76741142e126f567c5b5c739f5");
+    ("zipf-star4", "m", "3c02038ccb7194215a20125dd6480354");
+    ("zipf-star4", "ss", "3c02038ccb7194215a20125dd6480354");
+    ("zipf-star4", "ls", "3c02038ccb7194215a20125dd6480354");
+    ("zipf-star4", "pess", "fa22c227f152be542df23ac6a60113df");
+    ("zipf-star4", "lp2", "fa22c227f152be542df23ac6a60113df");
+    ("zipf-star4", "degseq", "51d4545a6d3f66c640d2f228ebc766bd");
+    ("zipf-star4", "ent", "167050021e02b9a095e919df899ab09e");
+    ("cmp-chain3", "m", "6d34884f40b2196a3fab433f57e13f72");
+    ("cmp-chain3", "ss", "6d34884f40b2196a3fab433f57e13f72");
+    ("cmp-chain3", "ls", "6d34884f40b2196a3fab433f57e13f72");
+    ("cmp-chain3", "pess", "3d2f0bfda6b37603f46790c096e72125");
+    ("cmp-chain3", "lp2", "3d2f0bfda6b37603f46790c096e72125");
+    ("cmp-chain3", "degseq", "4c865140fe35036a6ab3bf9634d590fc");
+    ("cmp-chain3", "ent", "4c865140fe35036a6ab3bf9634d590fc");
+    ("section8-20", "m", "882114f71fc965e15c0a3e34be283c8a");
+    ("section8-20", "ss", "bbe8154d96d9ad8a7660f449de65de44");
+    ("section8-20", "ls", "b25cb2a2b9f8eab830431e026e1874fb");
+    ("section8-20", "pess", "b25cb2a2b9f8eab830431e026e1874fb");
+    ("section8-20", "lp2", "b25cb2a2b9f8eab830431e026e1874fb");
+    ("section8-20", "degseq", "5028fd2e20b7786a1568b3444c986a21");
+    ("section8-20", "ent", "b25cb2a2b9f8eab830431e026e1874fb");
+  ]
+
+let test_dp_goldens () =
+  List.iter
+    (fun (name, db, query) ->
+      List.iter
+        (fun est ->
+          let id = Els.Estimator.id est in
+          let label what = Printf.sprintf "%s/%s: %s" name id what in
+          let profile = Els.prepare (Els.Config.of_estimator est) db query in
+          let order, joins, cost, estimates, provenance =
+            dp_run profile query None
+          in
+          List.iter
+            (fun (s, e, order', joins', cost', estimates', provenance') ->
+              if String.equal s name && String.equal e id then begin
+                Alcotest.(check string) (label "order") order' order;
+                Alcotest.(check string) (label "joins") joins' joins;
+                Alcotest.(check string) (label "cost") cost' cost;
+                Alcotest.(check string) (label "estimates") estimates'
+                  estimates;
+                Alcotest.(check string) (label "provenance") provenance'
+                  provenance
+              end)
+            dp_goldens;
+          let profile = Els.prepare (Els.Config.of_estimator est) db query in
+          List.iter
+            (fun (s, e, digest) ->
+              if String.equal s name && String.equal e id then
+                Alcotest.(check string) (label "budgeted and method-set runs")
+                  digest (dp_digest profile query))
+            dp_digests)
+        dp_estimators)
+    dp_scenarios;
+  Alcotest.(check int) "one literal row per (scenario, estimator)"
+    (List.length dp_scenarios * List.length dp_estimators)
+    (List.length dp_goldens);
+  Alcotest.(check int) "one digest per (scenario, estimator)"
+    (List.length dp_scenarios * List.length dp_estimators)
+    (List.length dp_digests)
+
+(* Cost ties keep the first candidate, both when DP stores a subset's
+   plan and when its anytime ladder picks the cheapest subset of a size:
+   on a self-join of four copies of one table every subset of a size
+   costs the same, so only the tie-breaks decide the order. The goldens
+   above have no such ties. *)
+let test_dp_ties_keep_first () =
+  let db = Datagen.Section8.build ~scale:100 ~seed:1 () in
+  let query =
+    Sqlfront.Binder.compile_exn db
+      "SELECT COUNT(*) FROM s a1, s a2, s a3, s a4 WHERE a1.s = a2.s AND \
+       a2.s = a3.s AND a3.s = a4.s"
+  in
+  let profile =
+    Els.prepare (Els.Config.of_estimator Els.Estimator.m) db query
+  in
+  List.iter
+    (fun (node_budget, provenance) ->
+      let budget =
+        Option.map (fun n -> Rel.Budget.create ~node_budget:n ()) node_budget
+      in
+      let node, provenance' =
+        Optimizer.Dp.optimize_traced ?budget profile query
+      in
+      let label =
+        match node_budget with None -> "-" | Some n -> string_of_int n
+      in
+      Alcotest.(check string) (label ^ ": order") "a1,a2,a3,a4"
+        (String.concat "," (Exec.Plan.join_order node.Optimizer.Dp.plan));
+      Alcotest.(check string) (label ^ ": provenance") provenance
+        (Optimizer.Provenance.to_string provenance'))
+    [
+      (None, "dp (completed, 88 expansions)");
+      (Some 6, "greedy (nodes budget exhausted after 7 expansions)");
+      (Some 40, "greedy (nodes budget exhausted after 41 expansions)");
+    ]
+
 let suite =
   [
     Alcotest.test_case "greedy: full plan" `Quick test_greedy_full_plan;
@@ -206,4 +514,7 @@ let suite =
     Alcotest.test_case "degenerate table counts" `Quick
       test_single_and_two_tables;
     Alcotest.test_case "greedy: plan goldens" `Quick test_greedy_goldens;
+    Alcotest.test_case "dp: plan goldens" `Quick test_dp_goldens;
+    Alcotest.test_case "dp: cost ties keep the first candidate" `Quick
+      test_dp_ties_keep_first;
   ]

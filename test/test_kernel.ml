@@ -333,6 +333,42 @@ let test_zero_alloc_per_step () =
       | Sys.Bytecode | Sys.Other _ -> () (* bytecode boxes every float *))
     Els.Config.[ els; sss; sm ~ptc:true; pess ]
 
+(* The exhaustive enumerator itself: per-mask arrays, one kernel step per
+   (subset, table) edge, costs through [Optimizer.Cost.join_into]. A
+   warmed-up [optimize_traced] over a 12-table chain allocates only its
+   per-call setup and the one plan it returns, far below 0.1 minor words
+   per expansion; a plan node per expansion costs about 60. *)
+let test_dp_alloc_per_expansion () =
+  let n = 12 in
+  let chain =
+    Datagen.Workload.chain ~rows_range:(100, 300) ~distinct_range:(20, 100)
+      ~seed:7 ~n_tables:n ()
+  in
+  let query = chain.Datagen.Workload.query in
+  List.iter
+    (fun config ->
+      let name = Els.Config.name config in
+      let profile = Els.prepare config chain.Datagen.Workload.db query in
+      ignore (Optimizer.Dp.optimize_traced profile query) (* warmup *);
+      let w0 = Gc.minor_words () in
+      let w1 = Gc.minor_words () in
+      let overhead = w1 -. w0 in
+      let w2 = Gc.minor_words () in
+      let _, provenance = Optimizer.Dp.optimize_traced profile query in
+      let w3 = Gc.minor_words () in
+      let allocated = w3 -. w2 -. overhead in
+      let expansions = provenance.Optimizer.Provenance.expansions in
+      let per_expansion = allocated /. float_of_int expansions in
+      match Sys.backend_type with
+      | Sys.Native ->
+        if not (per_expansion < 0.1) then
+          Alcotest.failf
+            "%s: DP allocated %.0f minor words over %d expansions (%.3f per \
+             expansion, want < 0.1)"
+            name allocated expansions per_expansion
+      | Sys.Bytecode | Sys.Other _ -> () (* bytecode boxes every float *))
+    Els.Config.[ els; sss; sm ~ptc:true; pess ]
+
 (* --- differential properties --- *)
 
 let prop_kernel_matches_reference =
@@ -518,6 +554,8 @@ let suite =
       test_comparison_join_lowers;
     Alcotest.test_case "kernel: zero minor words per extend step" `Quick
       test_zero_alloc_per_step;
+    Alcotest.test_case "kernel: DP allocation per expansion" `Quick
+      test_dp_alloc_per_expansion;
     Alcotest.test_case "kernel: one selectivity per class" `Quick
       test_one_selectivity_per_class;
     Alcotest.test_case "kernel: corrupted catalogs, kernel = reference"

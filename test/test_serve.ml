@@ -286,6 +286,50 @@ let test_session_budget_trip () =
   Alcotest.(check int) "not an internal error" 0
     stats.Serve.Server.internal_errors
 
+(* --- a query too big for the optimizer is a structured refusal, not an
+   internal error: DP stops at 20 tables (greedy and random walk do not),
+   the profile's bitset index at 62 --- *)
+
+let self_join_sql n =
+  let aliases = List.init n (fun i -> Printf.sprintf "a%d" (i + 1)) in
+  let links =
+    List.init (n - 1) (fun i -> Printf.sprintf "a%d.s = a%d.s" (i + 1) (i + 2))
+  in
+  Printf.sprintf "SELECT COUNT(*) FROM %s WHERE %s"
+    (String.concat ", " (List.map (fun a -> "s " ^ a) aliases))
+    (String.concat " AND " links)
+
+let test_session_too_many_tables () =
+  let frames =
+    [
+      Printf.sprintf {|{"id":"dp21","op":"explain","sql":"%s"}|}
+        (self_join_sql 21);
+      Printf.sprintf
+        {|{"id":"greedy21","op":"explain","sql":"%s","enumerator":"greedy"}|}
+        (self_join_sql 21);
+      Printf.sprintf {|{"id":"dp63","op":"explain","sql":"%s"}|}
+        (self_join_sql 63);
+      {|{"id":"d","op":"drain"}|};
+    ]
+  in
+  let server =
+    Serve.Server.create (Datagen.Section8.build ~scale:100 ~seed:1 ())
+  in
+  let stats, responses = drive_server server frames in
+  let dp21 = by_id responses "dp21" in
+  Alcotest.(check bool) "21 tables under dp refused" false dp21.ok;
+  Alcotest.(check (option string)) "21 tables: invalid-query"
+    (Some "invalid-query") dp21.kind;
+  Alcotest.(check bool) "21 tables under greedy answered" true
+    (by_id responses "greedy21").ok;
+  let dp63 = by_id responses "dp63" in
+  Alcotest.(check bool) "63 tables refused" false dp63.ok;
+  Alcotest.(check (option string)) "63 tables: invalid-query"
+    (Some "invalid-query") dp63.kind;
+  Alcotest.(check bool) "drain completed" true (by_id responses "d").ok;
+  Alcotest.(check int) "firewall never fired" 0
+    stats.Serve.Server.internal_errors
+
 let suite =
   [
     Alcotest.test_case "protocol: parse totality" `Quick test_protocol_parse;
@@ -296,4 +340,6 @@ let suite =
       test_session_damage_isolated;
     Alcotest.test_case "session: budget trip mid-query" `Quick
       test_session_budget_trip;
+    Alcotest.test_case "session: too many tables is invalid-query" `Quick
+      test_session_too_many_tables;
   ]
