@@ -251,11 +251,12 @@ let run_f12 () =
         incr failures
       end)
     sizes;
-  (* The exhaustive enumerator on the same kind of chain: per-mask
-     arrays, one kernel step per (subset, table) edge. A warmed-up call
-     allocates only its per-call setup and the plan it returns, so the
-     words per expansion stay far below 0.1 (a plan node per expansion
-     costs about 60). *)
+  (* The exhaustive enumerator on the same kind of chain, under each of
+     the seven registry estimators: per-mask arrays reused per domain, one
+     kernel step per (subset, table) edge. A warmed-up call allocates only
+     its per-call setup and the plan it returns, so the words per
+     expansion stay far below 0.1 (a plan node per expansion costs about
+     60). *)
   let dp_n = 12 in
   let chain =
     Datagen.Workload.chain ~rows_range:(100, 300) ~distinct_range:(20, 100)
@@ -295,7 +296,8 @@ let run_f12 () =
           words_per_expansion;
         incr failures
       end)
-    Els.Config.[ els; sss; sm ~ptc:true; pess ];
+    (List.map Els.Config.of_estimator
+       Els.Estimator.[ ls; ss; m; pess; lp2; degseq; ent ]);
   Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.snapshot registry);
   if !failures > 0 then exit 1
 

@@ -84,21 +84,24 @@ let pess =
 
    Bound-style estimators over the per-column degree sequences ANALYZE
    collects ([Stats.Degree] via [Col_stats.degree]). Like PESS they carry
-   no per-class selectivity reduction — the whole estimate is the cap —
-   and they lower to the compiled kernel through its closure arms. All
-   caps fold [Float.min] across the step's bridging predicates (a
-   conjunction can only shrink the output) and degrade to PESS's min-rows
-   when no degree statistics are available. The degree statistics are the
-   {e base tables}': exact for the first (two-way) step, a heuristic for
-   later steps whose left input is an intermediate. Each cap returns the
-   label of the [Float.min] term that set its bound; a later term takes
-   over only when strictly tighter, so on a tie the first term's label
-   wins. *)
+   no per-class selectivity reduction — the whole estimate is the cap.
+   The compiled kernel runs each of them on a fixed arm of its own
+   ([Kernel.Lp2], [Kernel.Degseq], [Kernel.Ent]) over per-predicate terms
+   computed once, and must fold exactly as these closures do; the
+   closures run on the reference tier, whose derivation cards carry
+   their labels. All caps fold [Float.min] across the step's bridging
+   predicates (a conjunction can only shrink the output) and degrade to
+   PESS's min-rows when no degree statistics are available. The degree
+   statistics are the {e base tables}': exact for the first (two-way)
+   step, a heuristic for later steps whose left input is an
+   intermediate. Each cap returns the label of the [Float.min] term that
+   set its bound; a later term takes over only when strictly tighter, so
+   on a tie the first term's label wins. *)
 
 let no_degrees_label = "min-rows (no degree statistics collected)"
 
 (* The caps fold with top-level loops, not [List.fold_left] over a
-   closure or a tuple accumulator: a cap runs on every capped kernel
+   closure or a tuple accumulator: a cap runs on every capped reference
    step, and a closure or a tuple per term would add to each step's
    allocation. *)
 

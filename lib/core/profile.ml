@@ -545,26 +545,31 @@ let with_estimator e t =
    Selectivities go through the same memoized [join_selectivity], so guard
    semantics and violation accounting match the reference tier. *)
 
-(* The four built-in rules lower to monomorphic, allocation-free arms. Any
-   other estimator — the degree-statistics family or a custom registry
-   entry — lowers through the closure arms. Physical equality is the right
-   test: registry entries are shared records, and any re-made record could
-   carry a different closure under the same id. *)
+(* The seven registry estimators lower to monomorphic, allocation-free
+   arms: the three rules, and PESS and the degree-statistics family,
+   whose classes contribute 1 and whose bound is the cap. Any other
+   estimator — a custom registry entry — lowers through the closure arms.
+   Physical equality is the right test: registry entries are shared
+   records, and any re-made record could carry a different closure under
+   the same id. *)
 let kernel_kind est =
   if est == Estimator.m then (Kernel.Product, Kernel.No_cap)
   else if est == Estimator.ss then (Kernel.Smallest, Kernel.No_cap)
   else if est == Estimator.ls then (Kernel.Largest, Kernel.No_cap)
   else if est == Estimator.pess then (Kernel.Unit, Kernel.Min_rows)
+  else if est == Estimator.lp2 then (Kernel.Unit, Kernel.Lp2)
+  else if est == Estimator.degseq then (Kernel.Unit, Kernel.Degseq)
+  else if est == Estimator.ent then (Kernel.Unit, Kernel.Ent)
   else
     ( Kernel.Combine est.Estimator.combine,
       match est.Estimator.cap with
       | Some cap -> Kernel.Cap cap
       | None -> Kernel.No_cap )
 
-(* Per join predicate, the degree statistics a cap closure reads: both
-   columns of an equality predicate, when ANALYZE collected them.
-   Comparison predicates never pair (their selectivity is CDF-derived, not
-   degree-derived). *)
+(* Per join predicate, the degree statistics a degree arm or a cap closure
+   reads: both columns of an equality predicate, when ANALYZE collected
+   them. Comparison predicates never pair (their selectivity is
+   CDF-derived, not degree-derived). *)
 let pred_degrees t jids =
   Array.map
     (fun id ->
@@ -649,7 +654,8 @@ let compile_kernel t =
   done;
   let pred_degrees =
     match cap with
-    | Kernel.Cap _ -> pred_degrees t jids
+    | Kernel.Lp2 | Kernel.Degseq | Kernel.Ent | Kernel.Cap _ ->
+      pred_degrees t jids
     | Kernel.No_cap | Kernel.Min_rows -> [||]
   in
   Kernel.make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class

@@ -1,4 +1,4 @@
-type summary = {
+type script = {
   sessions : int;
   seed : int;
   frames_sent : int;
@@ -8,6 +8,10 @@ type summary = {
   disconnect_sessions : int;
   ordered_sessions : int;
   churn_sessions : int;
+}
+
+type summary = {
+  script : script;
   answered_ok : int;
   answered_error : int;
   shed : int;
@@ -263,6 +267,26 @@ let run ?(seed = 1) ?(watchdog_s = 60.) ~sessions () =
   let frames_sent = ref 0 and valid_sent = ref 0 in
   let malformed_sent = ref 0 and oversized_sent = ref 0 in
   let disconnects = ref 0 and ordered = ref 0 and churned = ref 0 in
+  (* The script counts come from the plan alone, before the session runs,
+     so they depend on nothing but the seed. *)
+  let count_script plan =
+    (match plan.kind with
+    | Ordered -> incr ordered
+    | Disconnect -> incr disconnects
+    | Chaos -> ());
+    if plan.churn_ops > 0 then incr churned;
+    List.iter
+      (fun (line, expect) ->
+        incr frames_sent;
+        match expect with
+        | Id _ -> incr valid_sent
+        | Anon ->
+          if String.length line > plan.config.Serve.Server.max_frame_bytes
+          then incr oversized_sent
+          else incr malformed_sent
+        | Nothing -> ())
+      plan.frames
+  in
   let answered_ok = ref 0 and answered_error = ref 0 in
   let shed = ref 0 and budget_trips = ref 0 and epoch_retries = ref 0 in
   let internal_errors = ref 0 in
@@ -282,11 +306,7 @@ let run ?(seed = 1) ?(watchdog_s = 60.) ~sessions () =
   in
   for index = 1 to sessions do
     let plan = plan_session rng index in
-    (match plan.kind with
-    | Ordered -> incr ordered
-    | Disconnect -> incr disconnects
-    | Chaos -> ());
-    if plan.churn_ops > 0 then incr churned;
+    count_script plan;
     (* Pre-draw the churn schedule so the worker thread never touches the
        run's rng. *)
     let churn_plan =
@@ -356,17 +376,9 @@ let run ?(seed = 1) ?(watchdog_s = 60.) ~sessions () =
       (* Write the session's frames; for Disconnect sessions, cut the
          response pipe partway through so server writes start failing. *)
       List.iteri
-        (fun i (line, expect) ->
+        (fun i (line, _) ->
           if i = plan.cut_after then
             (try Unix.close s2c_r with Unix.Unix_error _ -> ());
-          incr frames_sent;
-          (match expect with
-          | Id _ -> incr valid_sent
-          | Anon ->
-            if String.length line > plan.config.Serve.Server.max_frame_bytes
-            then incr oversized_sent
-            else incr malformed_sent
-          | Nothing -> ());
           let payload = Bytes.of_string (line ^ "\n") in
           try ignore (Unix.write c2s_w payload 0 (Bytes.length payload))
           with Unix.Unix_error _ -> ())
@@ -485,15 +497,18 @@ let run ?(seed = 1) ?(watchdog_s = 60.) ~sessions () =
       fail index ("crash: " ^ Printexc.to_string exn)
   done;
   {
-    sessions;
-    seed;
-    frames_sent = !frames_sent;
-    valid_sent = !valid_sent;
-    malformed_sent = !malformed_sent;
-    oversized_sent = !oversized_sent;
-    disconnect_sessions = !disconnects;
-    ordered_sessions = !ordered;
-    churn_sessions = !churned;
+    script =
+      {
+        sessions;
+        seed;
+        frames_sent = !frames_sent;
+        valid_sent = !valid_sent;
+        malformed_sent = !malformed_sent;
+        oversized_sent = !oversized_sent;
+        disconnect_sessions = !disconnects;
+        ordered_sessions = !ordered;
+        churn_sessions = !churned;
+      };
     answered_ok = !answered_ok;
     answered_error = !answered_error;
     shed = !shed;
@@ -515,21 +530,22 @@ let run ?(seed = 1) ?(watchdog_s = 60.) ~sessions () =
 let pass s =
   s.crashes = 0 && s.hangs = 0 && s.unanswered = 0 && s.bad_responses = 0
   && s.epoch_regressions = 0 && s.internal_errors = 0
-  && (s.sessions < 50
-     || (s.shed > 0 && s.malformed_sent > 0 && s.budget_trips > 0))
+  && (s.script.sessions < 50
+     || (s.shed > 0 && s.script.malformed_sent > 0 && s.budget_trips > 0))
 
 let render s =
   let b = Buffer.create 512 in
   let line fmt =
     Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt
   in
-  line "serve-chaos: %d sessions (seed %d) in %.2fs" s.sessions s.seed
+  let c = s.script in
+  line "serve-chaos: %d sessions (seed %d) in %.2fs" c.sessions c.seed
     s.elapsed_s;
   line "  frames:            %d sent (%d valid, %d malformed, %d oversized)"
-    s.frames_sent s.valid_sent s.malformed_sent s.oversized_sent;
+    c.frames_sent c.valid_sent c.malformed_sent c.oversized_sent;
   line "  session mix:       %d ordered probes, %d disconnects, %d with \
         concurrent churn"
-    s.ordered_sessions s.disconnect_sessions s.churn_sessions;
+    c.ordered_sessions c.disconnect_sessions c.churn_sessions;
   line "  answered:          %d ok, %d structured errors" s.answered_ok
     s.answered_error;
   line "  admission control: %d shed, %d budget trips, %d epoch retries"

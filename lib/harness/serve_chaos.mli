@@ -33,10 +33,15 @@
       chaose), with p50/p99 latency and shed/retry/drain counters
       published to the shared {!Obs.Metrics} registry.
 
-    Deterministic given [seed]; a failure report carries the session
-    index and the one-command repro. *)
+    The generated script — every session's frames, kind and churn — is
+    deterministic given [seed], and so is its {!script} record. The
+    outcome counts are not: how many requests are answered, shed or
+    tripped depends on how the worker domains, the churn thread and the
+    client interleave. Only {!pass} checks them. A failure report carries
+    the session index and the one-command repro. *)
 
-type summary = {
+(** What the run sent: a function of [seed] and [sessions] alone. *)
+type script = {
   sessions : int;
   seed : int;
   frames_sent : int;
@@ -46,6 +51,11 @@ type summary = {
   disconnect_sessions : int;  (** sessions that cut the response pipe *)
   ordered_sessions : int;  (** wire-order epoch probes *)
   churn_sessions : int;  (** sessions with a concurrent catalog mutator *)
+}
+
+(** A run's script and its outcome counts, which vary with scheduling. *)
+type summary = {
+  script : script;
   answered_ok : int;
   answered_error : int;
   shed : int;
@@ -67,8 +77,8 @@ type summary = {
 }
 
 val run : ?seed:int -> ?watchdog_s:float -> sessions:int -> unit -> summary
-(** Defaults: seed 1, 60 s per-session watchdog. Deterministic given
-    [seed]. *)
+(** Defaults: seed 1, 60 s per-session watchdog. The script is
+    deterministic given [seed]; the outcome counts are not. *)
 
 val pass : summary -> bool
 (** Zero crashes, hangs, unanswered/bad responses, epoch regressions and

@@ -157,6 +157,43 @@ let next_same_popcount x =
   let ripple = x + low in
   (((ripple lxor x) lsr 2) / low) lor ripple
 
+(* The per-mask arrays of one enumeration: the cheapest plan found for
+   each mask, its cost, its estimated size along its own join order, and
+   its back-pointer (-1: unreached). *)
+type arrays = { costs : float array; sizes : float array; backs : int array }
+
+(* Each domain keeps the arrays of its last call for the next one.
+   [Atomic.exchange] hands them to one call at a time and leaves [taken]
+   in the slot, so a re-entrant call, a second systhread on the domain, or
+   the call after one that raised finds no arrays and allocates its own.
+   Arrays longer than [max_retained] entries (2^16, 1.5 MiB over the
+   three) are not kept. *)
+let taken = { costs = [||]; sizes = [||]; backs = [||] }
+
+let spare : arrays Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make taken)
+
+let max_retained = 1 lsl 16
+
+(* Only [backs] is refilled: every read of [costs] or [sizes] sits behind
+   a [back >= 0] test, so their stale entries are never seen. *)
+let take_arrays entries =
+  let a = Atomic.exchange (Domain.DLS.get spare) taken in
+  if Array.length a.backs >= entries then begin
+    Array.fill a.backs 0 entries (-1);
+    a
+  end
+  else
+    {
+      costs = Array.make entries 0.;
+      sizes = Array.make entries 0.;
+      backs = Array.make entries (-1);
+    }
+
+let give_back a =
+  if Array.length a.backs <= max_retained then
+    Atomic.set (Domain.DLS.get spare) a
+
 let optimize_traced
     ?(methods = [ Exec.Plan.Nested_loop; Exec.Plan.Sort_merge; Exec.Plan.Hash ])
     ?budget profile query =
@@ -190,11 +227,8 @@ let optimize_traced
   let kernel = Els.Profile.kernel profile in
   let methods_arr = Array.of_list methods in
   let full = (1 lsl n) - 1 in
-  (* The cheapest plan found for each mask: its cost, its estimated size
-     along its own join order, and its back-pointer (-1: unreached). *)
-  let cost = Array.make (full + 1) 0. in
-  let size = Array.make (full + 1) 0. in
-  let back = Array.make (full + 1) (-1) in
+  let arrays = take_arrays (full + 1) in
+  let { costs = cost; sizes = size; backs = back } = arrays in
   (* Per table, the tables one join predicate away, and those one
      equi-join away: connectivity and method applicability in one [land]
      each. *)
@@ -386,16 +420,20 @@ let optimize_traced
       in
       (node, Provenance.degraded rung resource ~expansions:!expansions)
   in
-  match enumerate () with
-  | () ->
-    if back.(full) >= 0 then
-      ( node_of full,
-        Provenance.completed Provenance.Dp ~expansions:!expansions )
-    else
-      (* Reachable only when [methods] lacks nested loop and some subset
-         has no equi-connected extension. *)
-      no_method_error methods (Array.to_list tables)
-  | exception Rel.Budget.Exhausted resource -> anytime_result resource
+  let result =
+    match enumerate () with
+    | () ->
+      if back.(full) >= 0 then
+        ( node_of full,
+          Provenance.completed Provenance.Dp ~expansions:!expansions )
+      else
+        (* Reachable only when [methods] lacks nested loop and some subset
+           has no equi-connected extension. *)
+        no_method_error methods (Array.to_list tables)
+    | exception Rel.Budget.Exhausted resource -> anytime_result resource
+  in
+  give_back arrays;
+  result
 
 let optimize ?methods ?budget profile query =
   fst (optimize_traced ?methods ?budget profile query)

@@ -31,6 +31,16 @@
     an estimation guard that breaches inside a DP step is counted once
     per edge.
 
+    The three arrays are not allocated per call: each domain keeps the
+    last call's arrays for its next one and refills only the
+    back-pointers, since every read of a cost or a size is guarded by a
+    reached back-pointer. A call takes them with an atomic exchange and
+    gives them back once its result is built, so a re-entrant call, a
+    second systhread on the same domain, or the call after one that
+    raised allocates fresh arrays instead. Arrays of more than 2{^16}
+    entries (queries of more than 16 tables) are not retained; 2{^16}
+    entries are 1.5 MiB per domain over the three arrays.
+
     {2 Budgets and anytime degradation}
 
     Exact DP is exponential, so [optimize] accepts a {!Rel.Budget}: each

@@ -499,6 +499,83 @@ let test_dp_ties_keep_first () =
       (Some 40, "greedy (nodes budget exhausted after 41 expansions)");
     ]
 
+(* DP keeps its per-mask arrays per domain between calls, and refills
+   only the back-pointers. The reuse must be invisible:
+   - in one process, a 12-table chain, a 4-table chain, the 12-table chain
+     again and a node-budget trip through the anytime ladder (whose
+     completions read the arrays) each render as their first run did,
+     on every repeat;
+   - a call after a Strict guard trip escaped mid-enumeration renders as
+     a clean call;
+   - two domains optimizing different queries at once each render as the
+     sequential run. *)
+let test_dp_arrays_invisible () =
+  let big_db, big = chain 7 12 and small_db, small = chain 8 4 in
+  let run db query node_budget =
+    let profile = Els.prepare Els.Config.els db query in
+    render_dp_run (dp_run profile query node_budget)
+  in
+  let runs =
+    [
+      ("12-table chain", fun () -> run big_db big None);
+      ("4-table chain", fun () -> run small_db small None);
+      ( "12-table chain, node budget 2000",
+        fun () -> run big_db big (Some 2000) );
+    ]
+  in
+  let first = List.map (fun (name, f) -> (name, f ())) runs in
+  let repeat name =
+    Alcotest.(check string) (name ^ ": repeat") (List.assoc name first)
+      ((List.assoc name runs) ())
+  in
+  List.iter repeat
+    [
+      "12-table chain";
+      "4-table chain";
+      "12-table chain";
+      "12-table chain, node budget 2000";
+      "4-table chain";
+      "12-table chain, node budget 2000";
+      "12-table chain";
+    ];
+  Alcotest.(check bool) "the budget trips into the anytime ladder" true
+    (let r = List.assoc "12-table chain, node budget 2000" first in
+     Helpers.contains r "exhausted");
+  (* A NaN class selectivity breaches the guard in the first connected
+     step; under Strict the breach raises out of [optimize_traced]. *)
+  let nan_rule =
+    { Els.Estimator.m with id = "test-nan"; label = "NAN";
+      combine = (fun _ -> Float.nan) }
+  in
+  let strict =
+    Els.prepare
+      (Els.Config.of_estimator ~strictness:Els.Config.Strict nan_rule)
+      big_db big
+  in
+  (match Optimizer.Dp.optimize_traced strict big with
+  | _ -> Alcotest.fail "a NaN selectivity under Strict must raise"
+  | exception Els.Els_error.Error _ -> ());
+  repeat "12-table chain";
+  repeat "4-table chain";
+  (* Two domains, each with its own catalog and profile, on queries
+     large enough that their runs overlap. *)
+  let worker (seed, n) =
+    let db, query = chain seed n in
+    let expected = run db query None in
+    Domain.spawn (fun () ->
+        let same = ref 0 in
+        for _ = 1 to 50 do
+          if String.equal (run db query None) expected then incr same
+        done;
+        !same)
+  in
+  let domains = List.map worker [ (7, 12); (9, 11) ] in
+  List.iter
+    (fun d ->
+      Alcotest.(check int) "concurrent runs equal the sequential one" 50
+        (Domain.join d))
+    domains
+
 let suite =
   [
     Alcotest.test_case "greedy: full plan" `Quick test_greedy_full_plan;
@@ -517,4 +594,6 @@ let suite =
     Alcotest.test_case "dp: plan goldens" `Quick test_dp_goldens;
     Alcotest.test_case "dp: cost ties keep the first candidate" `Quick
       test_dp_ties_keep_first;
+    Alcotest.test_case "dp: reused per-mask arrays are invisible" `Quick
+      test_dp_arrays_invisible;
   ]

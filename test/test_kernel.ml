@@ -3,17 +3,18 @@
    Four contracts, matching the two-tier ladder documented in Incremental
    (list-scan reference -> kernel):
 
-   - every estimator lowers — the four built-ins, the degree-statistics
-     family and a registered custom estimator — and so does every join
-     predicate, comparisons included: estimation never leaves the kernel
-     and the fallback counter stays 0;
+   - every estimator lowers — the seven registry estimators on their
+     fixed arms and a registered custom estimator through the closure
+     arms — and so does every join predicate, comparisons included:
+     estimation never leaves the kernel and the fallback counter stays 0;
    - the kernel is bit-identical to the list-scan reference tier: sizes
      and histories agree [Float.equal] across every estimator, every join
      order, left-deep and bushy, on equality chains, Zipf stars and
-     comparison chains, on corrupted catalogs (Repair and Trap, guards
-     tripping), and under an optimizer budget;
-   - one kernel extend step of a built-in estimator allocates exactly zero
-     minor-heap words (measured with Gc.minor_words, not assumed);
+     comparison chains, on corrupted catalogs and corrupted degree
+     statistics (Repair and Trap, guards tripping), and under an
+     optimizer budget;
+   - one kernel extend step of a registry estimator allocates exactly
+     zero minor-heap words (measured with Gc.minor_words, not assumed);
    - equivalence-class grouping keys on [Cref.equal]: two eligible
      predicates of one class yield one group and one combined
      selectivity (regression for the polymorphic-assoc grouping). *)
@@ -176,24 +177,29 @@ let configs () =
 let split k l =
   (List.filteri (fun i _ -> i < k) l, List.filteri (fun i _ -> i >= k) l)
 
-(* Size histories of one order on both tiers: left-deep, then the two
+(* The size history of one order on one tier: left-deep, then the two
    halves bridged by a bushy join. *)
-let histories profile order =
+let tier_history (estimate_order, join_states) profile order =
   let left, right = split (List.length order / 2) order in
-  let tier estimate_order join_states =
-    let linear = estimate_order profile order in
-    let bushy =
-      match (left, right) with
-      | _ :: _, _ :: _ ->
-        Els.Incremental.history
-          (join_states profile (estimate_order profile left)
-             (estimate_order profile right))
-      | _, _ -> []
-    in
-    Els.Incremental.history linear @ bushy
+  let linear = estimate_order profile order in
+  let bushy =
+    match (left, right) with
+    | _ :: _, _ :: _ ->
+      Els.Incremental.history
+        (join_states profile (estimate_order profile left)
+           (estimate_order profile right))
+    | _, _ -> []
   in
-  ( tier Els.Incremental.estimate_order Els.Incremental.join_states,
-    tier Els.Incremental.estimate_order_scan Els.Incremental.join_states_scan )
+  Els.Incremental.history linear @ bushy
+
+let kernel_tier = (Els.Incremental.estimate_order, Els.Incremental.join_states)
+
+let reference_tier =
+  (Els.Incremental.estimate_order_scan, Els.Incremental.join_states_scan)
+
+let histories profile order =
+  ( tier_history kernel_tier profile order,
+    tier_history reference_tier profile order )
 
 let tiers_agree profile orders =
   List.for_all
@@ -272,6 +278,13 @@ let test_comparison_join_lowers () =
 
 (* --- allocation regression --- *)
 
+(* The seven registry estimators' canonical configurations: the three
+   rules, PESS and the degree-statistics family, each on its own
+   allocation-free kernel arm. *)
+let registry_configs =
+  List.map Els.Config.of_estimator
+    Els.Estimator.[ ls; ss; m; pess; lp2; degseq; ent ]
+
 (* One DP-style sweep over all 2^n masks through the *_into entry points.
    Ascending mask order propagates sizes without any submask bookkeeping,
    and the loop itself is closure-free so the audit below charges only the
@@ -331,7 +344,7 @@ let test_zero_alloc_per_step () =
             "%s: kernel sweep allocated %.0f minor words over %d steps" name
             allocated steps
       | Sys.Bytecode | Sys.Other _ -> () (* bytecode boxes every float *))
-    Els.Config.[ els; sss; sm ~ptc:true; pess ]
+    registry_configs
 
 (* The exhaustive enumerator itself: per-mask arrays, one kernel step per
    (subset, table) edge, costs through [Optimizer.Cost.join_into]. A
@@ -367,7 +380,7 @@ let test_dp_alloc_per_expansion () =
              expansion, want < 0.1)"
             name allocated expansions per_expansion
       | Sys.Bytecode | Sys.Other _ -> () (* bytecode boxes every float *))
-    Els.Config.[ els; sss; sm ~ptc:true; pess ]
+    registry_configs
 
 (* --- differential properties --- *)
 
@@ -445,6 +458,107 @@ let test_corrupted_catalogs () =
   Alcotest.(check bool) "Repair: corruption tripped the guard" true
     (!repaired > 0);
   Alcotest.(check bool) "Trap: steps tripped the guard" true (!step_trips > 0)
+
+(* Corrupted degree statistics: one column of a 4-table equality chain
+   gets NaN, infinite or negative norms, or an L∞ above its L1. Under
+   Repair the catalog audit drops them and the degree caps fall back to
+   min-rows; under Trap they reach the caps unrepaired, where a NaN norm
+   must propagate into the estimate on both tiers alike — the kernel's
+   per-predicate terms mark "no term" with a flag, so no corrupted value
+   can be mistaken for one. *)
+let degree_corruptions =
+  let open Stats.Degree in
+  [
+    ("NaN l2_sq", fun d -> { d with l2_sq = Float.nan });
+    ("infinite linf", fun d -> { d with linf = Float.infinity });
+    ("NaN linf", fun d -> { d with linf = Float.nan });
+    ("negative l1", fun d -> { d with l1 = -.d.l1 });
+    ("linf = 10 l1", fun d -> { d with linf = 10. *. d.l1 });
+  ]
+
+(* A copy of [db] with [corrupt] applied to the degree statistics of
+   [table].[column]. *)
+let with_corrupt_degree db ~table ~column corrupt =
+  let out = Catalog.Db.create () in
+  List.iter
+    (fun (t : Catalog.Table.t) ->
+      Catalog.Db.add out
+        (if not (String.equal t.Catalog.Table.name table) then t
+         else
+           {
+             t with
+             Catalog.Table.column_stats =
+               List.map
+                 (fun (name, (cs : Stats.Col_stats.t)) ->
+                   if not (String.equal name column) then (name, cs)
+                   else
+                     match cs.Stats.Col_stats.degree with
+                     | Some d ->
+                       ( name,
+                         { cs with Stats.Col_stats.degree = Some (corrupt d) }
+                       )
+                     | None ->
+                       Alcotest.failf "%s.%s carries no degree statistics" table
+                         column)
+                 t.Catalog.Table.column_stats;
+           }))
+    (Catalog.Db.tables db);
+  out
+
+let test_corrupted_degrees () =
+  let base, query, names =
+    build_chain { dims = [ (6, 3); (9, 2); (5, 4); (8, 2) ]; seed = 19 }
+  in
+  ignore (Lazy.force custom : Els.Estimator.t);
+  let estimators =
+    List.map Els.Estimator.of_string_exn
+      [ "lp2"; "degseq"; "ent"; "pess"; "ls"; "test-geo" ]
+  in
+  let mismatches = ref [] and trap_nan = ref 0 in
+  List.iter
+    (fun (what, corrupt) ->
+      let db = with_corrupt_degree base ~table:"t2" ~column:"a" corrupt in
+      List.iter
+        (fun strictness ->
+          List.iter
+            (fun est ->
+              let config = Els.Config.of_estimator ~strictness est in
+              let profile = Els.prepare config db query in
+              (* Compiled up front, so each delta counts step trips only. *)
+              ignore (Els.Profile.kernel profile : Els.Kernel.t);
+              let violations () =
+                (Els.Profile.guard_stats profile).Els.Guard.violations
+              in
+              List.iter
+                (fun order ->
+                  let v0 = violations () in
+                  let kernel = tier_history kernel_tier profile order in
+                  let v1 = violations () in
+                  let reference = tier_history reference_tier profile order in
+                  let v2 = violations () in
+                  if
+                    strictness = Els.Config.Trap
+                    && List.exists Float.is_nan kernel
+                  then incr trap_nan;
+                  if
+                    not
+                      (v1 - v0 = v2 - v1
+                      && List.length kernel = List.length reference
+                      && List.for_all2 Float.equal kernel reference)
+                  then
+                    mismatches :=
+                      Printf.sprintf "%s / %s / %s" what
+                        (Els.Config.name config)
+                        (String.concat "," order)
+                      :: !mismatches)
+                (permutations names))
+            estimators)
+        Els.Config.[ Repair; Trap ])
+    degree_corruptions;
+  Alcotest.(check (list string))
+    "kernel = reference, same guard trips" [] !mismatches;
+  Alcotest.(check bool) "Trap: a NaN norm reached an estimate" true
+    (!trap_nan > 0)
 
 (* The DP enumerator runs every step on the kernel; with the same node
    budget the chosen plan's size history must equal the reference tier's
@@ -560,6 +674,8 @@ let suite =
       test_one_selectivity_per_class;
     Alcotest.test_case "kernel: corrupted catalogs, kernel = reference"
       `Quick test_corrupted_catalogs;
+    Alcotest.test_case "kernel: corrupted degree statistics, kernel = reference"
+      `Quick test_corrupted_degrees;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_kernel_matches_reference; prop_kernel_budget_identity ]

@@ -330,6 +330,30 @@ let test_session_too_many_tables () =
   Alcotest.(check int) "firewall never fired" 0
     stats.Serve.Server.internal_errors
 
+(* The chaos harness's script is a function of its seed: two runs of
+   seed 1 over 60 sessions send the same frames in the same session mix,
+   pinned by the literals below, and both pass. The outcome counts depend
+   on scheduling, so only [pass] reads them. *)
+let render_script (c : Harness.Serve_chaos.script) =
+  Printf.sprintf
+    "%d sessions, seed %d: %d frames (%d valid, %d malformed, %d \
+     oversized); %d ordered, %d disconnects, %d with churn"
+    c.sessions c.seed c.frames_sent c.valid_sent c.malformed_sent
+    c.oversized_sent c.ordered_sessions c.disconnect_sessions
+    c.churn_sessions
+
+let test_chaos_script_deterministic () =
+  for run = 1 to 2 do
+    let summary = Harness.Serve_chaos.run ~seed:1 ~sessions:60 () in
+    let label what = Printf.sprintf "run %d: %s" run what in
+    Alcotest.(check bool) (label "passes") true
+      (Harness.Serve_chaos.pass summary);
+    Alcotest.(check string) (label "script")
+      "60 sessions, seed 1: 883 frames (736 valid, 85 malformed, 44 \
+       oversized); 11 ordered, 6 disconnects, 27 with churn"
+      (render_script summary.Harness.Serve_chaos.script)
+  done
+
 let suite =
   [
     Alcotest.test_case "protocol: parse totality" `Quick test_protocol_parse;
@@ -342,4 +366,6 @@ let suite =
       test_session_budget_trip;
     Alcotest.test_case "session: too many tables is invalid-query" `Quick
       test_session_too_many_tables;
+    Alcotest.test_case "chaos: script deterministic given the seed" `Quick
+      test_chaos_script_deterministic;
   ]
