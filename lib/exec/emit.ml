@@ -1,10 +1,13 @@
-let joiner counters schema residual =
-  let accept = Query.Eval.compile_all schema residual in
+let joiner counters ~left ~right residual =
+  let accept =
+    Query.Eval.compile_pair
+      (Rel.Schema.concat left right)
+      ~split:(Rel.Schema.arity left) residual
+  in
   let n_residual = List.length residual in
-  fun k left right ->
-    let joined = Rel.Tuple.concat left right in
+  fun k l r ->
     Counters.compared counters n_residual;
-    if accept joined then begin
+    if accept l r then begin
       Counters.output counters 1;
-      k joined
+      k l r
     end

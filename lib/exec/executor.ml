@@ -10,25 +10,46 @@ let relation_of db ~table ~source =
   if String.equal table source then relation
   else Rel.Relation.rename relation table
 
-let rec operator_of_plan counters db plan =
+let rec schema_of db = function
+  | Plan.Scan { table; source; _ } ->
+    Rel.Relation.schema (relation_of db ~table ~source)
+  | Plan.Join { outer; inner; _ } ->
+    Rel.Schema.concat (schema_of db outer) (schema_of db inner)
+
+let rec operator_of_plan pool counters db plan =
   match plan with
   | Plan.Scan { table; source; filters } ->
     Scan.relation counters ~filters (relation_of db ~table ~source)
   | Plan.Join { method_; outer; inner; predicates } -> begin
-    let outer = operator_of_plan counters db outer in
-    let make_inner () = operator_of_plan counters db inner in
+    let outer = operator_of_plan pool counters db outer in
+    let make_inner () = operator_of_plan pool counters db inner in
     match method_ with
     | Plan.Nested_loop ->
-      Nested_loop.join counters predicates ~outer ~make_inner
+      (* An inner rebuilt per outer row builds into tables of its own,
+         freed with it, or the run's pool would hold one per outer row. *)
+      Nested_loop.join counters predicates ~outer
+        ~inner_schema:(schema_of db inner) ~make_inner:(fun () ->
+          operator_of_plan (Flat_table.pool ()) counters db inner)
     | Plan.Sort_merge ->
       Sort_merge.join counters predicates ~outer ~inner:(make_inner ())
     | Plan.Hash ->
-      Hash_join.join counters predicates ~outer ~inner:(make_inner ())
+      (* Builds whose size is known (every row of an unfiltered base table
+         here, of the indexed relation below) get room for it up front. *)
+      let rows =
+        match inner with
+        | Plan.Scan { table; source; filters = [] } ->
+          Rel.Relation.cardinality (relation_of db ~table ~source)
+        | Plan.Scan _ | Plan.Join _ -> 0
+      in
+      Hash_join.join ~table:(Flat_table.take pool ~rows) counters predicates
+        ~outer ~inner:(make_inner ())
     | Plan.Index_nested_loop -> begin
       match inner with
       | Plan.Scan { table; source; filters } ->
-        Index_nested_loop.join counters predicates ~inner_filters:filters
-          ~outer ~inner:(relation_of db ~table ~source)
+        let inner = relation_of db ~table ~source in
+        let rows = Rel.Relation.cardinality inner in
+        Index_nested_loop.join ~table:(Flat_table.take pool ~rows) counters
+          predicates ~inner_filters:filters ~outer ~inner
       | Plan.Join _ ->
         invalid_arg
           "Executor: index nested loop requires a base-table inner"
@@ -51,13 +72,15 @@ let budget_error counters resource =
 
 let execute ?budget db plan drain =
   let counters = Counters.create ?budget () in
+  let pool = Flat_table.take_pool () in
   let t0 = Unix.gettimeofday () in
   let outcome =
-    match drain (operator_of_plan counters db plan) with
+    match drain (operator_of_plan pool counters db plan) with
     | value -> Ok value
     | exception Rel.Budget.Exhausted resource ->
       Error (budget_error counters resource)
   in
+  Flat_table.give_back pool;
   (outcome, counters, Unix.gettimeofday () -. t0)
 
 let run ?budget db plan =

@@ -24,8 +24,9 @@ val run : ?budget:Rel.Budget.t -> Catalog.Db.t -> Plan.t -> result
 
 val count :
   ?budget:Rel.Budget.t -> Catalog.Db.t -> Plan.t -> int * Counters.t * float
-(** Execute without materializing the result — [COUNT( )] style; returns
-    (rows, counters, elapsed seconds). Budget semantics as in {!run}. *)
+(** Execute without materializing the result — [COUNT( )] style, so the
+    root join's output tuples are never built; returns (rows, counters,
+    elapsed seconds). Budget semantics as in {!run}. *)
 
 val count_result :
   ?budget:Rel.Budget.t ->

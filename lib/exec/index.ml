@@ -1,26 +1,30 @@
 type t = {
-  table : (Rel.Value.t, Rel.Tuple.t list ref) Hashtbl.t;
+  table : Flat_table.t;
+  relation : Rel.Relation.t;
   column : int;
 }
 
-let build relation ~column =
-  let table = Hashtbl.create 4096 in
+let build ?(table = Flat_table.create ()) relation ~column =
   Rel.Relation.iter
     (fun tuple ->
       let key = tuple.(column) in
       if not (Rel.Value.is_null key) then
-        match Hashtbl.find_opt table key with
-        | Some bucket -> bucket := tuple :: !bucket
-        | None -> Hashtbl.add table key (ref [ tuple ]))
+        Flat_table.add table tuple (Hashtbl.hash key))
     relation;
-  { table; column }
+  Flat_table.seal table;
+  { table; relation; column }
+
+let probe t key f left =
+  if not (Rel.Value.is_null key) then
+    Flat_table.probe t.table (Hashtbl.hash key) f left
 
 let lookup t key =
-  if Rel.Value.is_null key then []
-  else
-    match Hashtbl.find_opt t.table key with
-    | Some bucket -> !bucket
-    | None -> []
+  let found = ref [] in
+  probe t key
+    (fun _ tuple ->
+      if Rel.Value.equal key tuple.(t.column) then found := tuple :: !found)
+    [||];
+  List.rev !found
 
-let key_count t = Hashtbl.length t.table
+let key_count t = Rel.Relation.distinct_count t.relation t.column
 let column t = t.column

@@ -58,5 +58,13 @@ let comparison_driver ~left ~right preds =
   in
   find preds
 
-let has_null cols tuple =
-  List.exists (fun i -> Rel.Value.is_null tuple.(i)) cols
+let rec has_null cols tuple =
+  match cols with
+  | [] -> false
+  | i :: rest -> Rel.Value.is_null tuple.(i) || has_null rest tuple
+
+let rec match_at keys left right =
+  match keys with
+  | [] -> true
+  | (i, j) :: rest ->
+    Rel.Value.sql_equal left.(i) right.(j) && match_at rest left right

@@ -26,3 +26,6 @@ val comparison_driver :
 val has_null : int list -> Rel.Tuple.t -> bool
 (** Whether any of the key columns holds NULL — such a tuple never
     matches under SQL equality. *)
+
+val match_at : (int * int) list -> Rel.Tuple.t -> Rel.Tuple.t -> bool
+(** Whether [left.(i)] and [right.(j)] are SQL-equal for each [(i, j)]. *)

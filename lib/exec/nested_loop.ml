@@ -1,9 +1,7 @@
-let join counters preds ~outer ~make_inner =
-  let inner_schema = Operator.schema (make_inner ()) in
-  let out_schema = Rel.Schema.concat (Operator.schema outer) inner_schema in
-  let emit = Emit.joiner counters out_schema preds in
-  Operator.make out_schema (fun k ->
+let join counters preds ~outer ~inner_schema ~make_inner =
+  let left = Operator.schema outer in
+  let emit = Emit.joiner counters ~left ~right:inner_schema preds in
+  Operator.join (Rel.Schema.concat left inner_schema) (fun k ->
       Operator.iter
-        (fun left ->
-          Operator.iter (fun right -> emit k left right) (make_inner ()))
+        (fun l -> Operator.iter (fun r -> emit k l r) (make_inner ()))
         outer)

@@ -11,9 +11,12 @@ val join :
   Counters.t ->
   Query.Predicate.t list ->
   outer:Operator.t ->
+  inner_schema:Rel.Schema.t ->
   make_inner:(unit -> Operator.t) ->
   Operator.t
-(** [make_inner] must produce a fresh operator over the same input each
-    time it is called; it is called once when the join is built (for the
-    inner's schema) and once per outer tuple. Every emitted row goes
-    through {!Emit.joiner}, so it spends the counters' row budget. *)
+(** [make_inner] must produce a fresh operator of [inner_schema] over the
+    same input each time it is called; it is called once per outer tuple
+    and never when the join is built, so an inner whose construction does
+    work (a hash join's build side) is charged only when it is scanned.
+    Every emitted row goes through {!Emit.joiner}, so it spends the
+    counters' row budget. *)

@@ -1,11 +1,18 @@
-type t = {
-  schema : Rel.Schema.t;
-  iter : (Rel.Tuple.t -> unit) -> unit;
-}
+type t = { schema : Rel.Schema.t; produce : producer }
 
-let make schema iter = { schema; iter }
+and producer =
+  | Rows of ((Rel.Tuple.t -> unit) -> unit)
+  | Pairs of ((Rel.Tuple.t -> Rel.Tuple.t -> unit) -> unit)
+
+let make schema iter = { schema; produce = Rows iter }
+let join schema pairs = { schema; produce = Pairs pairs }
 let schema t = t.schema
-let iter k t = t.iter k
+
+let iter k t =
+  match t.produce with
+  | Rows produce -> produce k
+  | Pairs produce -> produce (fun l r -> k (Rel.Tuple.concat l r))
+
 let of_list schema tuples = make schema (fun k -> List.iter k tuples)
 
 let of_relation relation =
@@ -18,7 +25,9 @@ let to_relation t =
 
 let count t =
   let n = ref 0 in
-  iter (fun _ -> incr n) t;
+  (match t.produce with
+  | Rows produce -> produce (fun _ -> incr n)
+  | Pairs produce -> produce (fun _ _ -> incr n));
   !n
 
 let fold f acc t =

@@ -17,6 +17,11 @@ val make : Rel.Schema.t -> ((Rel.Tuple.t -> unit) -> unit) -> t
 (** [make schema produce]: running the operator calls [produce k], which
     must call [k] once per tuple, in order. *)
 
+val join :
+  Rel.Schema.t -> ((Rel.Tuple.t -> Rel.Tuple.t -> unit) -> unit) -> t
+(** A join, whose [produce] hands each output row on as the (left, right)
+    pair it joins: {!iter} concatenates it, {!count} does not. *)
+
 val schema : t -> Rel.Schema.t
 
 val iter : (Rel.Tuple.t -> unit) -> t -> unit

@@ -144,12 +144,11 @@ let comparison_merge counters emit ~lcol ~rcol ~op ~outer ~inner =
 
 let join counters preds ~outer ~inner =
   let left = Operator.schema outer and right = Operator.schema inner in
-  let out_schema = Rel.Schema.concat left right in
   let keys, residual = Join_keys.split ~left ~right preds in
   let produce =
     if keys <> [] then
       key_merge counters
-        (Emit.joiner counters out_schema residual)
+        (Emit.joiner counters ~left ~right residual)
         ~left_cols:(List.map fst keys) ~right_cols:(List.map snd keys) ~outer
         ~inner
     else
@@ -157,8 +156,8 @@ let join counters preds ~outer ~inner =
       | Some (driver, lcol, rcol, op) ->
         let residual = List.filter (fun p -> p != driver) residual in
         comparison_merge counters
-          (Emit.joiner counters out_schema residual)
+          (Emit.joiner counters ~left ~right residual)
           ~lcol ~rcol ~op ~outer ~inner
       | None -> invalid_arg "Sort_merge.join: no join key between the inputs"
   in
-  Operator.make out_schema produce
+  Operator.join (Rel.Schema.concat left right) produce

@@ -15,5 +15,12 @@ val compile_all : Rel.Schema.t -> Predicate.t list -> compiled
 (** Conjunction of all predicates; the empty list compiles to [fun _ ->
     true]. *)
 
+type compiled_pair = Rel.Tuple.t -> Rel.Tuple.t -> bool
+
+val compile_pair :
+  Rel.Schema.t -> split:int -> Predicate.t list -> compiled_pair
+(** {!compile_all} for a join's output schema, evaluated on the (left,
+    right) pair it concatenates; the left tuple holds [split] columns. *)
+
 val holds : Rel.Schema.t -> Predicate.t -> Rel.Tuple.t -> bool
 (** One-shot convenience around {!compile}. *)

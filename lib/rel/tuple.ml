@@ -20,8 +20,11 @@ let compare_at cols a b =
   in
   loop cols
 
-let hash_at cols t =
-  List.fold_left (fun acc i -> (acc * 31) + Value.hash t.(i)) 17 cols
+let rec hash_cols t acc = function
+  | [] -> acc
+  | i :: rest -> hash_cols t ((acc * 31) + Value.hash t.(i)) rest
+
+let hash_at cols t = hash_cols t 17 cols
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"

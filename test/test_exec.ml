@@ -35,7 +35,7 @@ let run_join method_ =
     match method_ with
     | `Nl ->
       Exec.Nested_loop.join counters [ join_pred ] ~outer:(outer ())
-        ~make_inner:inner
+        ~inner_schema:(Rel.Relation.schema (s ())) ~make_inner:inner
     | `Hash ->
       Exec.Hash_join.join counters [ join_pred ] ~outer:(outer ())
         ~inner:(inner ())
@@ -96,6 +96,7 @@ let test_null_keys_never_match () =
       | `Nl ->
         Exec.Nested_loop.join counters [ pred ]
           ~outer:(Exec.Operator.of_relation r)
+          ~inner_schema:(Rel.Relation.schema s)
           ~make_inner:(fun () -> Exec.Operator.of_relation s)
       | `Hash ->
         Exec.Hash_join.join counters [ pred ]
@@ -117,6 +118,7 @@ let test_cartesian_nested_loop () =
   let op =
     Exec.Nested_loop.join counters []
       ~outer:(Exec.Operator.of_relation (r ()))
+      ~inner_schema:(Rel.Relation.schema (s ()))
       ~make_inner:(fun () -> Exec.Operator.of_relation (s ()))
   in
   Alcotest.(check int) "cross product" 20 (Exec.Operator.count op)
@@ -159,6 +161,7 @@ let test_nested_loop_rescans_charge () =
   let op =
     Exec.Nested_loop.join counters [ join_pred ]
       ~outer:(Exec.Operator.of_relation (r ()))
+      ~inner_schema:(Rel.Relation.schema inner_rel)
       ~make_inner:(fun () -> Exec.Scan.relation counters inner_rel)
   in
   ignore (Exec.Operator.count op);

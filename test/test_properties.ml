@@ -185,6 +185,7 @@ let prop_join_methods_agree =
         rows
           (Exec.Nested_loop.join counters [ pred ]
              ~outer:(Exec.Operator.of_relation r)
+             ~inner_schema:(Rel.Relation.schema s)
              ~make_inner:(fun () -> Exec.Operator.of_relation s))
       in
       let hj =
@@ -715,6 +716,7 @@ let prop_comparison_sort_merge_oracle =
         rows
           (Exec.Nested_loop.join counters [ pred ]
              ~outer:(Exec.Operator.of_relation r)
+             ~inner_schema:(Rel.Relation.schema s)
              ~make_inner:(fun () -> Exec.Operator.of_relation s))
       in
       let sm =
