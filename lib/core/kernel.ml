@@ -410,14 +410,15 @@ let join_size k ~mask1 ~mask2 ~size1 ~size2 =
 
 let start_into k ~sizes ~bit = sizes.(1 lsl bit) <- k.rows.(bit)
 
-let extend_into_slot k ~sizes ~mask ~bit ~dst ~slot =
+let extend_into_slot k ~mask ~bit ~io ~src ~dst =
   k.steps <- k.steps + 1;
   accumulate k ~mask ~bit;
-  k.acc.(slot_left) <- sizes.(mask);
+  k.acc.(slot_left) <- io.(src);
   k.acc.(slot_right) <- k.rows.(bit);
   finish_size k ~site:"Incremental.extend" ~mask1:mask ~mask2:(1 lsl bit)
     ~bit;
-  dst.(slot) <- k.acc.(slot_result)
+  io.(dst) <- k.acc.(slot_result)
 
 let extend_into k ~sizes ~mask ~bit =
-  extend_into_slot k ~sizes ~mask ~bit ~dst:sizes ~slot:(mask lor (1 lsl bit))
+  extend_into_slot k ~mask ~bit ~io:sizes ~src:mask
+    ~dst:(mask lor (1 lsl bit))

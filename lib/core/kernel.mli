@@ -147,14 +147,11 @@ val extend_into : t -> sizes:float array -> mask:int -> bit:int -> unit
     delta per step after warmup, for the seven registry estimators). *)
 
 val extend_into_slot :
-  t ->
-  sizes:float array ->
-  mask:int ->
-  bit:int ->
-  dst:float array ->
-  slot:int ->
-  unit
-(** {!extend_into} writing [dst.(slot)] instead, so a caller can price a
-    candidate before deciding whether it replaces the size stored for
-    [mask lor (1 lsl bit)] — what the exhaustive DP enumerator does, once
-    per (subset, table) edge. Allocation-free in the same way. *)
+  t -> mask:int -> bit:int -> io:float array -> src:int -> dst:int -> unit
+(** [io.(dst) <- extend_size ~mask ~bit ~size:io.(src)]: {!extend_into}
+    with the outer size read from, and the output size written to, slots
+    of one caller-owned array, so a caller can price a candidate before
+    deciding whether to keep it and needs no array indexed by mask. Every
+    join enumerator extends a plan through it, via [Optimizer.Dp]'s edge
+    step, once per (plan, table) edge; exhaustive DP first copies the
+    mask's stored size into [io.(src)]. Allocation-free in the same way. *)

@@ -1,8 +1,8 @@
 (* Every formula is [@inline] so [join_into] evaluates them without a
    call, and so without boxing a float: under [-opaque] (dune's dev
-   profile) nothing inlines across modules, so the exhaustive enumerator
-   reaches them through [join_into]'s float-array slots. Without the
-   attributes the enumerator allocates about 11 words per expansion. *)
+   profile) nothing inlines across modules, so the enumerators reach them
+   through [join_into]'s float-array slots. Without the attributes the
+   exhaustive enumerator allocates about 11 words per expansion. *)
 
 let[@inline] sort_cost n =
   if n <= 1. then 0. else n *. (Float.log n /. Float.log 2.)

@@ -46,23 +46,12 @@ val index_nested_loop :
 (** Index build (one inner scan) plus one probe per outer tuple plus one
     read per matching inner tuple (≈ [out_rows]). *)
 
-val join :
-  Exec.Plan.join_method ->
-  outer_rows:float ->
-  inner_base_rows:float ->
-  inner_rows:float ->
-  out_rows:float ->
-  float
-(** The added cost of a join node with the given method: one of the four
-    formulas above. *)
+(** {2 Pricing a join}
 
-(** {2 Slot entry point}
-
-    {!join} over a caller-owned float array, for the exhaustive
-    enumerator's inner loop: a float passed to or returned from a
-    function in another module is boxed when the build does no
-    cross-module inlining (dune's dev profile compiles with [-opaque]),
-    and this entry point passes none. *)
+    Every enumerator prices a join node through one float array of slots,
+    so no float crosses a module boundary: a boxed one would be allocated
+    when the build does no cross-module inlining (dune's dev profile
+    compiles with [-opaque]). *)
 
 val slot_outer_rows : int
 val slot_inner_base_rows : int
@@ -74,5 +63,5 @@ val slots : int
 (** Length of an array {!join_into} reads and writes. *)
 
 val join_into : Exec.Plan.join_method -> float array -> unit
-(** [join_into method_ io] sets [io.(slot_cost)] to {!join} of the rows
-    in the other four slots. Allocation-free. *)
+(** [join_into method_ io] sets [io.(slot_cost)] to the method's formula
+    over the rows in the other four slots. Allocation-free. *)

@@ -15,44 +15,10 @@ let applies method_ ~connected ~equi =
   | Exec.Plan.Sort_merge -> connected
   | Exec.Plan.Hash | Exec.Plan.Index_nested_loop -> equi
 
-let method_applicable method_ eligible =
-  applies method_ ~connected:(eligible <> [])
-    ~equi:(List.exists Query.Predicate.is_equijoin eligible)
-
 let scan_plan profile table =
   let tp = Els.Profile.table profile table in
   Exec.Plan.scan ~source:tp.Els.Profile.source
     ~filters:(Els.Profile.scan_filters profile table) table
-
-let scan_node profile table =
-  let tp = Els.Profile.table profile table in
-  {
-    plan = scan_plan profile table;
-    state = Els.Incremental.start profile table;
-    cost = Cost.scan ~base_rows:tp.Els.Profile.base_rows;
-  }
-
-let extend profile node table method_ eligible =
-  let state = Els.Incremental.extend profile node.state table in
-  let tp = Els.Profile.table profile table in
-  let cost =
-    node.cost
-    +. Cost.join method_ ~outer_rows:node.state.Els.Incremental.size
-         ~inner_base_rows:tp.Els.Profile.base_rows
-         ~inner_rows:tp.Els.Profile.rows ~out_rows:state.Els.Incremental.size
-  in
-  {
-    plan =
-      Exec.Plan.Join
-        {
-          method_;
-          outer = node.plan;
-          inner = scan_plan profile table;
-          predicates = eligible;
-        };
-    state;
-    cost;
-  }
 
 (* A step with no eligible equi-key and no nested loop in [methods] has no
    physical operator at all: structured refusal, never [assert false]. *)
@@ -69,86 +35,231 @@ let no_method_error methods tables =
              (match tables with
              | [ t ] -> Printf.sprintf "table %S" t
              | ts -> Printf.sprintf "tables %s" (String.concat ", " ts))
-             (String.concat ", " (List.map Exec.Plan.method_name methods));
+             (String.concat ", "
+                (Array.to_list (Array.map Exec.Plan.method_name methods)));
        })
-
-let no_charge () = ()
-
-let best_extension ?(charge = no_charge) profile methods node table =
-  let eligible = Els.Incremental.eligible profile node.state table in
-  let candidates =
-    List.filter_map
-      (fun method_ ->
-        if method_applicable method_ eligible then begin
-          charge ();
-          Some (extend profile node table method_ eligible)
-        end
-        else None)
-      methods
-  in
-  match candidates with
-  | [] -> None
-  | first :: rest ->
-    let best =
-      List.fold_left
-        (fun acc node' -> if node'.cost < acc.cost then node' else acc)
-        first rest
-    in
-    Some (best, eligible <> [])
-
-let complete_order ?charge ~methods profile node order =
-  List.fold_left
-    (fun node table ->
-      match best_extension ?charge profile methods node table with
-      | Some (node', _) -> node'
-      | None -> no_method_error methods [ table ])
-    node order
-
-let plan_order ?charge ~methods profile order =
-  match order with
-  | [] -> invalid_arg "Dp.plan_order: empty order"
-  | first :: rest ->
-    complete_order ?charge ~methods profile (scan_node profile first) rest
-
-let greedy_step ?charge ~methods profile node remaining =
-  let candidates =
-    List.filter_map
-      (fun table ->
-        Option.map
-          (fun (node', connected) -> (table, node', connected))
-          (best_extension ?charge profile methods node table))
-      remaining
-  in
-  (* Prefer predicate-connected extensions, as DP does. *)
-  let connected = List.filter (fun (_, _, c) -> c) candidates in
-  let pool = if connected <> [] then connected else candidates in
-  match pool with
-  | [] -> no_method_error methods remaining
-  | first :: rest ->
-    let table, node', _ =
-      List.fold_left
-        (fun (bt, bn, bc) (t, n, c) ->
-          if n.cost < bn.cost then (t, n, c) else (bt, bn, bc))
-        first rest
-    in
-    (node', List.filter (fun t -> not (String.equal t table)) remaining)
-
-let rec greedy_complete ?charge ~methods profile node remaining =
-  if remaining = [] then node
-  else
-    let node', remaining' =
-      greedy_step ?charge ~methods profile node remaining
-    in
-    greedy_complete ?charge ~methods profile node' remaining'
 
 let max_tables = 20
 
-(* A back-pointer packs the bit of the table a mask's plan added last
-   with the index of its join method in [methods]; a seed stores its own
-   bit and method 0. Bits stay below 32 because n <= 20. *)
-let method_shift = 5
+type space = {
+  profile : Els.Profile.t;
+  kernel : Els.Kernel.t;
+  tables : string array;
+  methods : Exec.Plan.join_method array;
+  joins : int array;
+  equijoins : int array;
+  base_rows : float array;
+  rows : float array;
+  io : float array;
+  budget : Rel.Budget.t option;
+  mutable expansions : int;
+}
+
+let make_space ~who
+    ?(methods = [ Exec.Plan.Nested_loop; Exec.Plan.Sort_merge; Exec.Plan.Hash ])
+    ?budget profile tables =
+  if methods = [] then invalid_arg (who ^ ": no join methods");
+  let n = Array.length tables in
+  if n = 0 then invalid_arg (who ^ ": query with no tables");
+  (* Per table, the tables one join predicate away, and those one
+     equi-join away: connectivity and method applicability in one [land]
+     each. *)
+  let joins = Array.make n 0 and equijoins = Array.make n 0 in
+  for id = 0 to Els.Profile.pred_count profile - 1 do
+    let info = Els.Profile.pred profile id in
+    match info.Els.Profile.endpoints with
+    | None -> ()
+    | Some (a, b) ->
+      joins.(a) <- joins.(a) lor (1 lsl b);
+      joins.(b) <- joins.(b) lor (1 lsl a);
+      if Query.Predicate.is_equijoin info.Els.Profile.pred then begin
+        equijoins.(a) <- equijoins.(a) lor (1 lsl b);
+        equijoins.(b) <- equijoins.(b) lor (1 lsl a)
+      end
+  done;
+  let table_at bit = Els.Profile.table_at profile bit in
+  {
+    profile;
+    kernel = Els.Profile.kernel profile;
+    tables;
+    methods = Array.of_list methods;
+    joins;
+    equijoins;
+    base_rows = Array.init n (fun bit -> (table_at bit).Els.Profile.base_rows);
+    rows = Array.init n (fun bit -> (table_at bit).Els.Profile.rows);
+    io = Array.make Cost.slots 0.;
+    budget;
+    expansions = 0;
+  }
+
+let space ~who ?methods ?budget profile query =
+  make_space ~who ?methods ?budget profile (Array.of_list query.Query.tables)
+
+let expansions s = s.expansions
+
+(* One expansion = one seed scan of DP or one (edge, method) candidate;
+   [spend_node] also probes the deadline, so exhaustion is detected
+   within one expansion of the limit. *)
+let charge s =
+  s.expansions <- s.expansions + 1;
+  match s.budget with None -> () | Some b -> Rel.Budget.spend_node_exn b 1
+
+let boundary s =
+  match s.budget with None -> () | Some b -> Rel.Budget.check_exn b
+
+(* The same space with no budget and a count of its own: the rungs that
+   run after a budget trip charge neither. *)
+let unbudgeted s = { s with budget = None }
+
+(* The one extension step of every enumerator. Charges each applicable
+   method of joining table [bit] onto a plan over [mask] whose size is in
+   [io.(slot_outer_rows)], runs one kernel step after the first charge,
+   prices the method into [io.(slot_cost)] and hands the candidate to
+   [candidate mask bit j] ([j] indexes [methods]), which reads the output
+   size and join cost from [io]. It chooses nothing: each caller keeps
+   its own tie rule. *)
+let edge s ~mask ~bit candidate =
+  let connected = s.joins.(bit) land mask <> 0 in
+  let equi = s.equijoins.(bit) land mask <> 0 in
+  let stepped = ref false in
+  for j = 0 to Array.length s.methods - 1 do
+    if applies s.methods.(j) ~connected ~equi then begin
+      charge s;
+      if not !stepped then begin
+        stepped := true;
+        Els.Kernel.extend_into_slot s.kernel ~mask ~bit ~io:s.io
+          ~src:Cost.slot_outer_rows ~dst:Cost.slot_out_rows;
+        s.io.(Cost.slot_inner_base_rows) <- s.base_rows.(bit);
+        s.io.(Cost.slot_inner_rows) <- s.rows.(bit)
+      end;
+      Cost.join_into s.methods.(j) s.io;
+      candidate mask bit j
+    end
+  done
+
+(* A join step packs the bit of the table it adds with the index of its
+   method in [methods]; DP's back-pointers pack the same way, a seed
+   storing its own bit and method 0. Bits stay below 62, the profile's
+   limit. *)
+let method_shift = 6
 let back_bit p = p land ((1 lsl method_shift) - 1)
 let back_method p = p lsr method_shift
+
+(* A left-deep plan under construction: its packed steps, newest first,
+   down to its first table's; the estimated size after each join, newest
+   first; the set of its tables, its size and its cost. *)
+type path = {
+  steps : int list;
+  history : float list;
+  mask : int;
+  size : float;
+  cost : float;
+}
+
+let path_cost p = p.cost
+
+let start s bit =
+  let cost = Cost.scan ~base_rows:s.base_rows.(bit) in
+  let size = s.rows.(bit) in
+  { steps = [ bit ]; history = []; mask = 1 lsl bit; size; cost }
+
+(* The table with the smallest effective cardinality, first on ties. *)
+let smallest s =
+  let best = ref 0 in
+  Array.iteri (fun bit r -> if r < s.rows.(!best) then best := bit) s.rows;
+  !best
+
+(* One greedy step over the tables [among] (see [greedy_complete] in the
+   interface); [extend_in_order] takes steps over one table each. *)
+let step s p among =
+  let table = ref None in
+  let keep _mask bit j =
+    let cost = p.cost +. s.io.(Cost.slot_cost) in
+    match !table with
+    | Some t when not (cost < t.cost) -> ()
+    | Some _ | None ->
+      let size = s.io.(Cost.slot_out_rows) in
+      let steps = ((j lsl method_shift) lor bit) :: p.steps in
+      let mask = p.mask lor (1 lsl bit) in
+      table := Some { steps; history = size :: p.history; mask; size; cost }
+  in
+  s.io.(Cost.slot_outer_rows) <- p.size;
+  let candidates =
+    List.filter_map
+      (fun bit ->
+        table := None;
+        edge s ~mask:p.mask ~bit keep;
+        match !table with
+        | None -> None
+        | Some t -> Some (s.joins.(bit) land p.mask <> 0, t))
+      among
+  in
+  let pool =
+    match List.filter fst candidates with [] -> candidates | pool -> pool
+  in
+  match pool with
+  | [] -> no_method_error s.methods (List.map (fun b -> s.tables.(b)) among)
+  | (_, first) :: rest ->
+    List.fold_left
+      (fun best (_, p') -> if p'.cost < best.cost then p' else best)
+      first rest
+
+let extend_in_order s p order =
+  List.fold_left
+    (fun p bit -> if p.mask land (1 lsl bit) <> 0 then p else step s p [ bit ])
+    p order
+
+let absent s p =
+  List.init (Array.length s.tables) Fun.id
+  |> List.filter (fun bit -> p.mask land (1 lsl bit) = 0)
+
+let left_deep s p = extend_in_order (unbudgeted s) p (absent s p)
+
+let rec greedy_complete s p =
+  match absent s p with
+  | [] -> (p, None)
+  | among -> (
+    match step s p among with
+    | p' -> greedy_complete s p'
+    | exception Rel.Budget.Exhausted resource -> (p, Some resource))
+
+(* The plan over [mask] whose steps, newest first, are [steps];
+   [eligible] reads only a state's tables. *)
+let rec plan_of s state mask steps =
+  let step = List.hd steps in
+  let bit = back_bit step in
+  let outer = mask lxor (1 lsl bit) in
+  let scan = scan_plan s.profile s.tables.(bit) in
+  if outer = 0 then scan
+  else
+    Exec.Plan.Join
+      {
+        method_ = s.methods.(back_method step);
+        outer = plan_of s state outer (List.tl steps);
+        inner = scan;
+        predicates =
+          Els.Incremental.eligible s.profile
+            { state with Els.Incremental.mask = outer }
+            s.tables.(bit);
+      }
+
+(* The plan, estimation state and cost of [p], built once: eligible
+   predicates and scan filters are computed on this path only. *)
+let node s p =
+  let state =
+    { Els.Incremental.mask = p.mask; size = p.size; rev_history = p.history }
+  in
+  { plan = plan_of s state p.mask p.steps; state; cost = p.cost }
+
+let plan_order ~methods profile order =
+  if order = [] then invalid_arg "Dp.plan_order: empty order";
+  let s =
+    make_space ~who:"Dp.plan_order" ~methods profile
+      (Array.init (Els.Profile.table_count profile)
+         (Els.Profile.table_name profile))
+  in
+  let bits = List.map (Els.Profile.table_bit profile) order in
+  node s (extend_in_order s (start s (List.hd bits)) bits)
 
 (* Gosper's hack: the next larger int with the same number of set bits,
    so each subset size is visited in ascending mask order. *)
@@ -162,12 +273,9 @@ let next_same_popcount x =
    its back-pointer (-1: unreached). *)
 type arrays = { costs : float array; sizes : float array; backs : int array }
 
-(* Each domain keeps the arrays of its last call for the next one.
+(* Each domain keeps the arrays of its last call for the next one;
    [Atomic.exchange] hands them to one call at a time and leaves [taken]
-   in the slot, so a re-entrant call, a second systhread on the domain, or
-   the call after one that raised finds no arrays and allocates its own.
-   Arrays longer than [max_retained] entries (2^16, 1.5 MiB over the
-   three) are not kept. *)
+   in the slot (see the interface). *)
 let taken = { costs = [||]; sizes = [||]; backs = [||] }
 
 let spare : arrays Atomic.t Domain.DLS.key =
@@ -194,13 +302,18 @@ let give_back a =
   if Array.length a.backs <= max_retained then
     Atomic.set (Domain.DLS.get spare) a
 
-let optimize_traced
-    ?(methods = [ Exec.Plan.Nested_loop; Exec.Plan.Sort_merge; Exec.Plan.Hash ])
-    ?budget profile query =
-  if methods = [] then invalid_arg "Dp.optimize: no join methods";
-  let tables = Array.of_list query.Query.tables in
-  let n = Array.length tables in
-  if n = 0 then invalid_arg "Dp.optimize: query with no tables";
+(* The steps and sizes a reached mask's back-pointers record, newest
+   first. *)
+let rec back_steps back m =
+  if m = 0 then []
+  else back.(m) :: back_steps back (m lxor (1 lsl back_bit back.(m)))
+
+let rec back_history back sizes m =
+  let outer = m lxor (1 lsl back_bit back.(m)) in
+  if outer = 0 then [] else sizes.(m) :: back_history back sizes outer
+
+let optimize_traced ?methods ?budget profile query =
+  let n = List.length query.Query.tables in
   if n > max_tables then
     Els.Els_error.raise_
       (Els.Els_error.Invalid_query
@@ -211,91 +324,36 @@ let optimize_traced
                 %d; the greedy and random enumerators have no such limit"
                max_tables n;
          });
-  let expansions = ref 0 in
-  (* One node expansion = one seed scan or one (edge, method) candidate
-     charged to the budget; [spend_node] also probes the deadline, so
-     exhaustion is detected within one expansion of the limit. *)
-  let charge () =
-    incr expansions;
-    match budget with
-    | None -> ()
-    | Some b -> Rel.Budget.spend_node_exn b 1
-  in
-  let boundary () =
-    match budget with None -> () | Some b -> Rel.Budget.check_exn b
-  in
-  let kernel = Els.Profile.kernel profile in
-  let methods_arr = Array.of_list methods in
+  let s = space ~who:"Dp.optimize" ?methods ?budget profile query in
   let full = (1 lsl n) - 1 in
   let arrays = take_arrays (full + 1) in
   let { costs = cost; sizes = size; backs = back } = arrays in
-  (* Per table, the tables one join predicate away, and those one
-     equi-join away: connectivity and method applicability in one [land]
-     each. *)
-  let joins = Array.make n 0 and equijoins = Array.make n 0 in
-  for id = 0 to Els.Profile.pred_count profile - 1 do
-    let info = Els.Profile.pred profile id in
-    match info.Els.Profile.endpoints with
-    | None -> ()
-    | Some (a, b) ->
-      joins.(a) <- joins.(a) lor (1 lsl b);
-      joins.(b) <- joins.(b) lor (1 lsl a);
-      if Query.Predicate.is_equijoin info.Els.Profile.pred then begin
-        equijoins.(a) <- equijoins.(a) lor (1 lsl b);
-        equijoins.(b) <- equijoins.(b) lor (1 lsl a)
-      end
-  done;
-  let table_at bit = Els.Profile.table_at profile bit in
-  let base_rows =
-    Array.init n (fun bit -> (table_at bit).Els.Profile.base_rows)
-  in
-  let rows = Array.init n (fun bit -> (table_at bit).Els.Profile.rows) in
-  let scan_cost = Array.map (fun base_rows -> Cost.scan ~base_rows) base_rows in
-  let io = Array.make Cost.slots 0. in
-  (* Every applicable method of the edge [mask] -> [mask ∪ {bit}] is
-     charged and costed from one kernel step, run after the first
-     charge. A candidate replaces the incumbent unless the incumbent
-     costs no more, so ties keep the first. *)
-  let extend_edge mask bit ~connected ~equi =
+  let io = s.io in
+  (* A candidate replaces the incumbent unless the incumbent costs no
+     more, so ties keep the first. *)
+  let candidate mask bit j =
     let target = mask lor (1 lsl bit) in
-    let stepped = ref false in
-    for j = 0 to Array.length methods_arr - 1 do
-      let method_ = methods_arr.(j) in
-      if applies method_ ~connected ~equi then begin
-        charge ();
-        if not !stepped then begin
-          stepped := true;
-          Els.Kernel.extend_into_slot kernel ~sizes:size ~mask ~bit ~dst:io
-            ~slot:Cost.slot_out_rows;
-          io.(Cost.slot_outer_rows) <- size.(mask);
-          io.(Cost.slot_inner_base_rows) <- base_rows.(bit);
-          io.(Cost.slot_inner_rows) <- rows.(bit)
-        end;
-        Cost.join_into method_ io;
-        let c = cost.(mask) +. io.(Cost.slot_cost) in
-        if back.(target) < 0 || not (cost.(target) <= c) then begin
-          cost.(target) <- c;
-          size.(target) <- io.(Cost.slot_out_rows);
-          back.(target) <- (j lsl method_shift) lor bit
-        end
-      end
-    done
+    let c = cost.(mask) +. io.(Cost.slot_cost) in
+    if back.(target) < 0 || not (cost.(target) <= c) then begin
+      cost.(target) <- c;
+      size.(target) <- io.(Cost.slot_out_rows);
+      back.(target) <- (j lsl method_shift) lor bit
+    end
   in
   (* Prefer predicate-connected extensions: cartesian steps are
      considered only when no absent table connects at all. *)
   let expand mask =
+    io.(Cost.slot_outer_rows) <- size.(mask);
     let any_connected = ref false in
     for bit = 0 to n - 1 do
-      if mask land (1 lsl bit) = 0 && joins.(bit) land mask <> 0 then
+      if mask land (1 lsl bit) = 0 && s.joins.(bit) land mask <> 0 then
         any_connected := true
     done;
     for bit = 0 to n - 1 do
-      if mask land (1 lsl bit) = 0 then begin
-        let connected = joins.(bit) land mask <> 0 in
-        if connected || not !any_connected then
-          extend_edge mask bit ~connected
-            ~equi:(equijoins.(bit) land mask <> 0)
-      end
+      if
+        mask land (1 lsl bit) = 0
+        && (s.joins.(bit) land mask <> 0 || not !any_connected)
+      then edge s ~mask ~bit candidate
     done
   in
   (* Highest subset size whose entries are final. Entries of size s+1
@@ -306,16 +364,16 @@ let optimize_traced
   let completed_size = ref 0 in
   let enumerate () =
     for bit = 0 to n - 1 do
-      charge ();
-      Els.Kernel.start_into kernel ~sizes:size ~bit;
-      cost.(1 lsl bit) <- scan_cost.(bit);
+      charge s;
+      Els.Kernel.start_into s.kernel ~sizes:size ~bit;
+      cost.(1 lsl bit) <- Cost.scan ~base_rows:s.base_rows.(bit);
       back.(1 lsl bit) <- bit
     done;
     completed_size := 1;
     (* Grow subsets in increasing size so every mask is final before it is
        extended. *)
     for k = 1 to n - 1 do
-      boundary ();
+      boundary s;
       let mask = ref ((1 lsl k) - 1) in
       while !mask <= full do
         if back.(!mask) >= 0 then expand !mask;
@@ -324,57 +382,29 @@ let optimize_traced
       completed_size := k + 1
     done
   in
-  (* The node the back-pointers record for a reached mask, rebuilt from
-     the stored sizes and costs: no kernel step reruns. *)
-  let rec node_of mask =
-    let p = back.(mask) in
-    let bit = back_bit p in
-    let outer = mask lxor (1 lsl bit) in
-    let state rev_history =
-      { Els.Incremental.mask; size = size.(mask); rev_history }
-    in
-    if outer = 0 then
-      {
-        plan = scan_plan profile tables.(bit);
-        state = state [];
-        cost = cost.(mask);
-      }
-    else
-      let prefix = node_of outer in
-      {
-        plan =
-          Exec.Plan.Join
-            {
-              method_ = methods_arr.(back_method p);
-              outer = prefix.plan;
-              inner = scan_plan profile tables.(bit);
-              predicates =
-                Els.Incremental.eligible profile prefix.state tables.(bit);
-            };
-        state =
-          state (size.(mask) :: prefix.state.Els.Incremental.rev_history);
-        cost = cost.(mask);
-      }
+  (* The path the back-pointers record for a reached mask. *)
+  let path_of mask =
+    {
+      steps = back_steps back mask;
+      history = back_history back size mask;
+      mask;
+      size = size.(mask);
+      cost = cost.(mask);
+    }
   in
-  (* Anytime fallback on exhaustion: pick the cheapest among a ladder of
-     candidates whose set only grows with the budget (stopping later never
-     removes a candidate), so with the same inputs a bigger budget can
-     never choose a costlier plan:
-     - the best full plan found so far (deterministic prefix of the
-       expansion order);
-     - a greedy completion of the cheapest mask of each finalized subset
-       size (budget-independent states, largest size first so ties prefer
-       the most DP-informed plan);
-     - the FROM-order left-deep fallback (budget-independent, last so it
-       only wins when strictly cheaper). *)
+  (* On exhaustion, the cheapest rung of the anytime ladder (see the
+     interface): each candidate is budget-independent or a deterministic
+     prefix of the expansion order, so a bigger budget never removes one,
+     and ties keep the earlier rung. The rungs after the first are not
+     charged. *)
   let anytime_result resource =
     let attempt rung f =
       match f () with
-      | node -> Some (rung, node)
+      | p -> Some (rung, p)
       | exception Els.Els_error.Error _ -> None
     in
     let full_candidate =
-      if back.(full) >= 0 then Some (Provenance.Dp, node_of full) else None
+      if back.(full) >= 0 then Some (Provenance.Dp, path_of full) else None
     in
     let cheapest_of_size k =
       let best = ref (-1) in
@@ -393,43 +423,37 @@ let optimize_traced
           let mask = cheapest_of_size k in
           if mask < 0 then None
           else
-            let remaining =
-              List.filteri
-                (fun bit _ -> mask land (1 lsl bit) = 0)
-                (Array.to_list tables)
-            in
             attempt Provenance.Greedy (fun () ->
-                greedy_complete ~methods profile (node_of mask) remaining))
+                fst (greedy_complete (unbudgeted s) (path_of mask))))
         (List.init !completed_size (fun i -> !completed_size - i))
     in
-    let left_deep =
-      attempt Provenance.Left_deep_fallback (fun () ->
-          plan_order ~methods profile (Array.to_list tables))
+    let fallback =
+      attempt Provenance.Left_deep_fallback (fun () -> left_deep s (start s 0))
     in
     let candidates =
-      Option.to_list full_candidate @ completions @ Option.to_list left_deep
+      Option.to_list full_candidate @ completions @ Option.to_list fallback
     in
     match candidates with
-    | [] -> no_method_error methods (Array.to_list tables)
-    | (rung0, node0) :: rest ->
-      let rung, node =
+    | [] -> no_method_error s.methods (Array.to_list s.tables)
+    | (rung0, p0) :: rest ->
+      let rung, p =
         List.fold_left
-          (fun (br, bn) (r, n') ->
-            if n'.cost < bn.cost then (r, n') else (br, bn))
-          (rung0, node0) rest
+          (fun (br, bp) (r, p') ->
+            if p'.cost < bp.cost then (r, p') else (br, bp))
+          (rung0, p0) rest
       in
-      (node, Provenance.degraded rung resource ~expansions:!expansions)
+      (node s p, Provenance.degraded rung resource ~expansions:s.expansions)
   in
   let result =
     match enumerate () with
     | () ->
       if back.(full) >= 0 then
-        ( node_of full,
-          Provenance.completed Provenance.Dp ~expansions:!expansions )
+        ( node s (path_of full),
+          Provenance.completed Provenance.Dp ~expansions:s.expansions )
       else
         (* Reachable only when [methods] lacks nested loop and some subset
            has no equi-connected extension. *)
-        no_method_error methods (Array.to_list tables)
+        no_method_error s.methods (Array.to_list s.tables)
     | exception Rel.Budget.Exhausted resource -> anytime_result resource
   in
   give_back arrays;

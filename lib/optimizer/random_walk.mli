@@ -4,14 +4,15 @@
     randomized query optimizers [14, 5]. This enumerator searches the
     space of left-deep join orders by iterative improvement: random
     restarts, each descending through random adjacent-swap neighbors until
-    no accepted move occurs for a while. Each visited order is costed by
-    {!Dp.plan_order}, the cheapest join method per step.
+    no accepted move occurs for a while. Each visited order is costed once
+    by {!Dp.extend_in_order}, the cheapest join method per step, and a
+    restart keeps its descent's final plan without costing it again.
 
     Deterministic given [seed]. With a {!Rel.Budget} the walk checks the
     deadline between restarts and charges every costed extension; on
     exhaustion it returns the best complete order costed so far (rung
-    {!Provenance.Random_walk}), or the FROM-order fallback when not even
-    one costing finished. *)
+    {!Provenance.Random_walk}), or the {!Dp.left_deep} fallback when no
+    descent finished. *)
 
 val optimize :
   ?methods:Exec.Plan.join_method list ->

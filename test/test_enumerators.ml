@@ -101,7 +101,7 @@ let test_single_and_two_tables () =
         ])
     [ one; two ]
 
-(* Goldens for the greedy loop ([Dp.greedy_step]) that Greedy and DP's
+(* Goldens for the greedy loop ([Dp.greedy_complete]) that Greedy and DP's
    anytime ladder share: the chosen join order, the join methods
    innermost first, the cost as a hex float and the provenance (rung,
    budget trip, expansion count), under no budget and node budgets 3 and
@@ -190,6 +190,83 @@ let test_greedy_goldens () =
       Alcotest.(check string) (label "provenance") prov
         (Optimizer.Provenance.to_string provenance))
     greedy_goldens
+
+(* Random-walk goldens on the same workloads, seed 1: orders, methods and
+   costs captured before the walk moved onto DP's edge step. Only the
+   completed runs' expansion counts moved since (4080, 2368 and 436
+   before), because a restart no longer prices its final order twice. *)
+let random_walk_goldens =
+  [
+    ( "chain6", None, "t5,t4,t6,t2,t3,t1", "HJ,HJ,HJ,HJ,HJ",
+      "0x1.1a35a857f989cp+24", "random-walk (completed, 3960 expansions)" );
+    ( "chain6", Some 3, "t1,t2,t3,t4,t5,t6", "HJ,HJ,HJ,HJ,HJ",
+      "0x1.93a9397ba3a08p+24", "left-deep-fallback (nodes budget exhausted after 4 expansions)" );
+    ( "chain6", Some 20, "t1,t2,t3,t4,t5,t6", "HJ,HJ,HJ,HJ,HJ",
+      "0x1.93a9397ba3a08p+24", "left-deep-fallback (nodes budget exhausted after 21 expansions)" );
+    ( "zipf-star4", None, "fact,d1,d2,d4,d3", "HJ,HJ,HJ,HJ",
+      "0x1.0cf3f16cddadbp+22", "random-walk (completed, 2272 expansions)" );
+    ( "zipf-star4", Some 3, "fact,d1,d2,d3,d4", "HJ,HJ,HJ,HJ",
+      "0x1.2e76ec131ea38p+22", "left-deep-fallback (nodes budget exhausted after 4 expansions)" );
+    ( "zipf-star4", Some 20, "fact,d1,d2,d3,d4", "HJ,HJ,HJ,HJ",
+      "0x1.2e76ec131ea38p+22", "left-deep-fallback (nodes budget exhausted after 21 expansions)" );
+    ( "cmp-chain3", None, "c1,c2,c3", "HJ,SM",
+      "0x1.8c7477eb24c6bp+22", "random-walk (completed, 396 expansions)" );
+    ( "cmp-chain3", Some 3, "c1,c2,c3", "HJ,SM",
+      "0x1.8c7477eb24c6bp+22", "left-deep-fallback (nodes budget exhausted after 4 expansions)" );
+    ( "cmp-chain3", Some 20, "c1,c2,c3", "HJ,SM",
+      "0x1.8c7477eb24c6bp+22", "left-deep-fallback (nodes budget exhausted after 21 expansions)" );
+  ]
+
+let test_random_walk_goldens () =
+  List.iter
+    (fun (workload, node_budget, order, methods, cost, prov) ->
+      let spec = List.assoc workload golden_workloads in
+      let q = spec.Datagen.Workload.query in
+      let profile = Els.prepare Els.Config.els spec.Datagen.Workload.db q in
+      let budget =
+        Option.map (fun n -> Rel.Budget.create ~node_budget:n ()) node_budget
+      in
+      let node, provenance =
+        Optimizer.Random_walk.optimize_traced ?budget profile q
+      in
+      let label what =
+        Printf.sprintf "%s/%s: %s" workload
+          (match node_budget with None -> "-" | Some n -> string_of_int n)
+          what
+      in
+      let plan = node.Optimizer.Dp.plan in
+      Alcotest.(check string) (label "order") order
+        (String.concat "," (Exec.Plan.join_order plan));
+      Alcotest.(check string) (label "methods") methods
+        (String.concat "," (plan_methods plan));
+      Alcotest.(check string) (label "cost") cost
+        (Printf.sprintf "%h" node.Optimizer.Dp.cost);
+      Alcotest.(check string) (label "provenance") prov
+        (Optimizer.Provenance.to_string provenance))
+    random_walk_goldens
+
+(* Greedy and the random walk run one kernel step per (plan, table) edge,
+   however many join methods they charge on it: on the chain6 golden
+   workload, where every step has three applicable methods, a third of
+   the expansions. *)
+let test_one_kernel_step_per_edge () =
+  let spec = List.assoc "chain6" golden_workloads in
+  let q = spec.Datagen.Workload.query in
+  List.iter
+    (fun (name, optimize, steps, expansions) ->
+      let profile = Els.prepare Els.Config.els spec.Datagen.Workload.db q in
+      let before = Els.Profile.kernel_steps profile in
+      let _, provenance = optimize profile q in
+      Alcotest.(check int) (name ^ ": kernel steps") steps
+        (Els.Profile.kernel_steps profile - before);
+      Alcotest.(check int) (name ^ ": expansions") expansions
+        provenance.Optimizer.Provenance.expansions)
+    [
+      ("greedy", (fun p q -> Optimizer.Greedy.optimize_traced p q), 15, 45);
+      ( "random walk",
+        (fun p q -> Optimizer.Random_walk.optimize_traced p q),
+        1320, 3960 );
+    ]
 
 (* DP plan goldens, captured before the exhaustive enumerator moved from
    per-mask plan nodes to per-mask arrays. The greedy scenarios plus
@@ -591,6 +668,10 @@ let suite =
     Alcotest.test_case "degenerate table counts" `Quick
       test_single_and_two_tables;
     Alcotest.test_case "greedy: plan goldens" `Quick test_greedy_goldens;
+    Alcotest.test_case "random walk: plan goldens" `Quick
+      test_random_walk_goldens;
+    Alcotest.test_case "greedy and random walk: one kernel step per edge"
+      `Quick test_one_kernel_step_per_edge;
     Alcotest.test_case "dp: plan goldens" `Quick test_dp_goldens;
     Alcotest.test_case "dp: cost ties keep the first candidate" `Quick
       test_dp_ties_keep_first;

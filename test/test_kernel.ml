@@ -594,6 +594,53 @@ let prop_kernel_budget_identity =
                 = prov'.Optimizer.Provenance.expansions)
            [ 3; 25; 10_000_000 ])
 
+(* Greedy and the random walk extend plans through DP's edge step; with
+   the same node budget (or none) the chosen plan's size history must
+   equal the reference tier's replay of its join order, whichever rung
+   answered, and a repeated run must charge the same expansions, land on
+   the same rung and cost the same. *)
+let prop_enumerators_budget_identity =
+  QCheck2.Test.make ~count:40
+    ~name:"budgeted greedy and random walk identical on kernel and reference tiers"
+    ~print:print_workload gen_workload (fun workload ->
+      let db, query, _ = build_workload workload in
+      let profile = Els.prepare Els.Config.els db query in
+      let replays (node : Optimizer.Dp.node) =
+        List.for_all2 Float.equal
+          (Els.Incremental.history node.Optimizer.Dp.state)
+          (Els.Incremental.history
+             (Els.Incremental.estimate_order_scan profile
+                (Exec.Plan.join_order node.Optimizer.Dp.plan)))
+      in
+      let enumerators =
+        [
+          Optimizer.Greedy.optimize_traced ~methods;
+          Optimizer.Random_walk.optimize_traced ~methods ~seed:3;
+        ]
+      in
+      List.for_all
+        (fun optimize ->
+          List.for_all
+            (fun node_budget ->
+              let run () =
+                let budget =
+                  Option.map
+                    (fun node_budget -> Rel.Budget.create ~node_budget ())
+                    node_budget
+                in
+                optimize ?budget profile query
+              in
+              let node, prov = run () in
+              let node', prov' = run () in
+              replays node
+              && Float.equal node.Optimizer.Dp.cost node'.Optimizer.Dp.cost
+              && prov.Optimizer.Provenance.rung
+                 = prov'.Optimizer.Provenance.rung
+              && prov.Optimizer.Provenance.expansions
+                 = prov'.Optimizer.Provenance.expansions)
+            [ None; Some 3; Some 25; Some 10_000_000 ])
+        enumerators)
+
 (* --- one-selectivity-per-class regression --- *)
 
 (* Triangle query: joining t3 into {t1, t2} has two eligible predicates in
@@ -678,4 +725,8 @@ let suite =
       `Quick test_corrupted_degrees;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_kernel_matches_reference; prop_kernel_budget_identity ]
+      [
+        prop_kernel_matches_reference;
+        prop_kernel_budget_identity;
+        prop_enumerators_budget_identity;
+      ]

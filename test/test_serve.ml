@@ -307,6 +307,9 @@ let test_session_too_many_tables () =
       Printf.sprintf
         {|{"id":"greedy21","op":"explain","sql":"%s","enumerator":"greedy"}|}
         (self_join_sql 21);
+      Printf.sprintf
+        {|{"id":"random21","op":"explain","sql":"%s","enumerator":"random"}|}
+        (self_join_sql 21);
       Printf.sprintf {|{"id":"dp63","op":"explain","sql":"%s"}|}
         (self_join_sql 63);
       {|{"id":"d","op":"drain"}|};
@@ -322,6 +325,8 @@ let test_session_too_many_tables () =
     (Some "invalid-query") dp21.kind;
   Alcotest.(check bool) "21 tables under greedy answered" true
     (by_id responses "greedy21").ok;
+  Alcotest.(check bool) "21 tables under random walk answered" true
+    (by_id responses "random21").ok;
   let dp63 = by_id responses "dp63" in
   Alcotest.(check bool) "63 tables refused" false dp63.ok;
   Alcotest.(check (option string)) "63 tables: invalid-query"
