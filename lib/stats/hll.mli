@@ -9,7 +9,11 @@
 
     Sketches are immutable values: [add_values] and [merge] return fresh
     sketches and never mutate their inputs, so a sketch frozen into a
-    catalog epoch cannot be changed behind a pinned reader's back.
+    catalog epoch cannot be changed behind a pinned reader's back. The
+    distinct estimate is therefore computed once, when a sketch's
+    registers become final: every constructor pays one pass over the
+    [2^p] registers, and {!estimate} is a field read. Building a sketch
+    allocates nothing per value.
 
     Deletions cannot be subtracted from a sketch — after deletes the
     sketch over-remembers, which is exactly the "d-drift" the catalog
@@ -39,7 +43,8 @@ val merge : t -> t -> t
 val estimate : t -> float
 (** Estimated distinct count: the classic bias-corrected harmonic mean
     with linear counting in the small range. Deterministic; an empty
-    sketch estimates 0. *)
+    sketch estimates 0. O(1) at any precision: the value was computed
+    when the sketch was built, so it is safe to read from any domain. *)
 
 val equal : t -> t -> bool
 (** Register-level equality (same precision, same registers). *)

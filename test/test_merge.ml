@@ -77,6 +77,94 @@ let test_hll_shards_equal_bulk () =
         (Stats.Hll.equal bulk merged))
     [ 2; 3; 7 ]
 
+(* Estimates pinned as hex floats; never re-capture them to make a
+   change pass. The rows span both estimator regimes: linear counting
+   while registers are empty, the harmonic mean once all are set (p=4
+   from 1,000 values, p=12 at 20,000, p=16 at 200,000), so a change to
+   any value's hash, register index or rank moves some row. *)
+let golden_ints n = Array.init n (fun i -> Rel.Value.Int (i + 1))
+
+let golden_mixed n =
+  Array.append
+    Rel.Value.
+      [|
+        String ""; String (String.make 100 'y'); Float (-0.); Float 0.;
+        Float Float.nan; Float Float.neg_infinity; Bool true; Null;
+      |]
+  @@ Array.init n (fun i ->
+         match i mod 4 with
+         | 0 -> Rel.Value.Float ((float_of_int i *. 0.25) -. 100.)
+         | 1 -> Rel.Value.String (String.make (i mod 11) 'x' ^ string_of_int i)
+         | 2 -> Rel.Value.Bool (i mod 3 = 0)
+         | _ -> Rel.Value.Null)
+
+let test_hll_goldens () =
+  let open Stats.Hll in
+  let sketches =
+    List.concat_map
+      (fun p ->
+        List.map
+          (fun n -> (Printf.sprintf "p=%d n=%d" p n, of_values ~p (golden_ints n)))
+          [ 0; 10; 1000; 20000 ])
+      [ 4; 12; 16 ]
+    @ [
+        ("p=16 n=200000", of_values ~p:16 (golden_ints 200_000));
+        ("create p=12", create ());
+        ("mixed p=4", of_values ~p:4 (golden_mixed 3000));
+        ("mixed p=12", of_values (golden_mixed 3000));
+        ( "merge p=12",
+          merge
+            (of_values (Array.sub (golden_ints 3000) 0 2000))
+            (of_values (Array.sub (golden_ints 3000) 1000 2000)) );
+        ( "add_values p=12",
+          add_values (of_values (golden_mixed 3000)) (golden_ints 5000) );
+      ]
+  in
+  let expected =
+    [
+      ("p=4 n=0", "0x0p+0");
+      ("p=4 n=10", "0x1.62e42fefa39efp+3");
+      ("p=4 n=1000", "0x1.fc49f4980ddb6p+9");
+      ("p=4 n=20000", "0x1.c2bc0b61b5001p+13");
+      ("p=12 n=0", "0x0p+0");
+      ("p=12 n=10", "0x1.406429be3c812p+3");
+      ("p=12 n=1000", "0x1.f7a67c9e933e1p+9");
+      ("p=12 n=20000", "0x1.36fff3b77b7c5p+14");
+      ("p=16 n=0", "0x0p+0");
+      ("p=16 n=10", "0x1.40064029ab011p+3");
+      ("p=16 n=1000", "0x1.f3cacf1cd3afcp+9");
+      ("p=16 n=20000", "0x1.371802296aafbp+14");
+      ("p=16 n=200000", "0x1.8a784dda9d63ep+17");
+      ("create p=12", "0x0p+0");
+      ("mixed p=4", "0x1.f2fb70d62be3fp+10");
+      ("mixed p=12", "0x1.8354349cc9a41p+10");
+      ("merge p=12", "0x1.7f284df69ac98p+11");
+      ("add_values p=12", "0x1.9ad4d3707249bp+12");
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "estimates as %h" expected
+    (List.map (fun (l, h) -> (l, Printf.sprintf "%h" (estimate h))) sketches)
+
+(* The estimate is computed when a sketch is built, so reading it costs a
+   field load at any precision; re-summing a p=16 sketch's 65,536
+   registers on every read would return a fresh boxed float, 2 words per
+   call. *)
+let test_hll_estimate_is_read () =
+  let h = Stats.Hll.of_values ~p:16 (golden_ints 1000) in
+  let calls = 1000 in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let overhead = w1 -. w0 in
+  let w2 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Stats.Hll.estimate h))
+  done;
+  let w3 = Gc.minor_words () in
+  let per_call = (w3 -. w2 -. overhead) /. float_of_int calls in
+  if not (per_call < 0.5) then
+    Alcotest.failf "%.2f minor words per estimate call (want < 0.5)" per_call
+
 (* --- histograms --- *)
 
 let floats_of rng n lo hi =
@@ -472,6 +560,9 @@ let suite =
     Alcotest.test_case "hll: merge exact algebra" `Quick test_hll_merge_exact;
     Alcotest.test_case "hll: shard merge = bulk build" `Quick
       test_hll_shards_equal_bulk;
+    Alcotest.test_case "hll: estimate goldens" `Quick test_hll_goldens;
+    Alcotest.test_case "hll: estimate is read, not recomputed" `Quick
+      test_hll_estimate_is_read;
     Alcotest.test_case "histogram: merge commutative" `Quick
       test_histogram_merge_commutative;
     Alcotest.test_case "histogram: merge shape and budget" `Quick
