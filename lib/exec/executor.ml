@@ -110,7 +110,7 @@ let reference_plan query =
       preds
   in
   match query.Query.tables with
-  | [] -> invalid_arg "Executor.run_query: query with no tables"
+  | [] -> invalid_arg "Executor: query with no tables"
   | first :: rest ->
     let local_first, remaining =
       place_filters [ first ] query.Query.predicates
@@ -164,6 +164,10 @@ let reference_plan query =
     in
     assert (leftover = []);
     plan
+
+let count_query db query =
+  let rows, _, _ = count db (reference_plan query) in
+  rows
 
 let run_query ?budget db query =
   let result = run ?budget db (reference_plan query) in

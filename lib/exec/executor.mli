@@ -43,7 +43,12 @@ val count_result :
 
 val run_query : ?budget:Rel.Budget.t -> Catalog.Db.t -> Query.t -> result
 (** Reference execution of a query with no optimizer involved: left-deep
-    hash joins in FROM order (nested loops when a step has no equi-key),
-    local predicates pushed to scans, column projections applied. Used to
-    obtain ground-truth result sizes in tests and experiments. Budget
-    semantics as in {!run}. *)
+    hash joins in FROM order (sort-merge on a comparison-only link, nested
+    loops on none), local predicates pushed to scans, column projections
+    applied. For tests that need the result relation; a true size is
+    {!count_query}. Budget semantics as in {!run}. *)
+
+val count_query : Catalog.Db.t -> Query.t -> int
+(** {!run_query}'s row count, its reference plan run through {!count} so
+    nothing is materialized: the ground truth every experiment reads its
+    estimates against. Raises as {!run} does. *)

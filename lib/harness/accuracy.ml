@@ -1,8 +1,3 @@
-type q_error =
-  | Finite of float
-  | Infinite
-  | Undefined
-
 type summary = {
   algorithm : string;
   queries : int;
@@ -13,16 +8,6 @@ type summary = {
   infinite : int;
   undefined : int;
 }
-
-(* One summary per registered estimator, each under its canonical
-   configuration (every built-in closes the predicate set, so the panel
-   compares combining rules, not the PTC rewrite). *)
-let algorithms () = Els.Config.panel ()
-
-let q_error ~est ~truth =
-  if truth <= 0. || Float.is_nan truth || Float.is_nan est then Undefined
-  else if est <= 0. || est = Float.infinity then Infinite
-  else Float.max (est /. truth) (truth /. est) |> fun q -> Finite q
 
 (* One chain and one star specimen per seed; chains get a ~25% local range
    predicate on the first table's join column. *)
@@ -47,8 +32,9 @@ let workloads seed =
       ~distinct_range:(30, 100) ~seed ~n_dims:3 ()
   in
   [
-    (chain_db, chain_query);
-    (star.Datagen.Workload.db, star.Datagen.Workload.query);
+    Panel.of_spec (Printf.sprintf "chain/%d" seed)
+      { chain with Datagen.Workload.query = chain_query };
+    Panel.of_spec (Printf.sprintf "star/%d" seed) star;
   ]
 
 let percentile sorted p =
@@ -59,62 +45,41 @@ let percentile sorted p =
     let idx = int_of_float (Float.round (p *. float_of_int (n - 1))) in
     arr.(max 0 (min (n - 1) idx))
 
-let run ?(seeds = List.init 8 (fun i -> i + 1)) ?metrics () =
-  let algorithms = algorithms () in
-  let per_algo = Hashtbl.create 4 in
-  let record algo q under =
-    let entries = Option.value (Hashtbl.find_opt per_algo algo) ~default:[] in
-    Hashtbl.replace per_algo algo ((q, under) :: entries)
-  in
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun (db, query) ->
-          let truth =
-            float_of_int
-              (Exec.Executor.run_query db query).Exec.Executor.row_count
-          in
-          List.iter
-            (fun config ->
-              (* Same path as [Els.estimate]; keeping the profile lets an
-                 optional registry absorb its counters. *)
-              let profile = Els.prepare config db query in
-              let est =
-                Els.Incremental.final_size profile query.Query.tables
-              in
-              Option.iter (fun m -> Obs_report.absorb_profile m profile) metrics;
-              record (Els.Config.name config) (q_error ~est ~truth)
-                (truth > 0. && est < truth))
-            algorithms)
-        (workloads seed))
-    seeds;
+(* One summary per registered estimator, each under its canonical
+   configuration (every built-in closes the predicate set, so the study
+   compares combining rules, not the PTC rewrite). *)
+let run ?(seeds = List.init 8 (fun i -> i + 1)) () =
+  let rows = Panel.run (List.concat_map workloads seeds) in
   List.filter_map
-    (fun config ->
-      let name = Els.Config.name config in
-      match Hashtbl.find_opt per_algo name with
-      | None | Some [] -> None
-      | Some entries ->
+    (fun est ->
+      let label = Els.Estimator.label est in
+      match List.filter (fun (r : Panel.row) -> r.estimator = label) rows with
+      | [] -> None
+      | rows ->
         let finite =
           List.filter_map
-            (function Finite q, _ -> Some q | (Infinite | Undefined), _ -> None)
-            entries
+            (fun (r : Panel.row) ->
+              match r.q with Finite q -> Some q | Infinite | Undefined -> None)
+            rows
         in
-        let count p = List.length (List.filter p entries) in
-        let infinite = count (fun (q, _) -> q = Infinite) in
-        let undefined = count (fun (q, _) -> q = Undefined) in
+        let count p = List.length (List.filter p rows) in
+        let infinite = count (fun r -> r.q = Infinite) in
+        let undefined = count (fun r -> r.q = Undefined) in
         (* Undefined cases (empty truth, NaN) are excluded everywhere:
            percentiles run over the finite q-errors only, the
            underestimation share over queries where est vs truth is
            meaningful. One degenerate query no longer poisons the
            aggregates with NaN. *)
         let defined = List.length finite + infinite in
-        let unders = count (fun (q, under) -> q <> Undefined && under) in
+        let unders =
+          count (fun r -> r.q <> Undefined && r.estimate < r.truth)
+        in
         let sorted = Array.of_list finite in
         Array.sort Float.compare sorted;
         let n = Array.length sorted in
         Some
           {
-            algorithm = name;
+            algorithm = Els.Config.name (Els.Config.of_estimator est);
             queries = n;
             median_q = percentile sorted 0.5;
             p90_q = percentile sorted 0.9;
@@ -125,7 +90,7 @@ let run ?(seeds = List.init 8 (fun i -> i + 1)) ?metrics () =
             infinite;
             undefined;
           })
-    algorithms
+    (Els.Estimator.registry ())
 
 let render summaries =
   Report.table

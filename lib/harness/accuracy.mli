@@ -1,42 +1,29 @@
 (** Supplementary figure F6: q-error study.
 
-    The q-error of an estimate — [max(est/true, true/est)], the standard
-    metric of modern cardinality-estimation work — summarizes how far each
-    algorithm's final join-size estimate lands from the executed truth
-    over a mixed workload of random chain and star queries, with and
-    without local predicates. Reported per algorithm: median, 90th
-    percentile and maximum q-error, plus the underestimation share. *)
-
-type q_error =
-  | Finite of float  (** [max(est/true, true/est)], both sides positive *)
-  | Infinite  (** positive truth but a zero (or infinite) estimate *)
-  | Undefined  (** empty true result, or a NaN input: no meaningful ratio *)
-(** The q-error of a single estimate. The metric is undefined at zero
-    truth and infinite at zero estimate; both cases are explicit variants
-    rather than [nan]/[infinity] sentinels so aggregation can skip them
-    instead of silently poisoning every percentile. *)
-
-val q_error : est:float -> truth:float -> q_error
+    The q-error of an estimate ({!Panel.q_error}) summarizes how far each
+    algorithm's final join-size estimate lands from the true size over a
+    mixed workload of random chain and star queries, with and without
+    local predicates. The study aggregates {!Panel.run}'s rows. Reported
+    per algorithm: median, 90th percentile and maximum q-error, plus the
+    underestimation share. *)
 
 type summary = {
-  algorithm : string;
+  algorithm : string;  (** {!Els.Config.name} of the canonical configuration *)
   queries : int;  (** queries with a finite q-error *)
   median_q : float;
   p90_q : float;
   max_q : float;
   underestimated : float;
       (** fraction of defined (non-[Undefined]) queries with est < true *)
-  infinite : int;  (** queries whose q-error was {!Infinite} *)
-  undefined : int;  (** queries skipped as {!Undefined} *)
+  infinite : int;  (** queries whose q-error was [Infinite] *)
+  undefined : int;  (** queries skipped as [Undefined] *)
 }
 (** Percentiles are computed over the finite q-errors only; the skipped
     cases are counted, not folded into the statistics. *)
 
-val run : ?seeds:int list -> ?metrics:Obs.Metrics.t -> unit -> summary list
-(** Each seed contributes one chain (4 tables, with a local predicate) and
-    one star (3 dimensions) query. Defaults: seeds [1..8]. [metrics]
-    absorbs every built profile's cache/guard/validation counters
-    (see {!Obs_report.absorb_profile}); passing it never changes any
-    estimate. *)
+val run : ?seeds:int list -> unit -> summary list
+(** One summary per registered estimator, in registry order. Each seed
+    contributes one chain (4 tables, with a local predicate) and one star
+    (3 dimensions) query. Defaults: seeds [1..8]. *)
 
 val render : summary list -> string

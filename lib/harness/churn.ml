@@ -219,9 +219,9 @@ let run ?(seed = 1) ?(q_tolerance = 3.) ~iters () =
       (* Drift probe: the published epoch vs a fresh bulk ANALYZE. *)
       let est = estimate_epoch (Catalog.Store.pin store) in
       let base = baseline_estimate () in
-      match Accuracy.q_error ~est ~truth:base with
-      | Accuracy.Finite q -> q_errors := q :: !q_errors
-      | Accuracy.Infinite | Accuracy.Undefined ->
+      match Panel.q_error ~est ~truth:base with
+      | Panel.Finite q -> q_errors := q :: !q_errors
+      | Panel.Infinite | Panel.Undefined ->
         (* Zero-vs-nonzero estimates under churn: record the worst finite
            bucket so the median still feels it. *)
         q_errors := (q_tolerance *. 10.) :: !q_errors

@@ -5,69 +5,55 @@ type point = {
   worst_ratio : float;
 }
 
-(* One row per registered estimator, labeled by {!Els.Estimator.label} so
-   report names can never drift from the core. The study measures rule
-   behavior on the closed (redundant) predicate set, so closure is forced
-   on regardless of the estimator's canonical flags — an estimator that
-   skips PTC would not see the redundancy this figure is about. *)
-let configs () =
-  List.map
-    (fun est ->
-      ( Els.Estimator.label est,
-        { (Els.Config.of_estimator est) with Els.Config.closure = true } ))
-    (Els.Estimator.registry ())
-
+(* One panel per table count over one chain per seed; every registered
+   estimator's canonical flags already close the predicate set, so each
+   sees the redundancy this figure is about. *)
 let run ?(seeds = List.init 10 (fun i -> i + 1)) ?(max_tables = 7) () =
-  let configs = configs () in
-  let points = ref [] in
-  for n_tables = 2 to max_tables do
-    (* Per rule, collect the estimate/true ratios over all seeds. *)
-    let ratios = Hashtbl.create 4 in
-    List.iter
-      (fun seed ->
-        let spec =
-          (* Keep distinct counts high relative to rows so true sizes stay
-             executable out to 7-way joins. *)
-          Datagen.Workload.chain ~rows_range:(100, 600)
-            ~distinct_range:(50, 400) ~seed ~n_tables ()
-        in
-        let truth =
-          (Exec.Executor.run_query spec.Datagen.Workload.db
-             spec.Datagen.Workload.query)
-            .Exec.Executor.row_count
-        in
-        if truth > 0 then
-          List.iter
-            (fun (rule, config) ->
-              let est =
-                Els.estimate config spec.Datagen.Workload.db
-                  spec.Datagen.Workload.query
-                  spec.Datagen.Workload.query.Query.tables
-              in
-              let ratio = est /. float_of_int truth in
-              let existing =
-                Option.value (Hashtbl.find_opt ratios rule) ~default:[]
-              in
-              Hashtbl.replace ratios rule (ratio :: existing))
-            configs)
-      seeds;
-    List.iter
-      (fun (rule, _) ->
-        match Hashtbl.find_opt ratios rule with
-        | None | Some [] -> ()
-        | Some rs ->
-          let logs = List.map Float.log rs in
-          let geo =
-            Float.exp
-              (List.fold_left ( +. ) 0. logs /. float_of_int (List.length logs))
+  List.concat_map
+    (fun n_tables ->
+      (* Keep distinct counts high relative to rows so true sizes stay
+         executable out to 7-way joins. *)
+      let chain seed =
+        Panel.of_spec (string_of_int seed)
+          (Datagen.Workload.chain ~rows_range:(100, 600)
+             ~distinct_range:(50, 400) ~seed ~n_tables ())
+      in
+      let rows = Panel.run (List.map chain seeds) in
+      List.filter_map
+        (fun est ->
+          let rule = Els.Estimator.label est in
+          (* Trials with an empty truth are skipped. The ratios run newest
+             seed first: the geo-mean's summation order, which the F1
+             goldens pin to the last bit. *)
+          let ratios =
+            List.rev
+              (List.filter_map
+                 (fun (r : Panel.row) ->
+                   if r.estimator = rule && r.truth > 0. then
+                     Some (r.estimate /. r.truth)
+                   else None)
+                 rows)
           in
-          let worst = List.fold_left Float.min Float.infinity rs in
-          points :=
-            { n_tables; rule; geo_mean_ratio = geo; worst_ratio = worst }
-            :: !points)
-      configs
-  done;
-  List.rev !points
+          let error r = Float.abs (Float.log r) in
+          match ratios with
+          | [] -> None
+          | _ ->
+            let log_sum =
+              List.fold_left (fun acc r -> acc +. Float.log r) 0. ratios
+            in
+            Some
+              {
+                n_tables;
+                rule;
+                geo_mean_ratio =
+                  Float.exp (log_sum /. float_of_int (List.length ratios));
+                worst_ratio =
+                  List.fold_left
+                    (fun w r -> if error r > error w then r else w)
+                    1. ratios;
+              })
+        (Els.Estimator.registry ()))
+    (List.init (max 0 (max_tables - 1)) (fun i -> i + 2))
 
 let render points =
   Report.table

@@ -17,15 +17,16 @@ type point = {
   n_tables : int;
   rule : string;  (** the estimator's {!Els.Estimator.label} *)
   geo_mean_ratio : float;  (** geometric mean of estimate / true *)
-  worst_ratio : float;  (** most extreme underestimate *)
+  worst_ratio : float;  (** furthest from 1, by [|log(est/true)|] *)
 }
 
 val run :
   ?seeds:int list -> ?max_tables:int -> unit -> point list
 (** One row per registered estimator ({!Els.Estimator.registry}) and table
-    count, each run with predicate transitive closure forced on (the study
-    is about redundant predicate sets). Defaults: seeds [1..10],
-    max_tables 7. Points are ordered by (n_tables, registry order). Trials
-    whose true size is 0 are skipped. *)
+    count, aggregated from one {!Panel.run} per table count. Every
+    registered estimator's canonical configuration closes the predicate
+    set (the study is about redundant predicate sets). Defaults: seeds
+    [1..10], max_tables 7. Points are ordered by (n_tables, registry
+    order). Trials whose true size is 0 are skipped. *)
 
 val render : point list -> string

@@ -32,7 +32,7 @@ let run ?(seed = 7) ?(cutoffs = [ 10; 25; 50; 100; 250; 1000; 10000 ]) () =
         Els.estimate (Els.Config.sm ~ptc:true) db q order
       in
       let els_est = Els.estimate Els.Config.els db q order in
-      let true_size = (Exec.Executor.run_query db q).Exec.Executor.row_count in
+      let true_size = Exec.Executor.count_query db q in
       { cutoff; standard_est; els_est; true_size })
     cutoffs
 

@@ -1,5 +1,15 @@
 type scenario = { name : string; db : Catalog.Db.t; query : Query.t }
 
+type q_error =
+  | Finite of float
+  | Infinite
+  | Undefined
+
+let q_error ~est ~truth =
+  if truth <= 0. || Float.is_nan truth || Float.is_nan est then Undefined
+  else if est <= 0. || est = Float.infinity then Infinite
+  else Float.max (est /. truth) (truth /. est) |> fun q -> Finite q
+
 type row = {
   scenario : string;
   predicate : string;
@@ -7,7 +17,7 @@ type row = {
   sizes : float list;
   estimate : float;
   truth : float;
-  q : Accuracy.q_error;
+  q : q_error;
 }
 
 let of_spec name spec =
@@ -73,9 +83,7 @@ let join_predicate_string query =
 let run scenarios =
   List.concat_map
     (fun { name; db; query } ->
-      let truth =
-        float_of_int (Exec.Executor.run_query db query).Exec.Executor.row_count
-      in
+      let truth = float_of_int (Exec.Executor.count_query db query) in
       let predicate = join_predicate_string query in
       List.map
         (fun est ->
@@ -91,7 +99,7 @@ let run scenarios =
             sizes = Els.Incremental.history state;
             estimate;
             truth;
-            q = Accuracy.q_error ~est:estimate ~truth;
+            q = q_error ~est:estimate ~truth;
           })
         (Els.Estimator.registry ()))
     scenarios
@@ -99,13 +107,13 @@ let run scenarios =
 let pass rows =
   rows <> []
   && List.for_all
-       (fun r -> match r.q with Accuracy.Finite _ -> true | _ -> false)
+       (fun r -> match r.q with Finite _ -> true | _ -> false)
        rows
 
 let q_cell = function
-  | Accuracy.Finite q -> Report.float_cell q
-  | Accuracy.Infinite -> "inf"
-  | Accuracy.Undefined -> "undef"
+  | Finite q -> Report.float_cell q
+  | Infinite -> "inf"
+  | Undefined -> "undef"
 
 let render rows =
   Report.table

@@ -1,12 +1,14 @@
-(** Estimate-vs-truth panels: experiments F10, F14 and F16.
+(** Estimate-vs-truth panels: experiments F10, F14 and F16, and the rows
+    F1 ({!Error_propagation}) and F6 ({!Accuracy}) aggregate.
 
     The paper's evaluation (Section 8) compares estimated against executed
     join sizes. A panel does that for a list of scenarios crossed with
     {e every} estimator in the core registry ({!Els.Estimator.registry}),
     each under its canonical configuration ({!Els.Config.of_estimator}):
-    the size after each join of the query's FROM order, the executed true
-    size and the q-error of the final estimate. A newly registered
-    estimator shows up in every panel without a harness change.
+    the size after each join of the query's FROM order, the true size
+    ({!Exec.Executor.count_query}, counted, never materialized) and the
+    q-error of the final estimate. A newly registered estimator shows up
+    in every panel without a harness change.
 
     The three experiments differ only in their scenario lists:
     - {!f10}: the paper's Section 8 workload;
@@ -20,15 +22,28 @@
 
 type scenario = { name : string; db : Catalog.Db.t; query : Query.t }
 
+type q_error =
+  | Finite of float  (** [max(est/true, true/est)], both sides positive *)
+  | Infinite  (** positive truth but a zero (or infinite) estimate *)
+  | Undefined  (** empty true result, or a NaN input: no meaningful ratio *)
+(** The q-error of one estimate. Zero truth and a zero estimate are
+    explicit variants, not [nan]/[infinity] sentinels, so aggregation
+    skips them instead of poisoning every percentile. *)
+
+val q_error : est:float -> truth:float -> q_error
+
 type row = {
   scenario : string;  (** the scenario's [name] *)
   predicate : string;  (** the query's join predicates, rendered *)
   estimator : string;  (** {!Els.Estimator.label} *)
   sizes : float list;  (** size after each join of the FROM order *)
   estimate : float;  (** final join-size estimate *)
-  truth : float;  (** executed true size *)
-  q : Accuracy.q_error;  (** of the final estimate *)
+  truth : float;  (** true size *)
+  q : q_error;  (** of the final estimate *)
 }
+
+val of_spec : string -> Datagen.Workload.spec -> scenario
+(** A named scenario over a generated workload's catalog and query. *)
 
 val f10 : scale:int -> seed:int -> scenario list
 (** The Section 8 catalog at [scale] (see {!Datagen.Section8.build}). *)

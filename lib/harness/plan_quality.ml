@@ -8,7 +8,7 @@ type row = {
 }
 
 (* One trial per registered estimator's canonical configuration, as in
-   {!Accuracy}. *)
+   {!Panel}. *)
 let algorithms () = Els.Config.panel ()
 
 (* Add a ~20% range predicate on t1's join column so the local-awareness

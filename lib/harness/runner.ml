@@ -13,31 +13,19 @@ type trial = {
 
 let true_prefix_sizes db query order =
   let closed = (Els.Closure.compute query.Query.predicates).Els.Closure.predicates in
-  let rec prefixes acc = function
-    | [] -> List.rev acc
-    | t :: rest ->
-      let prefix = match acc with
-        | [] -> [ t ]
-        | prev :: _ -> prev @ [ t ]
-      in
-      prefixes (prefix :: acc) rest
-  in
-  let all_prefixes = prefixes [] order in
-  List.filter_map
-    (fun prefix ->
-      if List.length prefix < 2 then None
-      else begin
-        let preds =
-          List.filter (Query.Predicate.references_only prefix) closed
-        in
-        let sources =
-          List.map (fun alias -> (alias, Query.source query alias)) prefix
-        in
-        let sub = Query.make ~sources ~tables:prefix preds in
-        let result = Exec.Executor.run_query db sub in
-        Some (float_of_int result.Exec.Executor.row_count)
-      end)
-    all_prefixes
+  (* Every prefix of two or more tables. *)
+  List.filteri (fun i _ -> i > 0) order
+  |> List.mapi (fun i _ -> List.filteri (fun j _ -> j <= i + 1) order)
+  |> List.map (fun prefix ->
+         let sources =
+           List.map (fun alias -> (alias, Query.source query alias)) prefix
+         in
+         let preds =
+           List.filter (Query.Predicate.references_only prefix) closed
+         in
+         float_of_int
+           (Exec.Executor.count_query db
+              (Query.make ~sources ~tables:prefix preds)))
 
 (* One [budget] spans the whole trial: optimization spends node
    expansions against it, then execution spends rows against whatever

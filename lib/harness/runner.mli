@@ -24,9 +24,10 @@ type trial = {
 
 val true_prefix_sizes :
   Catalog.Db.t -> Query.t -> string list -> float list
-(** Ground truth: for each prefix of the join order (length ≥ 2), execute
-    the subquery over the prefix tables with the {e closed} predicate set
-    restricted to those tables, and return its cardinality. *)
+(** Ground truth: for each prefix of the join order (length ≥ 2), count
+    the rows of the subquery over the prefix tables with the {e closed}
+    predicate set restricted to those tables
+    ({!Exec.Executor.count_query}). *)
 
 val run :
   ?methods:Exec.Plan.join_method list ->

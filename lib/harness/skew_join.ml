@@ -32,9 +32,7 @@ let run ?(seed = 19) ?(rows = (20000, 10000)) ?(distinct = 500)
           ]
       in
       let estimate = Els.estimate Els.Config.els db query [ "r1"; "r2" ] in
-      let true_size =
-        (Exec.Executor.run_query db query).Exec.Executor.row_count
-      in
+      let true_size = Exec.Executor.count_query db query in
       {
         theta;
         estimate;

@@ -229,6 +229,74 @@ let test_executor_cartesian_query () =
   Alcotest.(check int) "cartesian" 20
     (Exec.Executor.run_query db q).Exec.Executor.row_count
 
+(* --- count_query: the counted truth --- *)
+
+let check_counted name db q expected =
+  Alcotest.(check int) (name ^ ": run_query") expected
+    (Exec.Executor.run_query db q).Exec.Executor.row_count;
+  Alcotest.(check int) (name ^ ": count_query") expected
+    (Exec.Executor.count_query db q)
+
+(* A projection never changes the row count: there is no DISTINCT, so
+   the five a=2 rows of the reference result stay five rows. *)
+let test_count_query_projection () =
+  let db = exec_db () in
+  let q =
+    Query.make ~projection:(Query.Columns [ c "r" "a" ]) ~tables:[ "r"; "s" ]
+      [ join_pred ]
+  in
+  check_counted "projection" db q expected_join_count
+
+(* r joined to itself through two aliases: a = 1, 2, 2, 3, 5 pair up
+   1 + 4 + 1 + 1 times. *)
+let test_count_query_self_join () =
+  let db = exec_db () in
+  let q =
+    Query.make ~sources:[ ("x", "r"); ("y", "r") ] ~tables:[ "x"; "y" ]
+      [ Query.Predicate.col_eq (c "x" "a") (c "y" "a") ]
+  in
+  check_counted "self-join" db q 7
+
+let test_count_query_empty () =
+  let db = exec_db () in
+  let q =
+    Query.make ~tables:[ "r"; "s" ]
+      [ join_pred; Query.Predicate.cmp (c "r" "b") Rel.Cmp.Gt (int_ 100) ]
+  in
+  check_counted "empty" db q 0
+
+(* Over every workload shape the experiments count truths on: equality
+   chains, Zipf-skewed stars and comparison chains (inequality and band
+   links). Sizes stay small enough for run_query to materialize. *)
+let workload (shape, seed, n, op) =
+  match shape with
+  | 0 ->
+    Datagen.Workload.chain ~rows_range:(10, 60) ~distinct_range:(5, 40) ~seed
+      ~n_tables:(n + 1) ()
+  | 1 ->
+    Datagen.Workload.star ~fact_rows:200 ~dim_rows_range:(10, 40)
+      ~distinct_range:(10, 30) ~distribution:(Datagen.Distribution.Zipf 1.2)
+      ~seed ~n_dims:n ()
+  | _ ->
+    Datagen.Workload.comparison ~rows_range:(10, 60) ~distinct_range:(5, 40)
+      ~op ~seed ~n_tables:n ()
+
+let print_workload params =
+  let q = (workload params).Datagen.Workload.query in
+  String.concat " AND " (List.map Query.Predicate.to_string q.Query.predicates)
+
+let prop_count_query_is_run_query =
+  QCheck2.Test.make ~count:60 ~name:"count_query = run_query's row count"
+    ~print:print_workload
+    QCheck2.Gen.(
+      quad (int_range 0 2) (int_range 0 10_000) (int_range 2 3)
+        (oneofl Query.Predicate.[ Lt; Le; Gt; Ge; Band 2.5 ]))
+    (fun params ->
+      let spec = workload params in
+      let db = spec.Datagen.Workload.db and q = spec.Datagen.Workload.query in
+      Exec.Executor.count_query db q
+      = (Exec.Executor.run_query db q).Exec.Executor.row_count)
+
 let test_plan_rendering () =
   let plan =
     Exec.Plan.Join
@@ -506,6 +574,13 @@ let suite =
     Alcotest.test_case "executor: run query" `Quick test_executor_run_query;
     Alcotest.test_case "executor: cartesian query" `Quick
       test_executor_cartesian_query;
+    Alcotest.test_case "count_query: projection" `Quick
+      test_count_query_projection;
+    Alcotest.test_case "count_query: self-join through aliases" `Quick
+      test_count_query_self_join;
+    Alcotest.test_case "count_query: empty result" `Quick
+      test_count_query_empty;
+    QCheck_alcotest.to_alcotest prop_count_query_is_run_query;
     Alcotest.test_case "plan rendering" `Quick test_plan_rendering;
     Alcotest.test_case "golden accounting" `Quick test_golden_accounting;
   ]
