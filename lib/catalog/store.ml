@@ -27,6 +27,7 @@ type table_state = {
   mutable failures : int; (* consecutive failed audits *)
   mutable backoff : int; (* publishes to skip before the next re-audit *)
   mutable rows_since_analyze : int;
+  mutable version : int; (* bumped by every insert and every delete *)
 }
 
 type t = {
@@ -35,7 +36,7 @@ type t = {
   histogram_buckets : int option;
   mcv : int option;
   states : table_state list; (* registration order *)
-  mutable current : Epoch.t;
+  current : Epoch.t Atomic.t; (* read without the writers' lock *)
   mutable publishes : int;
   mutable audits_failed : int;
   mutable quarantines : int;
@@ -86,6 +87,7 @@ let create ?(strictness = Validate.Repair) ?histogram ?histogram_buckets ?mcv
           failures = 0;
           backoff = 0;
           rows_since_analyze = 0;
+          version = 0;
         })
       (Db.tables db)
   in
@@ -95,7 +97,7 @@ let create ?(strictness = Validate.Repair) ?histogram ?histogram_buckets ?mcv
     histogram_buckets;
     mcv;
     states;
-    current = epoch_of states ~id:0 ~annotations:[];
+    current = Atomic.make (epoch_of states ~id:0 ~annotations:[]);
     publishes = 0;
     audits_failed = 0;
     quarantines = 0;
@@ -107,7 +109,7 @@ let create ?(strictness = Validate.Repair) ?histogram ?histogram_buckets ?mcv
     delta_deletes = 0;
   }
 
-let pin t = t.current
+let pin t = Atomic.get t.current
 
 let find_state t name =
   let name = String.lowercase_ascii name in
@@ -201,6 +203,7 @@ let insert t ~table rows =
   in
   st.staged <- Some updated;
   st.rows_since_analyze <- st.rows_since_analyze + List.length tuples;
+  st.version <- st.version + 1;
   t.delta_inserts <- t.delta_inserts + List.length tuples
 
 let delete t ~table ~indices =
@@ -235,45 +238,80 @@ let delete t ~table ~indices =
     in
     st.staged <- Some updated;
     st.rows_since_analyze <- st.rows_since_analyze + List.length removed;
+    st.version <- st.version + 1;
     t.delta_deletes <- t.delta_deletes + List.length removed
   end
 
-let reanalyze ?(shards = 1) t ~table =
+(* --- re-ANALYZE in three phases ---------------------------------------- *)
+
+type snapshot = {
+  state : table_state;
+  version : int; (* the table's version when its rows were copied *)
+  rows : Rel.Relation.t; (* a private copy of the live rows *)
+}
+
+type analysis = {
+  snapshot : snapshot;
+  shards : int;
+  analyzed : Table.t; (* stats-only *)
+}
+
+let snapshot t ~table =
   let st = find_state t table in
-  let analyzed =
-    if shards <= 1 then
+  { state = st; version = st.version; rows = Rel.Relation.copy st.live }
+
+(* Reads nothing of the store but its analyze options, which never
+   change, so it needs no lock. *)
+let analyze_rows t ~shards ~name rows =
+  if shards <= 1 then
+    freeze
+      (Analyze.table ?histogram:t.histogram
+         ?histogram_buckets:t.histogram_buckets ?mcv:t.mcv ~name rows)
+  else begin
+    let schema = Rel.Relation.schema rows in
+    let parts = Array.make shards [] in
+    List.iteri
+      (fun i tup -> parts.(i mod shards) <- tup :: parts.(i mod shards))
+      (Rel.Relation.to_list rows);
+    let relations =
+      Array.to_list parts
+      |> List.filter_map (fun tuples ->
+             match tuples with
+             | [] -> None
+             | _ -> Some (Rel.Relation.of_tuples schema (List.rev tuples)))
+    in
+    match relations with
+    | [] ->
+      (* Empty table: the bulk path handles it (zero rows, empty stats). *)
       freeze
         (Analyze.table ?histogram:t.histogram
-           ?histogram_buckets:t.histogram_buckets ?mcv:t.mcv ~name:st.name
-           st.live)
-    else begin
-      let schema = Rel.Relation.schema st.live in
-      let parts = Array.make shards [] in
-      List.iteri
-        (fun i tup -> parts.(i mod shards) <- tup :: parts.(i mod shards))
-        (Rel.Relation.to_list st.live);
-      let relations =
-        Array.to_list parts
-        |> List.filter_map (fun tuples ->
-               match tuples with
-               | [] -> None
-               | _ -> Some (Rel.Relation.of_tuples schema (List.rev tuples)))
-      in
-      match relations with
-      | [] ->
-        (* Empty table: the bulk path handles it (zero rows, empty stats). *)
-        freeze
-          (Analyze.table ?histogram:t.histogram
-             ?histogram_buckets:t.histogram_buckets ?mcv:t.mcv ~name:st.name
-             st.live)
-      | _ ->
-        Analyze.partitions ?histogram:t.histogram
-          ?histogram_buckets:t.histogram_buckets ?mcv:t.mcv ~name:st.name
-          relations
-    end
+           ?histogram_buckets:t.histogram_buckets ?mcv:t.mcv ~name rows)
+    | _ ->
+      Analyze.partitions ?histogram:t.histogram
+        ?histogram_buckets:t.histogram_buckets ?mcv:t.mcv ~name relations
+  end
+
+let analyze ?(shards = 1) t snapshot =
+  {
+    snapshot;
+    shards;
+    analyzed = analyze_rows t ~shards ~name:snapshot.state.name snapshot.rows;
+  }
+
+let stage t { snapshot; shards; analyzed } =
+  let st = snapshot.state in
+  let analyzed =
+    if st.version = snapshot.version then analyzed
+    else
+      (* An insert or delete reached the table after the snapshot, so the
+         analysis describes rows that are no longer the table's: analyze
+         the live relation instead. *)
+      analyze_rows t ~shards ~name:st.name st.live
   in
   st.staged <- Some analyzed;
   st.rows_since_analyze <- 0
+
+let reanalyze ?shards t ~table = stage t (analyze ?shards t (snapshot t ~table))
 
 let corrupt_staged t ~table f =
   let st = find_state t table in
@@ -394,10 +432,10 @@ let publish t =
     t.publishes <- t.publishes + 1;
     let next =
       epoch_of t.states
-        ~id:(Epoch.id t.current + 1)
+        ~id:(Epoch.id (pin t) + 1)
         ~annotations:(List.rev !annotations)
     in
-    t.current <- next;
+    Atomic.set t.current next;
     Ok next
 
 (* --- gauges ------------------------------------------------------------- *)
@@ -425,7 +463,7 @@ let drift t =
 
 let stats t =
   {
-    epoch = Epoch.id t.current;
+    epoch = Epoch.id (pin t);
     publishes = t.publishes;
     audits_failed = t.audits_failed;
     quarantines = t.quarantines;

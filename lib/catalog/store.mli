@@ -6,6 +6,17 @@
     staging area, {!reanalyze} tables in bulk or by partitions, and
     {!publish} to atomically swap in the next epoch.
 
+    {2 Concurrency}
+
+    The store takes no lock of its own. {!pin} is one atomic read, safe
+    from any domain at any time. Every other operation reads or writes
+    the live relations or the staging area, so a caller that shares a
+    store across threads or domains must serialize those calls under
+    one lock. {!analyze} is the exception: it reads only a {!snapshot},
+    so it needs no lock. A re-ANALYZE can therefore hold the lock for
+    {!snapshot} and {!stage} alone, and other writers go on while it
+    scans.
+
     Every publish audits each table's candidate statistics with
     {!Validate.check_table} and climbs a self-healing ladder:
 
@@ -64,7 +75,8 @@ val create :
 val strictness : t -> Validate.strictness
 
 val pin : t -> Epoch.t
-(** The current epoch. Immutable: estimates prepared against it are
+(** The current epoch: an atomic read, so it needs no lock even while a
+    writer publishes. Immutable: estimates prepared against it are
     bit-identical before and after any number of subsequent publishes. *)
 
 val live : t -> table:string -> Rel.Relation.t
@@ -91,7 +103,36 @@ val reanalyze : ?shards:int -> t -> table:string -> unit
     them for the next publish. [shards > 1] exercises the parallel-ANALYZE
     path: the relation is partitioned round-robin, each shard analyzed
     independently, and the results merged ({!Analyze.partitions}). Resets
-    the table's drift counters. *)
+    the table's drift counters. It is exactly
+    [stage t (analyze ?shards t (snapshot t ~table))], so a caller holding
+    one lock throughout gets the same statistics as one that releases it
+    for {!analyze}. *)
+
+type snapshot
+(** A table's rows at one moment, in a row array of their own. *)
+
+val snapshot : t -> table:string -> snapshot
+(** Phase 1 of {!reanalyze}: copy the live relation's row array (one
+    array copy; the tuples are shared and not re-checked). Reads the live
+    relation, so it needs the caller's lock.
+    @raise Invalid_argument on an unknown table. *)
+
+type analysis
+(** A snapshot's statistics, not yet staged. *)
+
+val analyze : ?shards:int -> t -> snapshot -> analysis
+(** Phase 2 of {!reanalyze}: ANALYZE the snapshot, in bulk or by
+    [shards] partitions as {!reanalyze} does. Reads only the snapshot and
+    the store's analyze options, which never change, so it needs no
+    lock. *)
+
+val stage : t -> analysis -> unit
+(** Phase 3 of {!reanalyze}: stage the statistics for the next publish
+    and reset the table's drift counters. When an {!insert} or
+    {!delete} reached the table after its {!snapshot}, the analysis
+    describes rows that are gone, so the live relation is analyzed again
+    here instead: nothing streamed in between is lost. Needs the
+    caller's lock. *)
 
 val corrupt_staged : t -> table:string -> (Table.t -> Table.t) -> unit
 (** Test hook: transform the staged statistics (initialized from the
@@ -100,7 +141,8 @@ val corrupt_staged : t -> table:string -> (Table.t -> Table.t) -> unit
 
 val publish : t -> (Epoch.t, Validate.issue) result
 (** Audit every table's candidate statistics and atomically swap in the
-    next epoch (strictly increasing id). [Error] only on the Strict hard
+    next epoch (strictly increasing id); a concurrent {!pin} sees the
+    old epoch or the new one, never a mix. [Error] only on the Strict hard
     fallback — a table failed audit with no last-known-good epoch under
     [Strict] — in which case {e nothing} changes: the previous epoch stays
     current and no staged state is consumed. *)

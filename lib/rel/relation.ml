@@ -31,6 +31,8 @@ let of_tuples schema tuples =
   List.iter (insert r) tuples;
   r
 
+let copy t = { t with rows = Vec.copy t.rows }
+
 let distinct_count t col =
   let seen = Hashtbl.create 1024 in
   iter

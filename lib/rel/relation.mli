@@ -28,6 +28,11 @@ val to_list : t -> Tuple.t list
 
 val of_tuples : Schema.t -> Tuple.t list -> t
 
+val copy : t -> t
+(** The same rows under the same schema, in a row array of its own:
+    later inserts into either relation are not seen by the other. Shares
+    the tuples and re-checks none of them, so it costs one array copy. *)
+
 val distinct_count : t -> int -> int
 (** [distinct_count r col] is the exact number of distinct non-null values
     in column position [col]. *)

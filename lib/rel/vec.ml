@@ -62,6 +62,7 @@ let fold_left f acc v =
   !acc
 
 let to_array v = Array.sub v.data 0 v.len
+let copy v = { data = to_array v; len = v.len }
 
 let map f v =
   let out = { data = [||]; len = 0 } in

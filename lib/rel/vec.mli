@@ -31,6 +31,10 @@ val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
 
+val copy : 'a t -> 'a t
+(** A vector of the same elements whose later pushes and sets are its
+    own. *)
+
 val sort : ('a -> 'a -> int) -> 'a t -> unit
 (** In-place sort of the populated prefix. *)
 

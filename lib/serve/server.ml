@@ -303,7 +303,7 @@ let pin_with_retry ss epoch0 tables =
       count t "serve.epoch_retries";
       Unix.sleepf
         (t.cfg.retry_backoff_ms *. (2. ** float_of_int attempt) /. 1000.);
-      go (attempt + 1) (locked t Catalog.Store.pin)
+      go (attempt + 1) (Catalog.Store.pin t.catalog_store)
   in
   let epoch, notes = go 0 epoch0 in
   atomic_max ss.s_max_epoch (Catalog.Epoch.id epoch);
@@ -350,14 +350,31 @@ let counters_fields (c : Exec.Counters.t) =
 
 let query_tables query = List.map (Query.source query) query.Query.tables
 
+(* The query's tables over the store's live relations, which [run]
+   executes against: [Store.delete] swaps in a new live relation, so the
+   relations the server was created with miss every delete. *)
+let live_db t store query =
+  let db = Catalog.Db.create () in
+  List.iter
+    (fun name ->
+      let tbl = Catalog.Db.find_exn t.db name in
+      let live = Catalog.Store.live store ~table:name in
+      Catalog.Db.add db
+        (Catalog.Table.stored ~name
+           ~row_count:(Rel.Relation.cardinality live)
+           ~column_stats:tbl.Catalog.Table.column_stats live))
+    (List.sort_uniq String.compare (query_tables query));
+  db
+
 let handle_estimate ss ~budget ~sql ~estimator ~order =
   let t = ss.server in
   let* () = check_budget ~site:"serve.estimate" budget in
   let* config = resolve_config estimator in
   (* Estimate against a pinned snapshot: this request's numbers cannot be
-     torn by a concurrent publish. Binding reads only schema, which no
-     publish changes, so the bound query survives a re-pin. *)
-  let epoch0 = locked t Catalog.Store.pin in
+     torn by a concurrent publish. The pin is an atomic read, so no
+     reader waits for the catalog lock. Binding reads only schema, which
+     no publish changes, so the bound query survives a re-pin. *)
+  let epoch0 = Catalog.Store.pin t.catalog_store in
   let* query = Sqlfront.Binder.compile_result (Catalog.Epoch.db epoch0) sql in
   let epoch, stale = pin_with_retry ss epoch0 (query_tables query) in
   let edb = Catalog.Epoch.db epoch in
@@ -387,7 +404,7 @@ let handle_explain ss ~budget ~sql ~estimator ~enumerator =
   let* () = check_budget ~site:"serve.explain" budget in
   let* config = resolve_config estimator in
   let* enumerator = resolve_enumerator enumerator in
-  let epoch0 = locked t Catalog.Store.pin in
+  let epoch0 = Catalog.Store.pin t.catalog_store in
   let* query = Sqlfront.Binder.compile_result (Catalog.Epoch.db epoch0) sql in
   let epoch, stale = pin_with_retry ss epoch0 (query_tables query) in
   let edb = Catalog.Epoch.db epoch in
@@ -411,16 +428,20 @@ let handle_run ss ~budget ~sql ~estimator ~enumerator =
   let* () = check_budget ~site:"serve.run" budget in
   let* config = resolve_config estimator in
   let* enumerator = resolve_enumerator enumerator in
-  (* Execution reads the live relations, so it serializes with catalog
-     churn (insert/delete/reanalyze/publish) under the catalog lock; the
-     estimate/explain hot path never waits here beyond the epoch pin. *)
-  locked t @@ fun _store ->
+  (* Execution reads the live relations, which writers insert into in
+     place, so it holds the catalog lock; it waits at most for another
+     writer's snapshot or stage and publish, never for a whole
+     re-ANALYZE. *)
+  locked t @@ fun store ->
   let* query = Sqlfront.Binder.compile_result t.db sql in
   match Optimizer.choose ~enumerator ?budget config t.db query with
   | exception Els.Els_error.Error e -> Error (e, [])
   | choice -> begin
     let provenance = provenance_fields choice.Optimizer.provenance in
-    match Exec.Executor.count_result ?budget t.db choice.Optimizer.plan with
+    match
+      Exec.Executor.count_result ?budget (live_db t store query)
+        choice.Optimizer.plan
+    with
     | Ok rows, counters, elapsed_s ->
       Ok
         ( "run",
@@ -441,7 +462,6 @@ let handle_run ss ~budget ~sql ~estimator ~enumerator =
 let handle_analyze ss ~budget ~table ~shards =
   let t = ss.server in
   let* () = check_budget ~site:"serve.analyze" budget in
-  locked t @@ fun store ->
   let* tables =
     match table with
     | Some name ->
@@ -451,7 +471,18 @@ let handle_analyze ss ~budget ~table ~shards =
     | None ->
       Ok (List.map (fun tbl -> tbl.Catalog.Table.name) (Catalog.Db.tables t.db))
   in
-  List.iter (fun table -> Catalog.Store.reanalyze ?shards store ~table) tables;
+  (* Store's three re-ANALYZE phases: the lock is held to copy the rows
+     and to stage and publish, and released while they are analyzed, so
+     [run] and external writers never wait for a scan. *)
+  let snapshots =
+    locked t (fun store ->
+        List.map (fun table -> Catalog.Store.snapshot store ~table) tables)
+  in
+  let analyses =
+    List.map (Catalog.Store.analyze ?shards t.catalog_store) snapshots
+  in
+  locked t @@ fun store ->
+  List.iter (Catalog.Store.stage store) analyses;
   match Catalog.Store.publish store with
   | Error issue -> Error (Els.Els_error.of_issue issue, [])
   | Ok epoch ->
@@ -489,7 +520,7 @@ let queue_depth_now ss =
 
 let health_fields ss =
   let t = ss.server in
-  let epoch = locked t Catalog.Store.pin in
+  let epoch = Catalog.Store.pin t.catalog_store in
   atomic_max ss.s_max_epoch (Catalog.Epoch.id epoch);
   [
     ("epoch", Obs.Json.Int (Catalog.Epoch.id epoch));

@@ -11,7 +11,14 @@
     a bounded queue; [config.domains] OCaml 5 [Domain] workers pull
     admitted jobs, estimate against an atomically-pinned
     {!Catalog.Epoch} snapshot, and write responses (interleaved safely,
-    correlated by request id). Robustness contract:
+    correlated by request id). The catalog lock ({!locked}) is for
+    writers only: [estimate], [explain] and [health] pin the epoch with
+    one atomic read and never take it. [run] takes it, because it
+    executes against the live relations that writers insert into in
+    place. [analyze] takes it twice, to copy the tables' rows and to
+    stage and publish the new statistics, and analyzes the copies with
+    the lock released, so neither [run] nor an external writer waits
+    for a scan. Robustness contract:
 
     - {e admission control}: a full queue sheds the newest request with a
       structured [Overloaded {depth; shed_policy}] response — never a
@@ -90,11 +97,15 @@ val db : t -> Catalog.Db.t
 val metrics : t -> Obs.Metrics.t
 
 val locked : t -> (Catalog.Store.t -> 'a) -> 'a
-(** Run [f] holding the server's catalog lock — the same lock the
-    [analyze] and [run] handlers take, so external churn (the chaos
-    harness streaming deltas and publishing epochs mid-session) is
-    serialized with them. Estimate/explain workers do not take it beyond
-    the epoch pin: they read only immutable snapshots. *)
+(** Run [f] holding the server's catalog lock, the lock every writer
+    takes: the [run] handler for its whole execution, the [analyze]
+    handler around {!Catalog.Store.snapshot} and around
+    {!Catalog.Store.stage} plus the publish (never around the analysis
+    itself). External churn (the chaos harness streaming deltas and
+    publishing epochs mid-session) goes through here to be serialized
+    with them. No reader takes it: [estimate], [explain] and [health]
+    read only the epoch {!Catalog.Store.pin} returns atomically, so
+    holding the lock never stalls them. *)
 
 val session : t -> in_channel -> out_channel -> session_stats
 (** Run one protocol session to completion: reads frames until EOF (or a

@@ -29,37 +29,66 @@ let top_degrees t = Array.map snd t.top
 let by_degree (va, da) (vb, db) =
   match Float.compare db da with 0 -> Rel.Value.compare va vb | c -> c
 
-let rec take n = function
-  | x :: rest when n > 0 -> x :: take (n - 1) rest
-  | _ -> []
+(* [top.(0 .. n-1)] holds the heaviest entries offered so far, in
+   [by_degree] order. An entry belongs there when a slot is free or it
+   sorts strictly before the last one; checking that allocates nothing,
+   so an entry of the untracked tail costs one comparison. Without the
+   [float] annotation the comparisons are polymorphic, the check is not
+   inlined, and every offered degree is boxed. *)
+let[@inline] admits top n v (d : float) =
+  let k = Array.length top in
+  n < k
+  || k > 0
+     &&
+     let last_v, last_d = top.(k - 1) in
+     d > last_d || (d = last_d && Rel.Value.compare v last_v < 0)
 
-let of_entries ~k ~l1 ~l2_sq ~linf entries =
-  let sorted = List.sort by_degree entries in
-  {
-    l1;
-    l2_sq;
-    linf;
-    top = Array.of_list (take k sorted);
-    k;
-    complete = List.length sorted <= k;
-  }
+(* Puts an admitted [entry] into slot [n], or over the last slot when all
+   are filled, and moves it up past every entry it sorts strictly before;
+   returns the new fill. An entry stays behind an equal one placed
+   earlier, so the slots hold the k-prefix of a stable sort of every
+   entry offered. *)
+let place top n entry =
+  let i = ref (min n (Array.length top - 1)) in
+  while !i > 0 && by_degree entry top.(!i - 1) < 0 do
+    top.(!i) <- top.(!i - 1);
+    decr i
+  done;
+  top.(!i) <- entry;
+  min (n + 1) (Array.length top)
 
+let slots k = Array.make (max k 0) (Rel.Value.Null, 0.)
+
+(* The top-k is selected, not sorted. *)
 let of_counts ?(k = default_k) counts =
+  let top = slots k in
+  let tracked = ref 0 and entries = ref 0 in
   let l1 = ref 0. and l2_sq = ref 0. and linf = ref 0. in
-  let entries =
-    List.filter_map
-      (fun (v, c) ->
-        if Rel.Value.is_null v || c <= 0 then None
-        else begin
-          let d = float_of_int c in
-          l1 := !l1 +. d;
-          l2_sq := !l2_sq +. (d *. d);
-          if d > !linf then linf := d;
-          Some (v, d)
-        end)
-      counts
-  in
-  of_entries ~k ~l1:!l1 ~l2_sq:!l2_sq ~linf:!linf entries
+  (* A loop rather than an iterator closure, so the float accumulators
+     stay unboxed. *)
+  let rest = ref counts in
+  while not (List.is_empty !rest) do
+    match !rest with
+    | [] -> ()
+    | (v, c) :: tail ->
+      rest := tail;
+      if c > 0 && not (Rel.Value.is_null v) then begin
+        let d = float_of_int c in
+        l1 := !l1 +. d;
+        l2_sq := !l2_sq +. (d *. d);
+        if d > !linf then linf := d;
+        incr entries;
+        if admits top !tracked v d then tracked := place top !tracked (v, d)
+      end
+  done;
+  {
+    l1 = !l1;
+    l2_sq = !l2_sq;
+    linf = !linf;
+    top = Array.sub top 0 !tracked;
+    k;
+    complete = !entries <= k;
+  }
 
 let of_values ?(k = default_k) values =
   let counts = Hashtbl.create 1024 in
@@ -95,16 +124,20 @@ let merge a b =
         Hashtbl.replace union v (da +. db)
       | None -> Hashtbl.add union v db)
     b.top;
-  let entries = Hashtbl.fold (fun v d acc -> (v, d) :: acc) union [] in
-  let sorted = List.sort by_degree entries in
-  let tracked_max = match sorted with (_, d) :: _ -> d | [] -> 0. in
+  let top = slots k in
+  let tracked =
+    Hashtbl.fold
+      (fun v d n -> if admits top n v d then place top n (v, d) else n)
+      union 0
+  in
+  let tracked_max = if tracked > 0 then snd top.(0) else 0. in
   {
     l1 = a.l1 +. b.l1;
     l2_sq = a.l2_sq +. b.l2_sq +. (2. *. !cross);
     linf = Float.max tracked_max (Float.max a.linf b.linf);
-    top = Array.of_list (take k sorted);
+    top = Array.sub top 0 tracked;
     k;
-    complete = a.complete && b.complete && List.length sorted <= k;
+    complete = a.complete && b.complete && Hashtbl.length union <= k;
   }
 
 (* Upper bound on the join size of two columns from their degree

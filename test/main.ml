@@ -39,5 +39,6 @@ let () =
       ("kernel", Test_kernel.suite);
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
+      ("serve-lock", Test_store.phase_suite @ Test_serve.lock_suite);
       ("cli-exit", Test_cli_exit.suite);
     ]

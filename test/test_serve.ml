@@ -335,6 +335,219 @@ let test_session_too_many_tables () =
   Alcotest.(check int) "firewall never fired" 0
     stats.Serve.Server.internal_errors
 
+(* --- run executes against the live relations --- *)
+
+(* Every table over the store's live relations: what a fresh COUNT reads. *)
+let live_db server =
+  let db = Catalog.Db.create () in
+  List.iter
+    (fun (tbl : Catalog.Table.t) ->
+      let live =
+        Catalog.Store.live (Serve.Server.store server) ~table:tbl.name
+      in
+      Catalog.Db.add db
+        (Catalog.Table.stored ~name:tbl.name
+           ~row_count:(Rel.Relation.cardinality live)
+           ~column_stats:tbl.column_stats live))
+    (Catalog.Db.tables (Serve.Server.db server));
+  db
+
+let test_run_counts_live_rows () =
+  let server = Serve.Server.create (serve_db ()) in
+  Serve.Server.locked server (fun store ->
+      Catalog.Store.delete store ~table:"t1" ~indices:(List.init 250 Fun.id));
+  let _, responses =
+    drive_server server
+      [
+        Printf.sprintf {|{"id":"r","op":"run","sql":"%s"}|} sql;
+        {|{"id":"d","op":"drain"}|};
+      ]
+  in
+  let count db =
+    Exec.Executor.count_query db (Sqlfront.Binder.compile_exn db sql)
+  in
+  let live = count (live_db server) in
+  Alcotest.(check bool) "the delete changes the count" true
+    (live <> count (Serve.Server.db server));
+  let r = by_id responses "r" in
+  Alcotest.(check bool) "run ok" true r.ok;
+  Alcotest.(check int) "rows = COUNT over the live relations" live
+    (int_of_float (number (List.assoc "rows" r.top)))
+
+(* --- the catalog lock is for writers only --- *)
+
+(* A session on a thread of its own, fed and read one frame at a time, so
+   a test can act between frames. [recv] gives up at [deadline]. *)
+type open_session = {
+  send : string -> unit;
+  recv : deadline:float -> resp option;
+  close : unit -> unit;
+}
+
+let open_session server =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let thread =
+    Thread.create
+      (fun () ->
+        let ic = Unix.in_channel_of_descr in_r in
+        let oc = Unix.out_channel_of_descr out_w in
+        ignore (Serve.Server.session server ic oc : Serve.Server.session_stats);
+        close_out oc;
+        close_in ic)
+      ()
+  in
+  let wc = Unix.out_channel_of_descr in_w in
+  let pending = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec recv ~deadline =
+    let text = Buffer.contents pending in
+    match String.index_opt text '\n' with
+    | Some i ->
+      Buffer.clear pending;
+      Buffer.add_string pending
+        (String.sub text (i + 1) (String.length text - i - 1));
+      Some (parse_response (String.sub text 0 i))
+    | None ->
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then None
+      else begin
+        match Unix.select [ out_r ] [] [] left with
+        | [], _, _ -> None
+        | _ ->
+          let n = Unix.read out_r chunk 0 (Bytes.length chunk) in
+          if n = 0 then None
+          else begin
+            Buffer.add_subbytes pending chunk 0 n;
+            recv ~deadline
+          end
+      end
+  in
+  let send frame =
+    output_string wc frame;
+    output_char wc '\n';
+    flush wc
+  in
+  let close () =
+    close_out wc;
+    (* Drain what is left so the session never blocks on a full pipe. *)
+    while recv ~deadline:(Unix.gettimeofday () +. 10.) <> None do
+      ()
+    done;
+    Thread.join thread;
+    Unix.close out_r
+  in
+  { send; recv; close }
+
+(* Holds the catalog lock on a thread of its own, as an external writer
+   would, until [release] or at most [hold_s]. *)
+let hold_lock server ~hold_s =
+  let holding = Atomic.make false and released = Atomic.make false in
+  let thread =
+    Thread.create
+      (fun () ->
+        Serve.Server.locked server (fun _ ->
+            Atomic.set holding true;
+            let until = Unix.gettimeofday () +. hold_s in
+            while (not (Atomic.get released)) && Unix.gettimeofday () < until do
+              Thread.delay 0.001
+            done))
+      ()
+  in
+  while not (Atomic.get holding) do
+    Thread.delay 0.001
+  done;
+  fun () ->
+    Atomic.set released true;
+    Thread.join thread
+
+let test_readers_skip_the_lock () =
+  let server = Serve.Server.create (serve_db ()) in
+  let release = hold_lock server ~hold_s:5. in
+  let session = open_session server in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      session.close ())
+  @@ fun () ->
+  session.send {|{"id":"h","op":"health"}|};
+  session.send (Printf.sprintf {|{"id":"e","op":"estimate","sql":"%s"}|} sql);
+  session.send (Printf.sprintf {|{"id":"x","op":"explain","sql":"%s"}|} sql);
+  (* Well inside the holder's 5 s: a reader that waits for the lock is
+     answered only after it lets go, so it misses this deadline. *)
+  let deadline = Unix.gettimeofday () +. 2. in
+  let answered =
+    List.init 3 (fun _ ->
+        match session.recv ~deadline with
+        | Some r -> r
+        | None -> Alcotest.fail "a reader waited for the writers' lock")
+  in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (id ^ " answered ok while the lock is held")
+        true (by_id answered id).ok)
+    [ "h"; "e"; "x" ]
+
+(* [serve_db] plus a table whose ANALYZE takes long enough to see what
+   runs meanwhile. *)
+let db_with_big_table rows =
+  let db = serve_db () in
+  let schema =
+    Rel.Schema.make
+      [
+        Rel.Schema.column ~table:"big" ~name:"k" Rel.Value.Ty_int;
+        Rel.Schema.column ~table:"big" ~name:"v" Rel.Value.Ty_int;
+      ]
+  in
+  let rel = Rel.Relation.create schema in
+  for i = 0 to rows - 1 do
+    Rel.Relation.insert_values rel
+      [ Rel.Value.Int (i mod 5000); Rel.Value.Int (i mod 977) ]
+  done;
+  ignore (Catalog.Analyze.register db ~name:"big" rel);
+  db
+
+let test_run_not_behind_analyze () =
+  let db = db_with_big_table 300_000 in
+  let server = Serve.Server.create db in
+  (* Time the compute phase of the analyze the session will run, on a
+     twin store, and sleep a twentieth of it between the two frames: the
+     analyze is under way when the run arrives, and computes for at least
+     ten times as long as the test sleeps. *)
+  let twin = Catalog.Store.create db in
+  let t0 = Unix.gettimeofday () in
+  ignore
+    (Catalog.Store.analyze twin (Catalog.Store.snapshot twin ~table:"big"));
+  let compute_s = Unix.gettimeofday () -. t0 in
+  let session = open_session server in
+  Fun.protect ~finally:(fun () -> session.close ()) @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 30. in
+  (* One answered request first, so the worker domains are up and idle
+     when the analyze arrives. *)
+  session.send (Printf.sprintf {|{"id":"w","op":"estimate","sql":"%s"}|} sql);
+  if session.recv ~deadline = None then Alcotest.fail "warm-up unanswered";
+  session.send {|{"id":"a","op":"analyze","table":"big"}|};
+  Unix.sleepf (compute_s /. 20.);
+  let run_sent = Unix.gettimeofday () in
+  session.send (Printf.sprintf {|{"id":"r","op":"run","sql":"%s"}|} sql);
+  let first = session.recv ~deadline in
+  let run_s = Unix.gettimeofday () -. run_sent in
+  let second = session.recv ~deadline in
+  match (first, second) with
+  | Some first, Some second ->
+    Alcotest.(check (option string)) "run answered before the analyze"
+      (Some "r") first.rid;
+    (* A run queued behind the analyze would also wait out most of its
+       compute, and could still slip in just before its answer. *)
+    Alcotest.(check bool)
+      (Printf.sprintf "run answered in %.1f ms, during a %.1f ms analyze"
+         (run_s *. 1000.) (compute_s *. 1000.))
+      true
+      (run_s < compute_s /. 2.);
+    Alcotest.(check bool) "run ok" true first.ok;
+    Alcotest.(check bool) "analyze ok" true second.ok
+  | _ -> Alcotest.fail "run or analyze unanswered"
+
 (* The chaos harness's script is a function of its seed: two runs of
    seed 1 over 60 sessions send the same frames in the same session mix,
    pinned by the literals below, and both pass. The outcome counts depend
@@ -373,4 +586,14 @@ let suite =
       test_session_too_many_tables;
     Alcotest.test_case "chaos: script deterministic given the seed" `Quick
       test_chaos_script_deterministic;
+    Alcotest.test_case "session: run counts the live rows" `Quick
+      test_run_counts_live_rows;
+  ]
+
+let lock_suite =
+  [
+    Alcotest.test_case "session: readers skip the writers' lock" `Quick
+      test_readers_skip_the_lock;
+    Alcotest.test_case "session: run not queued behind an analyze" `Quick
+      test_run_not_behind_analyze;
   ]

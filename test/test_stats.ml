@@ -449,6 +449,114 @@ let test_degree_join_bound () =
   check_float "key join caps at the smaller side" 5.
     (Stats.Degree.join_bound (key 5) (key 9))
 
+(* The top-k as a sort of every entry, heaviest first with ties in value
+   order, cut to its first k. Selection must build exactly this. *)
+let degree_by_sort ~k counts =
+  let l1 = ref 0. and l2_sq = ref 0. and linf = ref 0. in
+  let entries =
+    List.filter_map
+      (fun (v, c) ->
+        if Rel.Value.is_null v || c <= 0 then None
+        else begin
+          let d = float_of_int c in
+          l1 := !l1 +. d;
+          l2_sq := !l2_sq +. (d *. d);
+          if d > !linf then linf := d;
+          Some (v, d)
+        end)
+      counts
+  in
+  let sorted =
+    List.stable_sort
+      (fun (va, da) (vb, db) ->
+        match Float.compare db da with 0 -> Rel.Value.compare va vb | c -> c)
+      entries
+  in
+  {
+    Stats.Degree.l1 = !l1;
+    l2_sq = !l2_sq;
+    linf = !linf;
+    top = Array.of_list (List.filteri (fun i _ -> i < k) sorted);
+    k;
+    complete = List.length sorted <= k;
+  }
+
+(* Mixed value types over small domains, so values repeat (an entry may
+   appear twice in a count list) and degrees tie; NULL, zero and negative
+   counts are offered too. *)
+let gen_counts =
+  QCheck2.Gen.(
+    let value =
+      oneof
+        [
+          map (fun i -> Rel.Value.Int i) (int_range (-3) 40);
+          map (fun f -> Rel.Value.Float f) (oneofl [ 0.; -0.; 1.5; -2.; nan ]);
+          map (fun s -> Rel.Value.String s) (oneofl [ ""; "a"; "b"; "ab" ]);
+          map (fun b -> Rel.Value.Bool b) bool;
+          return Rel.Value.Null;
+        ]
+    in
+    pair
+      (oneofl [ 0; 1; 2; 5; 32; 64; 1000 ])
+      (list_size (int_range 0 300) (pair value (int_range (-1) 6))))
+
+let prop_degree_selection_is_sort_then_take =
+  QCheck2.Test.make ~count:1000
+    ~name:"degree: top-k selection = sort then take"
+    ~print:(fun (k, counts) ->
+      Printf.sprintf "k=%d [%s]" k
+        (String.concat "; "
+           (List.map
+              (fun (v, c) -> Printf.sprintf "%s:%d" (Rel.Value.to_string v) c)
+              counts)))
+    gen_counts
+    (fun (k, counts) ->
+      compare (Stats.Degree.of_counts ~k counts) (degree_by_sort ~k counts) = 0)
+
+(* Shards of one column each name a value once, as [of_values] builds
+   them; the merge sums the degrees of values both shards track. *)
+let prop_degree_merge_is_sort_then_take =
+  let distinct counts =
+    List.fold_left
+      (fun acc (v, c) ->
+        if List.exists (fun (w, _) -> Rel.Value.equal v w) acc then acc
+        else (v, c) :: acc)
+      [] counts
+    |> List.rev
+  in
+  QCheck2.Test.make ~count:500 ~name:"degree: merged top-k = sort then take"
+    QCheck2.Gen.(pair gen_counts gen_counts)
+    (fun ((ka, ca), (kb, cb)) ->
+      let a = Stats.Degree.of_counts ~k:ka (distinct ca)
+      and b = Stats.Degree.of_counts ~k:kb (distinct cb) in
+      let merged = Stats.Degree.merge a b in
+      let union =
+        Array.fold_left
+          (fun acc (v, d) ->
+            if List.exists (fun (w, _) -> Rel.Value.equal v w) acc then
+              List.map
+                (fun (w, e) ->
+                  if Rel.Value.equal v w then (w, e +. d) else (w, e))
+                acc
+            else acc @ [ (v, d) ])
+          (Array.to_list a.Stats.Degree.top)
+          b.Stats.Degree.top
+      in
+      (* The same entries, counted as one count list of their summed
+         degrees, select what the merge must keep. *)
+      let k = max ka kb in
+      let want =
+        degree_by_sort ~k
+          (List.map (fun (v, d) -> (v, int_of_float d)) union)
+      in
+      compare merged.top want.top = 0
+      && merged.complete
+         = (a.complete && b.complete && List.length union <= k)
+      && merged.linf
+         = Float.max
+             (if Array.length want.top > 0 then snd want.top.(0) else 0.)
+             (Float.max a.linf b.linf))
+
 let test_urn_int_boundary () =
   (* The ceiling variant must stay inside native int range even at the
      extreme corner — ⌈n·(1 − (1 − 1/n)^k)⌉ can round to n + 1 in float,
@@ -541,3 +649,8 @@ let suite =
       test_degree_truncation;
     Alcotest.test_case "degree: join bound" `Quick test_degree_join_bound;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_degree_selection_is_sort_then_take;
+        prop_degree_merge_is_sort_then_take;
+      ]

@@ -320,6 +320,113 @@ let test_distinct_drift_tolerates_accurate_stats () =
     (List.map Catalog.Validate.issue_to_string
        (Catalog.Validate.check_table table))
 
+(* --- re-ANALYZE in three phases ------------------------------------------ *)
+
+(* Every table of the current epoch, serialized: equal strings are
+   bit-identical statistics. *)
+let epoch_bytes store =
+  Marshal.to_string
+    (Catalog.Db.tables (Catalog.Epoch.db (Catalog.Store.pin store)))
+    [ Marshal.No_sharing ]
+
+let publish_ok store =
+  match Catalog.Store.publish store with
+  | Ok _ -> ()
+  | Error issue -> Alcotest.fail (Catalog.Validate.issue_to_string issue)
+
+(* Two stores over the same catalog, given the same deltas, so the only
+   difference between them is how the test re-analyzes. *)
+let twin_stores () =
+  let store () =
+    let db, _ = base_query () in
+    let store = store_of db in
+    let rng = Rel.Prng.create 17 in
+    Catalog.Store.insert store ~table:"t1" (rows_for rng 40);
+    Catalog.Store.delete store ~table:"t2" ~indices:[ 1; 4; 9 ];
+    store
+  in
+  (store (), store ())
+
+let test_phases_equal_reanalyze () =
+  List.iter
+    (fun shards ->
+      let whole, phased = twin_stores () in
+      List.iter
+        (fun table -> Catalog.Store.reanalyze ~shards whole ~table)
+        [ "t1"; "t2" ];
+      (* Snapshots of both tables, then a publish and a pin between the
+         phases: neither writes a table, so neither may change what is
+         staged. *)
+      let snaps =
+        List.map
+          (fun table -> Catalog.Store.snapshot phased ~table)
+          [ "t1"; "t2" ]
+      in
+      publish_ok phased;
+      ignore (Catalog.Store.pin phased);
+      let analyses = List.map (Catalog.Store.analyze ~shards phased) snaps in
+      List.iter (Catalog.Store.stage phased) analyses;
+      publish_ok whole;
+      publish_ok phased;
+      Alcotest.(check bool)
+        (Printf.sprintf "shards=%d: phased statistics = reanalyze's" shards)
+        true
+        (epoch_bytes whole = epoch_bytes phased))
+    [ 1; 3 ]
+
+let test_writes_between_phases_kept () =
+  let rng = Rel.Prng.create 23 in
+  let extra = rows_for rng 30 in
+  let writes =
+    [
+      ("insert", fun store -> Catalog.Store.insert store ~table:"t1" extra);
+      ( "delete",
+        fun store -> Catalog.Store.delete store ~table:"t1" ~indices:[ 0; 3; 5 ]
+      );
+      ( "insert and delete",
+        fun store ->
+          Catalog.Store.insert store ~table:"t1" extra;
+          Catalog.Store.delete store ~table:"t1" ~indices:[ 0; 3; 5 ] );
+    ]
+  in
+  List.iter
+    (fun (what, write) ->
+      let whole, phased = twin_stores () in
+      write whole;
+      Catalog.Store.reanalyze ~shards:2 whole ~table:"t1";
+      let snap = Catalog.Store.snapshot phased ~table:"t1" in
+      write phased;
+      Catalog.Store.stage phased (Catalog.Store.analyze ~shards:2 phased snap);
+      publish_ok whole;
+      publish_ok phased;
+      let published =
+        Catalog.Db.find_exn (Catalog.Epoch.db (Catalog.Store.pin phased)) "t1"
+      in
+      Alcotest.(check int)
+        (what ^ ": published ‖R‖ = live cardinality")
+        (Rel.Relation.cardinality (Catalog.Store.live phased ~table:"t1"))
+        published.Catalog.Table.row_count;
+      let since store =
+        (List.assoc "t1" (Catalog.Store.drift store))
+          .Catalog.Store.rows_since_analyze
+      in
+      Alcotest.(check int)
+        (what ^ ": rows since analyze as reanalyze leaves them")
+        (since whole) (since phased);
+      Alcotest.(check bool)
+        (what ^ ": statistics = a reanalyze after the write")
+        true
+        (epoch_bytes whole = epoch_bytes phased))
+    writes
+
+let phase_suite =
+  [
+    Alcotest.test_case "store: three phases = reanalyze" `Quick
+      test_phases_equal_reanalyze;
+    Alcotest.test_case "store: writes between snapshot and stage kept" `Quick
+      test_writes_between_phases_kept;
+  ]
+
 (* --- property: random mutation storm never tears a pinned reader --------- *)
 
 let gen_storm =
