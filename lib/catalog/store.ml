@@ -208,17 +208,21 @@ let insert t ~table rows =
 
 let delete t ~table ~indices =
   let st = find_state t table in
-  let doomed = List.sort_uniq Int.compare indices in
-  let kept = ref [] and removed = ref [] in
-  List.iteri
-    (fun i tup ->
-      if List.mem i doomed then removed := tup :: !removed
-      else kept := tup :: !kept)
-    (Rel.Relation.to_list st.live);
+  let n = Rel.Relation.cardinality st.live in
+  (* One flag per live row: out-of-range indices are ignored and
+     duplicates collapse. *)
+  let doomed = Array.make n false in
+  List.iter (fun i -> if i >= 0 && i < n then doomed.(i) <- true) indices;
+  let kept = Rel.Relation.create (Rel.Relation.schema st.live) in
+  let removed = ref [] in
+  for i = 0 to n - 1 do
+    let tup = Rel.Relation.get st.live i in
+    if doomed.(i) then removed := tup :: !removed
+    else Rel.Relation.insert kept tup
+  done;
   let removed = List.rev !removed in
   if removed <> [] then begin
-    st.live <-
-      Rel.Relation.of_tuples (Rel.Relation.schema st.live) (List.rev !kept);
+    st.live <- kept;
     let base = staged_candidate st in
     let updated =
       map_cols

@@ -93,8 +93,9 @@ val insert : t -> table:string -> Rel.Value.t list list -> unit
     until {!publish}. *)
 
 val delete : t -> table:string -> indices:int list -> unit
-(** Stream a batch of rows out, by current row index (out-of-range
-    indices are ignored). ‖R‖ and null counts adjust exactly; histogram
+(** Stream a batch of rows out, by current row index (negative and
+    out-of-range indices are ignored, a repeated index deletes once), in
+    one pass over the live relation. ‖R‖ and null counts adjust exactly; histogram
     bucket counts decrement; sketches and bounds cannot shrink and keep
     over-remembering until the next {!reanalyze}. *)
 

@@ -34,9 +34,8 @@ let panel ?strictness () =
 let with_strictness strictness t = { t with strictness }
 let with_estimator estimator t = { t with estimator }
 
-(* Field-wise: the estimator holds closures, so structural equality on the
-   whole record would raise [Invalid_argument "compare: functional value"].
-   Strictness is orthogonal to the algorithm and compared separately. *)
+(* Field-wise, the estimator by id. Strictness is orthogonal to the
+   algorithm and compared separately. *)
 let same_algorithm a b =
   Bool.equal a.closure b.closure
   && Estimator.equal a.estimator b.estimator
@@ -51,9 +50,9 @@ let name t =
     else if same_algorithm t (sm ~ptc:false) then "SM"
     else if same_algorithm t (sm ~ptc:true) then "SM+PTC"
     else
-      (* A registered estimator in its canonical configuration prints its
+      (* A registry estimator in its canonical configuration prints its
          label (LP2, DEGSEQ, ...); custom(...) is for off-registry
-         flag combinations only. *)
+         estimators and flag combinations only. *)
       match
         List.find_opt
           (fun e -> same_algorithm t (of_estimator e))

@@ -63,7 +63,7 @@ val of_estimator : ?strictness:strictness -> Estimator.t -> t
     {!Estimator.flags}, default strictness {!Repair}. *)
 
 val panel : ?strictness:strictness -> unit -> t list
-(** One canonical configuration per registered estimator, in registry
+(** One canonical configuration per registry estimator, in registry
     order — the row set for estimator-comparison experiments. *)
 
 val with_strictness : strictness -> t -> t

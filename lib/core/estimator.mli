@@ -3,13 +3,17 @@
     The paper treats Rules M, SS and LS (Section 7) as interchangeable
     strategies for combining the eligible join selectivities of one
     equivalence class. This module lifts that idea into a value: an
-    estimator is a record of functions with a stable identity, and every
-    consumer — {!Profile}, {!Incremental}, the optimizers and the harness
-    panels — works against this seam instead of matching on an enum.
+    estimator is plain data — a stable identity, one {!combine} arm and
+    one {!cap} arm — and every consumer ({!Profile}, {!Incremental}, the
+    optimizers and the harness panels) works against this seam instead of
+    matching on an enum. Both estimation tiers read the same two arms: the
+    list-scan reference tier through {!fold} and {!bound}, the compiled
+    {!Kernel} through monomorphic cases of its own, so the two cannot
+    disagree about which arithmetic an estimator means.
 
-    Estimators live in a registry so experiment panels, the CLI
-    [--estimator] flag and report labels all draw from one source of
-    truth and can pick up third-party estimators registered at startup. *)
+    The registry holds the seven built-in estimators, so experiment
+    panels, the CLI [--estimator] flag and report labels all draw from one
+    source of truth. *)
 
 type flags = {
   closure : bool;  (** run predicate transitive closure by default *)
@@ -20,15 +24,36 @@ type flags = {
     configuration ({!Config.of_estimator}). They are defaults, not
     requirements: a {!Config.t} may override any of them. *)
 
+(** How one equivalence class folds its eligible join selectivities
+    into a single factor ({!fold}); every arm combines the empty list to
+    1 (a cartesian step). *)
+type combine =
+  | Product  (** Rule M: multiply every selectivity, from 1 *)
+  | Smallest  (** Rule SS: NaN-propagating minimum, seeded with 1 *)
+  | Largest  (** Rule LS: NaN-propagating maximum, seeded with the head *)
+  | Unit  (** classes contribute 1: the bound lives in the cap *)
+
+(** The per-step output-cardinality cap ({!bound}). Applied only to
+    predicate-connected steps, as [min(raw, bound)] — a cartesian step has
+    no equality class to justify a bound. The degree arms fold
+    [Float.min] over the degree pairs of the step's bridging equality
+    predicates and degrade to min-rows without them. *)
+type cap =
+  | No_cap
+  | Min_rows  (** pessimistic degree-1 bound: min(‖R1‖′, ‖R2‖′) *)
+  | Lp2  (** seeded with min-rows, each pair's L2(a)·L2(b) *)
+  | Degseq
+      (** seeded at +∞, each pair's [Stats.Degree.join_bound a b] *)
+  | Ent  (** seeded at +∞, each pair's min(‖R1‖′·L∞(b), ‖R2‖′·L∞(a)) *)
+
 type step_input = {
   left_rows : float;  (** effective size of the already-joined side *)
   right_rows : float;  (** effective size of the newly-joined side *)
   degrees : (Stats.Degree.t * Stats.Degree.t) list;
       (** one pair per bridging {e equality} predicate whose endpoint
           columns both carry ANALYZE-collected degree sequences, ordered
-          (already-joined side, newly-joined side). Comparison predicates
-          and catalog-supplied columns contribute no pair, so caps must
-          degrade gracefully on an empty list. *)
+          (already-joined side a, newly-joined side b). Comparison
+          predicates and catalog-supplied columns contribute no pair. *)
 }
 (** Everything a per-step cap may consult. The degree statistics are the
     {e base tables}' ({!Stats.Degree} on {!Stats.Col_stats.degree}):
@@ -42,28 +67,31 @@ type t = {
           it. *)
   label : string;  (** short display name used in report tables *)
   summary : string;  (** one-line description for help output *)
-  combine : float list -> float;
-      (** fold one equivalence class's eligible join selectivities into a
-          single factor; the empty list must combine to 1 (a cartesian
-          step) *)
-  cap : (step_input -> float * string) option;
-      (** optional per-step output-cardinality cap: the bound, and the
-          label of the term that produced it (e.g. which degree norm, or
-          min-rows), which the derivation card prints. A cap that takes
-          the [Float.min] of several terms labels the first term reaching
-          the minimum. Applied by {!Incremental} only to
-          predicate-connected steps — a cartesian step has no equality
-          class to justify a bound. Caps other than PESS's min-rows lower
-          to the compiled kernel as a closure, which ignores the label. *)
+  combine : combine;
+  cap : cap;
   flags : flags;
 }
+(** Any record runs on the compiled kernel's allocation-free arms,
+    registry entry or not: a copy of {!m} under another [id] estimates as
+    {!m} does. *)
+
+val fold : combine -> float list -> float
+(** The reference arithmetic of a combine arm over one class's
+    selectivities, in the order given. *)
+
+val bound : cap -> step_input -> (float * string) option
+(** The reference arithmetic of a cap arm: [None] for {!No_cap},
+    otherwise the bound and the label of the term that produced it (e.g.
+    which degree norm, or min-rows), which the derivation card prints. A
+    cap that takes the [Float.min] of several terms labels the first term
+    reaching the minimum. *)
 
 val id : t -> string
 val label : t -> string
 
 val equal : t -> t -> bool
-(** Identity is the [id] string — never structural equality, which would
-    raise on the closures inside. *)
+(** Identity is the [id] string, not the arms: a copy under another id is
+    another estimator. *)
 
 val m : t
 (** Rule M (multiplicative): the product of the class's selectivities. *)
@@ -105,23 +133,18 @@ val ent : t
     Degrades to min-rows without degree stats. *)
 
 val registry : unit -> t list
-(** All registered estimators, in registration order; the built-ins
-    [m], [ss], [ls], [pess] come first, then the degree-statistics family
-    [lp2], [degseq], [ent]. *)
-
-val register : t -> unit
-(** Append a new estimator to the registry.
-    @raise Invalid_argument on a duplicate [id]. *)
+(** The seven built-in estimators: [m], [ss], [ls], [pess] first, then
+    the degree-statistics family [lp2], [degseq], [ent]. *)
 
 val ids : unit -> string list
-(** The registered ids, in registry order. *)
+(** The registry's ids, in registry order. *)
 
 val find : string -> t option
 (** Case-insensitive lookup by [id] or [label]. *)
 
 val of_string : string -> (t, string) result
 (** Like {!find}, but an unknown name yields a one-line message listing
-    the registered ids with a did-you-mean suggestion
+    the registry's ids with a did-you-mean suggestion
     ({!Catalog.Suggest}). *)
 
 val of_string_exn : string -> t

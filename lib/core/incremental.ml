@@ -153,7 +153,7 @@ let scan_groups profile preds =
         cdf_stats;
         combined =
           Guard.selectivity guard ~site:"Profile.class_selectivity"
-            (combine sels);
+            (Estimator.fold combine sels);
       })
     (Selectivity.group_by_class profile preds)
 
@@ -277,13 +277,12 @@ let scan_step ?sink profile ~site ~index ~table ~left_mask ~left_rows
   let groups = scan_groups profile preds in
   let raw = left_rows *. right_rows *. scan_selectivity groups in
   let cap =
-    match est.Estimator.cap with
-    | Some cap when preds <> [] ->
-      Some
-        (cap
-           { Estimator.left_rows; right_rows;
-             degrees = step_degrees profile ~left_mask preds })
-    | Some _ | None -> None
+    match (est.Estimator.cap, preds) with
+    | Estimator.No_cap, _ | _, [] -> None
+    | cap, _ :: _ ->
+      Estimator.bound cap
+        { Estimator.left_rows; right_rows;
+          degrees = step_degrees profile ~left_mask preds }
   in
   let capped =
     match cap with Some (bound, _) -> Float.min raw bound | None -> raw

@@ -14,8 +14,8 @@
 
     An estimator with a per-step cardinality cap ({!Estimator.cap}, e.g.
     the pessimistic degree-1 bound) additionally bounds each
-    predicate-connected step's output by [cap ~left_rows ~right_rows];
-    cartesian steps are never capped.
+    predicate-connected step's output by {!Estimator.bound} of the step's
+    input sizes; cartesian steps are never capped.
 
     This is the inner loop of exact DP enumeration (2ⁿ subsets), so the
     state carries the joined set as an int bitset over the profile's

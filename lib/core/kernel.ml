@@ -19,35 +19,21 @@
    [Float.min]/[Float.max] are the stdlib's: they are [@inline], so they
    box nothing (the allocation audits in test_kernel and F12 measure it).
 
-   The [Combine]/[Cap] closure arms (registered custom estimators) are
-   exempt: they build the member lists and step inputs the estimator's
-   closures take, and so allocate.
-
    Bit-identity with the list-scan reference tier in [Incremental]
    requires replicating its exact IEEE evaluation order: selectivities
    combine per class first (classes in first-occurrence order of the
    ascending predicate scan, members in ascending id order, each fold
-   seeded exactly as the estimator's [combine] seeds it — note SS folds
-   from 1.0, so its first member is [Float.min 1. s], not [s]) and the
-   per-class results multiply left-to-right onto 1.0. A flat product
+   seeded exactly as the reference tier's combine fold seeds it — note SS
+   folds from 1.0, so its first member is [Float.min 1. s], not [s]) and
+   the per-class results multiply left-to-right onto 1.0. A flat product
    across all predicates would round differently. The degree arms fold
-   their terms in ascending predicate order with the closures' argument
-   order, for the same reason. *)
+   their terms in ascending predicate order with the reference caps'
+   argument order, for the same reason. *)
 
-type combine =
-  | Product
-  | Smallest
-  | Largest
-  | Unit
-  | Combine of (float list -> float)
-
-type cap =
-  | No_cap
-  | Min_rows
-  | Lp2
-  | Degseq
-  | Ent
-  | Cap of (Estimator.step_input -> float * string)
+(* The estimator's arms, re-exported so the step engine matches on them
+   unqualified. *)
+type combine = Estimator.combine = Product | Smallest | Largest | Unit
+type cap = Estimator.cap = No_cap | Min_rows | Lp2 | Degseq | Ent
 
 (* Scratch slot indices in [acc]. *)
 let slot_result = 0 (* combined selectivity, then final size *)
@@ -71,15 +57,10 @@ type t = {
   pred_class : int array;
   pred_mask_a : int array;
   pred_mask_b : int array;
-  (* Per join predicate, for [Cap] and the degree arms (empty otherwise):
-     the single-bit mask of its left column's table and the degree
-     statistics of its left and right columns; [None] for comparisons and
-     columns without degree statistics. *)
-  pred_degrees : (int * Stats.Degree.t * Stats.Degree.t) option array;
   (* Per join predicate, for the degree arms only (empty otherwise),
-     computed once by [make]: its left column's table mask, 0 when it has
-     no term ([pred_degrees] is [None]), and two floats, never read
-     without a term. Lp2 and Degseq store the term with the left column
+     computed once by [make] from [pred_degrees]: its left column's table
+     mask, 0 when it has no term (no degree pair), and two floats, never
+     read without a term. Lp2 and Degseq store the term with the left column
      on a step's joined side ([term_a]) and on its new side ([term_b]);
      Ent stores the L∞ of the left ([term_a]) and right ([term_b])
      columns. *)
@@ -94,7 +75,6 @@ type t = {
      classes of the current step in first-occurrence order. *)
   class_acc : float array;
   class_stamp : int array;
-  class_members : float list array;  (* [Combine] only: newest first *)
   touched : int array;
   mutable stamp : int;
   mutable n_touched : int;
@@ -112,7 +92,7 @@ let degree_terms cap dl dr =
       Stats.Degree.l2 dr *. Stats.Degree.l2 dl )
   | Degseq -> (Stats.Degree.join_bound dl dr, Stats.Degree.join_bound dr dl)
   | Ent -> (Stats.Degree.linf dl, Stats.Degree.linf dr)
-  | No_cap | Min_rows | Cap _ -> invalid_arg "Kernel.degree_terms"
+  | No_cap | Min_rows -> invalid_arg "Kernel.degree_terms"
 
 let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
     ~pred_mask_a ~pred_mask_b ~pred_degrees ~n_classes ~combine ~cap ~guard =
@@ -120,9 +100,7 @@ let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
   let n_preds = Array.length pred_sel in
   let n_slots = Array.length adj_pred in
   let degree_arm =
-    match cap with
-    | Lp2 | Degseq | Ent -> true
-    | No_cap | Min_rows | Cap _ -> false
+    match cap with Lp2 | Degseq | Ent -> true | No_cap | Min_rows -> false
   in
   if Array.length adj_off <> n_tables + 1 then
     invalid_arg "Kernel.make: adj_off must have n_tables + 1 entries";
@@ -134,9 +112,7 @@ let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
     Array.length pred_class <> n_preds
     || Array.length pred_mask_a <> n_preds
     || Array.length pred_mask_b <> n_preds
-    || (match cap with
-       | Cap _ | Lp2 | Degseq | Ent -> Array.length pred_degrees <> n_preds
-       | No_cap | Min_rows -> false)
+    || (degree_arm && Array.length pred_degrees <> n_preds)
   then invalid_arg "Kernel.make: per-predicate array length mismatch";
   Array.iter
     (fun p ->
@@ -172,7 +148,6 @@ let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
     pred_class;
     pred_mask_a;
     pred_mask_b;
-    pred_degrees;
     term_mask;
     term_a;
     term_b;
@@ -181,10 +156,6 @@ let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
     guard;
     class_acc = Array.make (max 1 n_classes) 0.;
     class_stamp = Array.make (max 1 n_classes) 0;
-    class_members =
-      (match combine with
-      | Combine _ -> Array.make (max 1 n_classes) []
-      | Product | Smallest | Largest | Unit -> [||]);
     touched = Array.make (max 1 n_classes) 0;
     stamp = 0;
     n_touched = 0;
@@ -210,13 +181,11 @@ let accum_pred k p =
        M:    1. *. s = s (bit-exact identity, NaN included)
        SS:   Float.min 1. s — which is 1. when s > 1 (possible under Trap)
        LS:   seeds from the head directly
-       PESS: classes contribute 1; the bound lives in the cap.
-       A [Combine] class collects its members for [finish_classes]. *)
+       PESS: classes contribute 1; the bound lives in the cap. *)
     match k.combine with
     | Product | Largest -> k.class_acc.(c) <- s
     | Smallest -> k.class_acc.(c) <- Float.min 1. s
     | Unit -> k.class_acc.(c) <- 1.
-    | Combine _ -> k.class_members.(c) <- [ k.pred_sel.(p) ]
   end
   else
     match k.combine with
@@ -224,7 +193,6 @@ let accum_pred k p =
     | Smallest -> k.class_acc.(c) <- Float.min k.class_acc.(c) s
     | Largest -> k.class_acc.(c) <- Float.max k.class_acc.(c) s
     | Unit -> ()
-    | Combine _ -> k.class_members.(c) <- k.pred_sel.(p) :: k.class_members.(c)
 
 (* Breach path of [finish_classes], out of line so the loop never passes a
    float to a call: re-guards [class_acc.(c)] through the shared Guard,
@@ -241,9 +209,6 @@ let finish_classes k =
   k.acc.(slot_result) <- 1.;
   for i = 0 to k.n_touched - 1 do
     let c = k.touched.(i) in
-    (match k.combine with
-    | Combine f -> k.class_acc.(c) <- f (List.rev k.class_members.(c))
-    | Product | Smallest | Largest | Unit -> ());
     (* [not (in range)] and not [< 0. || > 1.]: NaN must breach. *)
     if not (k.class_acc.(c) >= 0. && k.class_acc.(c) <= 1.) then
       fix_class k c;
@@ -285,39 +250,10 @@ let breach_size k ~site =
     Guard.cardinality ~upper:k.acc.(slot_upper) k.guard ~site
       k.acc.(slot_result)
 
-(* The degree pairs of the predicates bridging [mask1] (already joined)
-   and [mask2] (newly joined), ascending, oriented (mask1 side, mask2
-   side) — what an estimator's cap closure reads. *)
-let step_degrees k ~mask1 ~mask2 =
-  let pairs = ref [] in
-  for p = Array.length k.pred_sel - 1 downto 0 do
-    if bridges k p ~mask1 ~mask2 then
-      match k.pred_degrees.(p) with
-      | Some (left_mask, dl, dr) ->
-        pairs :=
-          (if mask1 land left_mask <> 0 then (dl, dr) else (dr, dl)) :: !pairs
-      | None -> ()
-  done;
-  !pairs
-
-(* The [Cap] arm of [finish_size], out of line: reads the raw size and
-   the inputs back from the scratch slots and leaves the capped size in
-   [acc.(slot_result)]. The cap's label is for derivation cards only. *)
-let apply_cap k f ~mask1 ~mask2 =
-  let bound, _label =
-    f
-      {
-        Estimator.left_rows = k.acc.(slot_left);
-        right_rows = k.acc.(slot_right);
-        degrees = step_degrees k ~mask1 ~mask2;
-      }
-  in
-  k.acc.(slot_result) <- Float.min k.acc.(slot_result) bound
-
 (* Fold predicate [p]'s degree term, if it has one, into
    [acc.(slot_bound)] for a step whose already-joined side is [mask1]:
-   the orientation [step_degrees] gives a cap closure, and the closure's
-   [Float.min bound term] argument order. Ent's term is
+   the reference tier's orientation (joined side a, new side b), and its
+   caps' [Float.min bound term] argument order. Ent's term is
    min(left · L∞(new side), right · L∞(joined side)) from the step's
    rows. No float parameters or returns. *)
 let fold_term k p ~mask1 =
@@ -333,8 +269,7 @@ let fold_term k p ~mask1 =
           let left = k.acc.(slot_left) and right = k.acc.(slot_right) in
           if joined_left then Float.min (left *. b) (right *. a)
           else Float.min (left *. a) (right *. b)
-        | Lp2 | Degseq | No_cap | Min_rows | Cap _ ->
-          if joined_left then a else b)
+        | Lp2 | Degseq | No_cap | Min_rows -> if joined_left then a else b)
   end
 
 (* A degree arm's bound in [acc.(slot_bound)]. LP2 seeds it with
@@ -348,7 +283,7 @@ let degree_bound k ~mask1 ~mask2 ~bit =
   k.acc.(slot_bound) <-
     (match k.cap with
     | Lp2 -> min_rows
-    | Degseq | Ent | No_cap | Min_rows | Cap _ -> Float.infinity);
+    | Degseq | Ent | No_cap | Min_rows -> Float.infinity);
   if bit >= 0 then
     for i = k.adj_off.(bit) to k.adj_off.(bit + 1) - 1 do
       if mask1 land k.adj_other_mask.(i) <> 0 then
@@ -366,7 +301,7 @@ let degree_bound k ~mask1 ~mask2 ~bit =
    association), capped on bridged steps, then guarded against the
    cartesian upper bound. [mask1]/[mask2] are the step's two sides and
    [bit] the new table of an extend (-1 for a join), read only by the
-   degree arms and a [Cap] closure. *)
+   degree arms. *)
 let finish_size k ~site ~mask1 ~mask2 ~bit =
   let left = k.acc.(slot_left) and right = k.acc.(slot_right) in
   k.acc.(slot_result) <- left *. right *. k.acc.(slot_result);
@@ -379,7 +314,6 @@ let finish_size k ~site ~mask1 ~mask2 ~bit =
     | Lp2 | Degseq | Ent ->
       degree_bound k ~mask1 ~mask2 ~bit;
       k.acc.(slot_result) <- Float.min k.acc.(slot_result) k.acc.(slot_bound)
-    | Cap f -> apply_cap k f ~mask1 ~mask2
   end;
   let capped = k.acc.(slot_result) in
   let upper = left *. right in

@@ -13,22 +13,23 @@
       the precomputed bitmask of the predicate's {e other} endpoint;
     - per-predicate join selectivities in one float array (guard-clamped
       at compile, exactly as {!Profile.join_selectivity} produces them);
-    - the estimator's [combine]/[cap] resolved to monomorphic cases over
-      those arrays for the seven registry estimators, and to one closure
-      arm each for a registered custom estimator ({!combine}, {!cap});
+    - the estimator's {!Estimator.combine} and {!Estimator.cap} arms, run
+      as monomorphic cases over those arrays that fold exactly as
+      {!Estimator.fold} and {!Estimator.bound} do — the degree arms over
+      the terms of the step's bridging predicates, in ascending predicate
+      order and oriented (already-joined side a, newly-joined side b);
+      cap labels stay on the reference tier;
     - for the degree-statistics caps (LP2, DEGSEQ, ENT), each equality
       predicate's degree terms, computed once from the ANALYZE-collected
       degree sequences of its two columns, so a step only folds floats.
 
-    Steps of the seven registry estimators run with {e zero minor-heap
+    Steps of every estimator record run with {e zero minor-heap
     allocation}: class accumulation uses stamped scratch arrays owned by
     the kernel, guard checks are inlined on the in-range path, and the
     [*_into] entry points keep every float inside one frame (no boxed
     returns). Only invariant {e breaches} leave the fast path, calling the
     shared {!Guard} so error messages, strictness semantics and violation
-    counters stay identical to the reference tier. The closure arms, kept
-    for registered custom estimators, allocate the lists and
-    {!Estimator.step_input}s the closures take.
+    counters stay identical to the reference tier.
 
     Every number a kernel produces is bit-identical to the list-scan
     reference tier in {!Incremental} (same fold shapes, same guard sites,
@@ -39,40 +40,6 @@
     data layout and the step engine, so it stays independent of profile
     construction. A kernel is single-threaded scratch state: share the
     profile across domains, not the kernel. *)
-
-(** How one equivalence class combines its eligible selectivities —
-    {!Estimator.t.combine} resolved to a monomorphic case. *)
-type combine =
-  | Product  (** Rule M: multiply every selectivity *)
-  | Smallest  (** Rule SS: NaN-propagating minimum *)
-  | Largest  (** Rule LS: NaN-propagating maximum *)
-  | Unit  (** classes contribute 1 (PESS: the bound lives in the cap) *)
-  | Combine of (float list -> float)
-      (** any other estimator's [combine], called on the class's members
-          in ascending predicate order *)
-
-(** Per-step cardinality cap — {!Estimator.t.cap} resolved. Every cap
-    applies only to predicate-connected steps, as min(raw, bound). The
-    degree arms fold [Float.min] over the terms of the step's bridging
-    predicates that carry degree statistics, in ascending predicate order
-    and oriented (already-joined side a, newly-joined side b), exactly as
-    {!Estimator.lp2}, {!Estimator.degseq} and {!Estimator.ent} fold their
-    degree pairs; their labels stay on the reference tier. *)
-type cap =
-  | No_cap
-  | Min_rows  (** pessimistic degree-1 bound: min(‖R1‖′, ‖R2‖′) *)
-  | Lp2
-      (** LP2: seeded with min-rows, each term L2(a)·L2(b) *)
-  | Degseq
-      (** DEGSEQ: seeded at +∞, each term
-          [Stats.Degree.join_bound a b]; min-rows without terms *)
-  | Ent
-      (** ENT: seeded at +∞, each term
-          min(‖R1‖′·L∞(b), ‖R2‖′·L∞(a)); min-rows without terms *)
-  | Cap of (Estimator.step_input -> float * string)
-      (** a registered custom estimator's cap, given the step's input
-          sizes and the degree pairs of its bridging equality predicates;
-          the kernel uses the bound and drops the label *)
 
 type t
 
@@ -87,8 +54,8 @@ val make :
   pred_mask_b:int array ->
   pred_degrees:(int * Stats.Degree.t * Stats.Degree.t) option array ->
   n_classes:int ->
-  combine:combine ->
-  cap:cap ->
+  combine:Estimator.combine ->
+  cap:Estimator.cap ->
   guard:Guard.t ->
   t
 (** Assemble a kernel from compiled arrays (normally via
@@ -100,11 +67,11 @@ val make :
     [adj_other_mask] the bitmask of the predicate's other endpoint;
     [pred_sel]/[pred_class]/[pred_mask_a]/[pred_mask_b] are per-predicate
     (dense index, ascending conjunction order); [pred_degrees] is too when
-    [cap] is a degree arm or a [Cap] closure — the single-bit table mask
-    of the predicate's left column and the degree statistics of its left
-    and right columns, [None] when the predicate contributes no pair — and
-    is empty otherwise. For a degree arm, [make] computes each pair's
-    terms here, once, in both orientations.
+    [cap] is a degree arm — the single-bit table mask of the predicate's
+    left column and the degree statistics of its left and right columns,
+    [None] when the predicate contributes no pair — and is empty
+    otherwise. [make] computes each pair's terms here, once, in both
+    orientations, and keeps only those.
     @raise Invalid_argument on inconsistent array lengths. *)
 
 val table_count : t -> int
@@ -144,7 +111,7 @@ val extend_into : t -> sizes:float array -> mask:int -> bit:int -> unit
     ~size:sizes.(mask)], with every float kept inside the call frame — the
     zero-allocation entry point (measured, not assumed: the F12
     experiment and the kernel test suite assert a 0 [Gc.minor_words]
-    delta per step after warmup, for the seven registry estimators). *)
+    delta per step after warmup, for every estimator record). *)
 
 val extend_into_slot :
   t -> mask:int -> bit:int -> io:float array -> src:int -> dst:int -> unit

@@ -530,46 +530,25 @@ let join_selectivity t id =
 
 let estimator t = t.config.Config.estimator
 
-(* The compiled kernel bakes in the estimator's combine/cap, so the
-   swapped copy recompiles lazily; the per-predicate [sel_cache] is
+(* The compiled kernel bakes in the estimator's arms, so the swapped copy
+   recompiles lazily; the per-predicate [sel_cache] is
    estimator-independent and shared. *)
 let with_estimator e t =
   { t with config = Config.with_estimator e t.config; kernel = None }
 
 (* --- kernel compilation -------------------------------------------------
 
-   Lowering a profile to a [Kernel.t]: the estimator's combine/cap resolved
-   to monomorphic cases, class roots interned as dense ids, the per-table
+   Lowering a profile to a [Kernel.t]: the estimator's two arms passed
+   through as they are, class roots interned as dense ids, the per-table
    adjacency re-laid out as CSR int arrays with precomputed other-endpoint
    bitmasks, and every join selectivity evaluated once into a float array.
    Selectivities go through the same memoized [join_selectivity], so guard
    semantics and violation accounting match the reference tier. *)
 
-(* The seven registry estimators lower to monomorphic, allocation-free
-   arms: the three rules, and PESS and the degree-statistics family,
-   whose classes contribute 1 and whose bound is the cap. Any other
-   estimator — a custom registry entry — lowers through the closure arms.
-   Physical equality is the right test: registry entries are shared
-   records, and any re-made record could carry a different closure under
-   the same id. *)
-let kernel_kind est =
-  if est == Estimator.m then (Kernel.Product, Kernel.No_cap)
-  else if est == Estimator.ss then (Kernel.Smallest, Kernel.No_cap)
-  else if est == Estimator.ls then (Kernel.Largest, Kernel.No_cap)
-  else if est == Estimator.pess then (Kernel.Unit, Kernel.Min_rows)
-  else if est == Estimator.lp2 then (Kernel.Unit, Kernel.Lp2)
-  else if est == Estimator.degseq then (Kernel.Unit, Kernel.Degseq)
-  else if est == Estimator.ent then (Kernel.Unit, Kernel.Ent)
-  else
-    ( Kernel.Combine est.Estimator.combine,
-      match est.Estimator.cap with
-      | Some cap -> Kernel.Cap cap
-      | None -> Kernel.No_cap )
-
-(* Per join predicate, the degree statistics a degree arm or a cap closure
-   reads: both columns of an equality predicate, when ANALYZE collected
-   them. Comparison predicates never pair (their selectivity is
-   CDF-derived, not degree-derived). *)
+(* Per join predicate, the degree statistics a degree arm reads: both
+   columns of an equality predicate, when ANALYZE collected them.
+   Comparison predicates never pair (their selectivity is CDF-derived,
+   not degree-derived). *)
 let pred_degrees t jids =
   Array.map
     (fun id ->
@@ -586,7 +565,7 @@ let pred_degrees t jids =
     jids
 
 let compile_kernel t =
-  let combine, cap = kernel_kind (estimator t) in
+  let { Estimator.combine; cap; _ } = estimator t in
   let index = t.index in
   let n = Array.length index.table_names in
   let jids = index.join_pred_ids in
@@ -654,9 +633,8 @@ let compile_kernel t =
   done;
   let pred_degrees =
     match cap with
-    | Kernel.Lp2 | Kernel.Degseq | Kernel.Ent | Kernel.Cap _ ->
-      pred_degrees t jids
-    | Kernel.No_cap | Kernel.Min_rows -> [||]
+    | Estimator.Lp2 | Estimator.Degseq | Estimator.Ent -> pred_degrees t jids
+    | Estimator.No_cap | Estimator.Min_rows -> [||]
   in
   Kernel.make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
     ~pred_mask_a ~pred_mask_b ~pred_degrees ~n_classes:!n_classes ~combine ~cap

@@ -105,7 +105,7 @@ val run :
     ([estimators] defaults to the full {!Els.Estimator.registry}): the
     clean baseline followed by one outcome per corruption kind in {!all},
     each applied to every table and column of {!base_db} — the robustness
-    contract must hold for every registered estimator, not just ELS.
+    contract must hold for every registry estimator, not just ELS.
     [make_budget] produces a {e fresh} budget per outcome (budgets are
     sticky, so they cannot be shared), crossing the corruption grid with
     resource exhaustion. *)

@@ -7,8 +7,8 @@
     each under its canonical configuration ({!Els.Config.of_estimator}):
     the size after each join of the query's FROM order, the true size
     ({!Exec.Executor.count_query}, counted, never materialized) and the
-    q-error of the final estimate. A newly registered estimator shows up
-    in every panel without a harness change.
+    q-error of the final estimate. An estimator added to the registry
+    shows up in every panel without a harness change.
 
     The three experiments differ only in their scenario lists:
     - {!f10}: the paper's Section 8 workload;

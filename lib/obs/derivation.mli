@@ -81,9 +81,10 @@ val replay : combine:(rule:string -> float list -> float) -> t -> float list
     incremental pipeline under Repair-mode clamping: per class,
     [combine ~rule inputs] clamped to [[0, 1]]; the step size is
     [left · right · Πclasses], capped when [cap] is set, then clamped to
-    [[0, left·right]] (NaN repairs to 0). With [combine] dispatching to
-    the registered estimators, the result is bit-identical to the
-    recorded [output]s — the replay property the tests pin down. *)
+    [[0, left·right]] (NaN repairs to 0). With [combine] folding each
+    rule's inputs as its estimator's combine arm does, the result is
+    bit-identical to the recorded [output]s — the replay property the
+    tests pin down. *)
 
 val pp_card : Format.formatter -> t -> unit
 (** Render the derivation as a human-readable card: one block per step

@@ -428,19 +428,25 @@ let handle_run ss ~budget ~sql ~estimator ~enumerator =
   let* () = check_budget ~site:"serve.run" budget in
   let* config = resolve_config estimator in
   let* enumerator = resolve_enumerator enumerator in
-  (* Execution reads the live relations, which writers insert into in
-     place, so it holds the catalog lock; it waits at most for another
-     writer's snapshot or stage and publish, never for a whole
-     re-ANALYZE. *)
-  locked t @@ fun store ->
-  let* query = Sqlfront.Binder.compile_result t.db sql in
-  match Optimizer.choose ~enumerator ?budget config t.db query with
+  (* Planned as [explain] plans, on the pinned epoch and without the
+     lock. *)
+  let epoch0 = Catalog.Store.pin t.catalog_store in
+  let* query = Sqlfront.Binder.compile_result (Catalog.Epoch.db epoch0) sql in
+  let epoch, _ = pin_with_retry ss epoch0 (query_tables query) in
+  match
+    Optimizer.choose ~enumerator ?budget config (Catalog.Epoch.db epoch) query
+  with
   | exception Els.Els_error.Error e -> Error (e, [])
   | choice -> begin
     let provenance = provenance_fields choice.Optimizer.provenance in
+    (* Execution reads the live relations, which writers insert into in
+       place, so it holds the catalog lock; it waits at most for another
+       writer's snapshot or stage and publish, never for a whole
+       re-ANALYZE. *)
     match
-      Exec.Executor.count_result ?budget (live_db t store query)
-        choice.Optimizer.plan
+      locked t (fun store ->
+          Exec.Executor.count_result ?budget (live_db t store query)
+            choice.Optimizer.plan)
     with
     | Ok rows, counters, elapsed_s ->
       Ok

@@ -13,7 +13,8 @@
     {!Catalog.Epoch} snapshot, and write responses (interleaved safely,
     correlated by request id). The catalog lock ({!locked}) is for
     writers only: [estimate], [explain] and [health] pin the epoch with
-    one atomic read and never take it. [run] takes it, because it
+    one atomic read and never take it. [run] plans on the pinned epoch
+    as [explain] does and takes the lock only to execute, because it
     executes against the live relations that writers insert into in
     place. [analyze] takes it twice, to copy the tables' rows and to
     stage and publish the new statistics, and analyzes the copies with
@@ -98,7 +99,7 @@ val metrics : t -> Obs.Metrics.t
 
 val locked : t -> (Catalog.Store.t -> 'a) -> 'a
 (** Run [f] holding the server's catalog lock, the lock every writer
-    takes: the [run] handler for its whole execution, the [analyze]
+    takes: the [run] handler around its execution, the [analyze]
     handler around {!Catalog.Store.snapshot} and around
     {!Catalog.Store.stage} plus the publish (never around the analysis
     itself). External churn (the chaos harness streaming deltas and

@@ -618,19 +618,18 @@ let test_dp_arrays_invisible () =
   Alcotest.(check bool) "the budget trips into the anytime ladder" true
     (let r = List.assoc "12-table chain, node budget 2000" first in
      Helpers.contains r "exhausted");
-  (* A NaN class selectivity breaches the guard in the first connected
-     step; under Strict the breach raises out of [optimize_traced]. *)
-  let nan_rule =
-    { Els.Estimator.m with id = "test-nan"; label = "NAN";
-      combine = (fun _ -> Float.nan) }
-  in
+  (* A NaN ‖R‖′ written into the profile before its kernel compiles
+     breaches the cardinality guard in the first step; under Strict the
+     breach raises out of [optimize_traced]. *)
   let strict =
-    Els.prepare
-      (Els.Config.of_estimator ~strictness:Els.Config.Strict nan_rule)
+    Els.Profile.build
+      (Els.Config.of_estimator ~strictness:Els.Config.Strict Els.Estimator.m)
       big_db big
   in
+  let profiles = strict.Els.Profile.index.Els.Profile.profiles in
+  profiles.(0) <- { (profiles.(0)) with Els.Profile.rows = Float.nan };
   (match Optimizer.Dp.optimize_traced strict big with
-  | _ -> Alcotest.fail "a NaN selectivity under Strict must raise"
+  | _ -> Alcotest.fail "a NaN row count under Strict must raise"
   | exception Els.Els_error.Error _ -> ());
   repeat "12-table chain";
   repeat "4-table chain";

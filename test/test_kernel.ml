@@ -3,18 +3,19 @@
    Four contracts, matching the two-tier ladder documented in Incremental
    (list-scan reference -> kernel):
 
-   - every estimator lowers — the seven registry estimators on their
-     fixed arms and a registered custom estimator through the closure
-     arms — and so does every join predicate, comparisons included:
-     estimation never leaves the kernel and the fallback counter stays 0;
+   - every estimator lowers — all 20 pairings of a combine arm with a
+     cap arm, the seven registry estimators among them, and a copy of a
+     registry estimator under another id — and so does every join
+     predicate, comparisons included: estimation never leaves the kernel
+     and the fallback counter stays 0;
    - the kernel is bit-identical to the list-scan reference tier: sizes
-     and histories agree [Float.equal] across every estimator, every join
+     and histories agree [Float.equal] across all 20 pairings, every join
      order, left-deep and bushy, on equality chains, Zipf stars and
      comparison chains, on corrupted catalogs and corrupted degree
      statistics (Repair and Trap, guards tripping), and under an
      optimizer budget;
-   - one kernel extend step of a registry estimator allocates exactly
-     zero minor-heap words (measured with Gc.minor_words, not assumed);
+   - one kernel extend step of any pairing allocates exactly zero
+     minor-heap words (measured with Gc.minor_words, not assumed);
    - equivalence-class grouping keys on [Cref.equal]: two eligible
      predicates of one class yield one group and one combined
      selectivity (regression for the polymorphic-assoc grouping). *)
@@ -134,45 +135,36 @@ let rec permutations = function
         List.map (fun p -> x :: p) (permutations rest))
       l
 
-(* A registered custom estimator with its own combine and a degree-reading
-   cap, so both closure arms of the kernel run: the geometric mean of a
-   class's selectivities, capped at the smallest [L∞ × rows] fan-out bound
-   of the step's degree pairs. *)
-let custom =
-  lazy
-    (let id = "test-geo" in
-     (match Els.Estimator.find id with
-     | Some _ -> ()
-     | None ->
-       Els.Estimator.register
-         {
-           Els.Estimator.id;
-           label = "GEO";
-           summary = "test estimator: geometric-mean classes, L∞ fan-out cap";
-           combine =
-             (fun sels ->
-               match sels with
-               | [] -> 1.
-               | _ ->
-                 List.fold_left ( *. ) 1. sels
-                 ** (1. /. float_of_int (List.length sels)));
-           cap =
-             Some
-               (fun { Els.Estimator.left_rows; right_rows; degrees } ->
-                 ( List.fold_left
-                     (fun acc (_, b) ->
-                       Float.min acc (left_rows *. Stats.Degree.linf b))
-                     (left_rows *. right_rows) degrees,
-                   "fan-out" ));
-           flags = Els.Estimator.ls.Els.Estimator.flags;
-         });
-     Els.Estimator.of_string_exn id)
+(* Every pairing of a combine arm with a cap arm: the registry estimator
+   that declares the pairing where there is one, otherwise a record under
+   LS's pipeline flags. Checking all 20 leaves no pairing of arms free to
+   drift between the two tiers. *)
+let records =
+  let open Els.Estimator in
+  List.concat_map
+    (fun (combine, combine_name) ->
+      List.map
+        (fun (cap, cap_name) ->
+          match
+            List.find_opt
+              (fun e -> e.combine = combine && e.cap = cap)
+              (registry ())
+          with
+          | Some e -> e
+          | None ->
+            let id = combine_name ^ "+" ^ cap_name in
+            { ls with id; label = String.uppercase_ascii id; combine; cap })
+        [
+          (No_cap, "none"); (Min_rows, "min-rows"); (Lp2, "lp2");
+          (Degseq, "degseq"); (Ent, "ent");
+        ])
+    [
+      (Product, "product"); (Smallest, "smallest"); (Largest, "largest");
+      (Unit, "unit");
+    ]
 
-(* Every registered estimator's canonical configuration, the custom one
-   included. *)
-let configs () =
-  ignore (Lazy.force custom : Els.Estimator.t);
-  Els.Config.panel ()
+(* The canonical configuration of each of the 20 records. *)
+let configs () = List.map Els.Config.of_estimator records
 
 let split k l =
   (List.filteri (fun i _ -> i < k) l, List.filteri (fun i _ -> i >= k) l)
@@ -215,6 +207,12 @@ let test_panel_kernels_compile () =
   let db, query, names =
     build_chain { dims = [ (6, 2); (4, 3); (8, 1) ]; seed = 42 }
   in
+  Alcotest.(check int) "20 distinct pairings" 20
+    (List.length
+       (List.sort_uniq compare
+          (List.map
+             (fun e -> (e.Els.Estimator.combine, e.Els.Estimator.cap))
+             records)));
   List.iter
     (fun config ->
       let name = Els.Config.name config in
@@ -226,9 +224,8 @@ let test_panel_kernels_compile () =
         (Els.Profile.kernel_fallback_steps profile))
     (configs ())
 
-(* A custom estimator's closures lower through the kernel's closure arms:
-   a copy of Rule M under another identity estimates bit-identically to
-   Rule M's monomorphic arm. *)
+(* An estimator is its arms, not its id: a copy of Rule M under another
+   identity lowers to Rule M's arm and estimates bit-identically. *)
 let test_custom_estimator_lowers () =
   let db, query, names =
     build_chain { dims = [ (9, 1); (5, 2); (7, 3) ]; seed = 11 }
@@ -240,7 +237,7 @@ let test_custom_estimator_lowers () =
   in
   List.iter
     (fun order ->
-      Alcotest.(check bool) "closure arm = Rule M arm" true
+      Alcotest.(check bool) "copy = Rule M" true
         (Float.equal
            (Els.Incremental.final_size profile order)
            (Els.Incremental.final_size reference order)))
@@ -279,8 +276,7 @@ let test_comparison_join_lowers () =
 (* --- allocation regression --- *)
 
 (* The seven registry estimators' canonical configurations: the three
-   rules, PESS and the degree-statistics family, each on its own
-   allocation-free kernel arm. *)
+   rules, PESS and the degree-statistics family. *)
 let registry_configs =
   List.map Els.Config.of_estimator
     Els.Estimator.[ ls; ss; m; pess; lp2; degseq; ent ]
@@ -344,7 +340,7 @@ let test_zero_alloc_per_step () =
             "%s: kernel sweep allocated %.0f minor words over %d steps" name
             allocated steps
       | Sys.Bytecode | Sys.Other _ -> () (* bytecode boxes every float *))
-    registry_configs
+    (configs ())
 
 (* The exhaustive enumerator itself: per-mask arrays, one kernel step per
    (subset, table) edge, costs through [Optimizer.Cost.join_into]. A
@@ -509,11 +505,6 @@ let test_corrupted_degrees () =
   let base, query, names =
     build_chain { dims = [ (6, 3); (9, 2); (5, 4); (8, 2) ]; seed = 19 }
   in
-  ignore (Lazy.force custom : Els.Estimator.t);
-  let estimators =
-    List.map Els.Estimator.of_string_exn
-      [ "lp2"; "degseq"; "ent"; "pess"; "ls"; "test-geo" ]
-  in
   let mismatches = ref [] and trap_nan = ref 0 in
   List.iter
     (fun (what, corrupt) ->
@@ -552,7 +543,7 @@ let test_corrupted_degrees () =
                         (String.concat "," order)
                       :: !mismatches)
                 (permutations names))
-            estimators)
+            records)
         Els.Config.[ Repair; Trap ])
     degree_corruptions;
   Alcotest.(check (list string))
@@ -690,7 +681,7 @@ let test_one_selectivity_per_class () =
       (* The step selectivity is the estimator's single combination of the
          class's two selectivities, on both tiers. *)
       let expected =
-        config.Els.Config.estimator.Els.Estimator.combine
+        Els.Estimator.fold config.Els.Config.estimator.Els.Estimator.combine
           (List.map (Els.Selectivity.join profile) eligible)
       in
       Alcotest.(check bool)

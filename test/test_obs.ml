@@ -213,8 +213,15 @@ let test_metrics_json_shape () =
 
 (* --- derivation recorder --- *)
 
+(* [rule] is a recorded estimator id: a registry entry or one of the
+   kernel suite's off-registry records. *)
 let estimator_combine ~rule ss =
-  (Els.Estimator.of_string_exn rule).Els.Estimator.combine ss
+  let est =
+    List.find
+      (fun e -> String.equal (Els.Estimator.id e) rule)
+      Test_kernel.records
+  in
+  Els.Estimator.fold est.Els.Estimator.combine ss
 
 let test_derivation_records_example1 () =
   let db = Helpers.example1_db () and query = Helpers.example1_query () in
@@ -275,28 +282,18 @@ let test_derivation_detached_records_nothing () =
 
 (* A guard trip mid-order under Strict raises out of [derive] and leaves
    the steps recorded before it on the card — what [elsdb explain] prints
-   as a partial card. The cap trips on the second step only. *)
+   as a partial card. A NaN ‖R‖′ written into r3's profile trips the
+   second step only. *)
 let test_derivation_partial_card () =
   let db = Helpers.example1_db () and query = Helpers.example1_query () in
-  let tripwire =
-    {
-      Els.Estimator.ls with
-      id = "tripwire";
-      cap =
-        Some
-          (fun s ->
-            ((if s.Els.Estimator.left_rows > 100. then -1. else infinity),
-             "tripwire"));
-    }
-  in
-  let config =
-    Els.Config.with_strictness Els.Config.Strict
-      (Els.Config.of_estimator tripwire)
-  in
+  let config = Els.Config.with_strictness Els.Config.Strict Els.Config.els in
   let profile = Els.prepare config db query in
+  let profiles = profile.Els.Profile.index.Els.Profile.profiles in
+  let r3 = Els.Profile.table_bit profile "r3" in
+  profiles.(r3) <- { (profiles.(r3)) with Els.Profile.rows = Float.nan };
   let deriv = Obs.Derivation.create () in
   (match Els.Incremental.derive profile deriv [ "r1"; "r2"; "r3" ] with
-  | _ -> Alcotest.fail "the second step's negative cap did not trip"
+  | _ -> Alcotest.fail "the second step's NaN input did not trip"
   | exception Els.Els_error.Error (Els.Els_error.Invariant_violation _) -> ());
   Alcotest.(check int) "base recorded" 1
     (List.length (Obs.Derivation.base deriv));

@@ -548,6 +548,38 @@ let test_run_not_behind_analyze () =
     Alcotest.(check bool) "analyze ok" true second.ok
   | _ -> Alcotest.fail "run or analyze unanswered"
 
+(* A run plans on the pinned epoch, as an explain does: after a delete
+   and an analyze, both read the re-ANALYZEd statistics, not the ones the
+   server was created with. One worker domain, so the frames are
+   processed in wire order. *)
+let test_run_plans_on_the_epoch () =
+  let server =
+    Serve.Server.create
+      ~config:{ Serve.Server.default_config with Serve.Server.domains = 1 }
+      (serve_db ())
+  in
+  Serve.Server.locked server (fun store ->
+      Catalog.Store.delete store ~table:"t1" ~indices:(List.init 250 Fun.id));
+  let _, responses =
+    drive_server server
+      [
+        {|{"id":"a","op":"analyze"}|};
+        Printf.sprintf {|{"id":"x","op":"explain","sql":"%s"}|} sql;
+        Printf.sprintf {|{"id":"r","op":"run","sql":"%s"}|} sql;
+        {|{"id":"d","op":"drain"}|};
+      ]
+  in
+  let estimates id =
+    let r = by_id responses id in
+    Alcotest.(check bool) (id ^ " ok") true r.ok;
+    match List.assoc_opt "estimates" r.top with
+    | Some (Obs.Json.List sizes) -> List.map number sizes
+    | _ -> Alcotest.failf "%s carries no estimates" id
+  in
+  Alcotest.(check bool) "analyze ok" true (by_id responses "a").ok;
+  Alcotest.(check (list (float 0.))) "run's estimates = explain's"
+    (estimates "x") (estimates "r")
+
 (* The chaos harness's script is a function of its seed: two runs of
    seed 1 over 60 sessions send the same frames in the same session mix,
    pinned by the literals below, and both pass. The outcome counts depend
@@ -596,4 +628,6 @@ let lock_suite =
       test_readers_skip_the_lock;
     Alcotest.test_case "session: run not queued behind an analyze" `Quick
       test_run_not_behind_analyze;
+    Alcotest.test_case "session: run plans on the pinned epoch" `Quick
+      test_run_plans_on_the_epoch;
   ]

@@ -464,6 +464,63 @@ let prop_pinned_estimate_survives_storm =
       done;
       Float.equal before (estimate_epoch pinned query))
 
+(* --- property: a delete removes exactly the in-range indices ------------- *)
+
+(* A random two-column relation (NULLs included) and an index list with
+   duplicates, negative and out-of-range values. *)
+let gen_delete =
+  QCheck2.Gen.(
+    let value = map (fun v -> if v = 0 then None else Some v) (int_range 0 9) in
+    let* rows = list_size (int_range 0 40) (pair (int_range (-3) 20) value) in
+    let n = List.length rows in
+    let* indices = list_size (int_range 0 30) (int_range (-4) (n + 4)) in
+    return (rows, indices))
+
+let print_delete (rows, indices) =
+  Printf.sprintf "%d rows, indices [%s]" (List.length rows)
+    (String.concat "; " (List.map string_of_int indices))
+
+let prop_delete_exact =
+  QCheck2.Test.make ~count:200
+    ~name:"delete keeps every other row, in order, and counts distinct hits"
+    ~print:print_delete gen_delete
+    (fun (rows, indices) ->
+      let schema =
+        Rel.Schema.make
+          [
+            Rel.Schema.column ~table:"r" ~name:"k" Rel.Value.Ty_int;
+            Rel.Schema.column ~table:"r" ~name:"v" Rel.Value.Ty_int;
+          ]
+      in
+      let value = function Some v -> Rel.Value.Int v | None -> Rel.Value.Null in
+      let old_rows =
+        List.map
+          (fun (k, v) -> Rel.Tuple.of_list [ Rel.Value.Int k; value v ])
+          rows
+      in
+      let db = Catalog.Db.create () in
+      ignore
+        (Catalog.Analyze.register db ~name:"r"
+           (Rel.Relation.of_tuples schema old_rows));
+      let store = Catalog.Store.create db in
+      let deletes () =
+        (Catalog.Store.stats store).Catalog.Store.delta_deletes
+      in
+      let before = deletes () in
+      Catalog.Store.delete store ~table:"r" ~indices;
+      let expected =
+        List.filteri (fun i _ -> not (List.mem i indices)) old_rows
+      in
+      let hits =
+        List.length
+          (List.sort_uniq Int.compare
+             (List.filter (fun i -> i >= 0 && i < List.length rows) indices))
+      in
+      let live = Rel.Relation.to_list (Catalog.Store.live store ~table:"r") in
+      List.length live = List.length expected
+      && List.for_all2 Rel.Tuple.equal live expected
+      && deletes () - before = hits)
+
 let suite =
   [
     Alcotest.test_case "store: epoch ids strictly increase" `Quick
@@ -495,4 +552,5 @@ let suite =
     Alcotest.test_case "validate: no drift on fresh ANALYZE output" `Quick
       test_distinct_drift_tolerates_accurate_stats;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_pinned_estimate_survives_storm ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_pinned_estimate_survives_storm; prop_delete_exact ]
