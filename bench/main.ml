@@ -256,7 +256,9 @@ let run_f12 () =
      kernel step per (subset, table) edge. A warmed-up call allocates only
      its per-call setup and the plan it returns, so the words per
      expansion stay far below 0.1 (a plan node per expansion costs about
-     60). *)
+     60). Wide levels run on two lanes, and the helper domain's words are
+     its own ([Gc.minor_words] counts only the calling domain), so its
+     delta is added. *)
   let dp_n = 12 in
   let chain =
     Datagen.Workload.chain ~rows_range:(100, 300) ~distinct_range:(20, 100)
@@ -274,12 +276,16 @@ let run_f12 () =
       let w0 = Gc.minor_words () in
       let w1 = Gc.minor_words () in
       let overhead = w1 -. w0 in
+      let helper0 = (Optimizer.Dp.helper_stats ()).Optimizer.Dp.minor_words in
       let w2 = Gc.minor_words () in
       let _, provenance = Optimizer.Dp.optimize_traced profile query in
       let w3 = Gc.minor_words () in
+      let helper =
+        (Optimizer.Dp.helper_stats ()).Optimizer.Dp.minor_words -. helper0
+      in
       let expansions = provenance.Optimizer.Provenance.expansions in
       let words_per_expansion =
-        (w3 -. w2 -. overhead) /. float_of_int expansions
+        (w3 -. w2 -. overhead +. helper) /. float_of_int expansions
       in
       Obs.Metrics.set
         (Obs.Metrics.gauge registry
@@ -298,6 +304,50 @@ let run_f12 () =
       end)
     (List.map Els.Config.of_estimator
        Els.Estimator.[ ls; ss; m; pess; lp2; degseq; ent ]);
+  (* The helper's share of one more ELS call: the expansions and kernel
+     steps it ran and its minor words per expansion (all zero on a host
+     with one core, where no level splits). The call must equal the same
+     DP on one lane, which an unlimited budget forces, bit for bit. *)
+  let profile () = Els.prepare Els.Config.els chain.Datagen.Workload.db query in
+  let one_lane, one_prov =
+    Optimizer.Dp.optimize_traced ~budget:(Rel.Budget.create ()) (profile ())
+      query
+  in
+  let h0 = Optimizer.Dp.helper_stats () in
+  let two_lanes, two_prov = Optimizer.Dp.optimize_traced (profile ()) query in
+  let h1 = Optimizer.Dp.helper_stats () in
+  let helper_expansions = h1.Optimizer.Dp.expansions - h0.Optimizer.Dp.expansions in
+  let helper_words =
+    if helper_expansions = 0 then 0.
+    else
+      (h1.Optimizer.Dp.minor_words -. h0.Optimizer.Dp.minor_words)
+      /. float_of_int helper_expansions
+  in
+  Obs.Metrics.set
+    (Obs.Metrics.gauge registry "f12.dp.two_lane.helper_alloc_words_per_expansion")
+    helper_words;
+  Printf.printf "%-8s %12d %12d %20.6f\n" "2-LANE" helper_expansions
+    (h1.Optimizer.Dp.steps - h0.Optimizer.Dp.steps)
+    helper_words;
+  if
+    not
+      (Int64.equal
+         (Int64.bits_of_float one_lane.Optimizer.Dp.cost)
+         (Int64.bits_of_float two_lanes.Optimizer.Dp.cost)
+      && Exec.Plan.to_string one_lane.Optimizer.Dp.plan
+         = Exec.Plan.to_string two_lanes.Optimizer.Dp.plan
+      && one_prov.Optimizer.Provenance.expansions
+         = two_prov.Optimizer.Provenance.expansions)
+  then begin
+    Printf.printf "FAIL: two-lane DP differs from one-lane DP\n";
+    incr failures
+  end;
+  if Sys.backend_type = Sys.Native && not (helper_words < 0.1) then begin
+    Printf.printf
+      "FAIL: the helper allocated %.3f minor words per expansion (want < 0.1)\n"
+      helper_words;
+    incr failures
+  end;
   Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.snapshot registry);
   if !failures > 0 then exit 1
 

@@ -16,6 +16,17 @@ let mode t = t.mode
 
 let note_fallback t = t.stats.fallbacks <- t.stats.fallbacks + 1
 
+let clear t =
+  t.stats.violations <- 0;
+  t.stats.repairs <- 0;
+  t.stats.fallbacks <- 0
+
+let absorb ~into t =
+  into.stats.violations <- into.stats.violations + t.stats.violations;
+  into.stats.repairs <- into.stats.repairs + t.stats.repairs;
+  into.stats.fallbacks <- into.stats.fallbacks + t.stats.fallbacks;
+  clear t
+
 (* The hot paths call these on every produced number, so the in-range
    check must stay allocation-free; breach handling (formatting, raising)
    lives out of line. *)

@@ -34,6 +34,14 @@ val stats : t -> stats
 
 val note_fallback : t -> unit
 
+val absorb : into:t -> t -> unit
+(** [absorb ~into g] adds [g]'s counters to [into]'s and zeroes [g]'s:
+    how a guard that counted one domain's share of a computation hands
+    its counts back (see {!Kernel.absorb}). *)
+
+val clear : t -> unit
+(** Zero the counters: the counts of an attempt that is thrown away. *)
+
 val selectivity : t -> site:string -> float -> float
 (** Guard a selectivity against [[0, 1]]. NaN and negative values repair
     to 0, values above 1 repair to 1. [site] names the production site

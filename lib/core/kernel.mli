@@ -38,8 +38,10 @@
 
     Kernels are compiled by {!Profile.kernel}; this module only owns the
     data layout and the step engine, so it stays independent of profile
-    construction. A kernel is single-threaded scratch state: share the
-    profile across domains, not the kernel. *)
+    construction. Its compiled arrays are read-only; everything a step
+    writes lives in a {!lane}. Every entry point but {!extend_into_slot}
+    steps with the kernel's own lane and is single-threaded; exhaustive DP
+    steps one kernel from two domains, each with a lane of its own. *)
 
 type t
 
@@ -74,14 +76,36 @@ val make :
     orientations, and keeps only those.
     @raise Invalid_argument on inconsistent array lengths. *)
 
-val table_count : t -> int
-val table_rows : t -> int -> float
-(** ‖R‖′ of the table at the given bit. *)
-
 val steps : t -> int
-(** Estimation steps executed through this kernel so far (extends, joins
-    and step-selectivity probes) — the denominator of the
-    allocations-per-step metric F12 and {!Harness.Obs_report} publish. *)
+(** Estimation steps executed through this kernel (extends, joins and
+    step-selectivity probes), other lanes' once {!absorb}ed — the
+    denominator of the allocations-per-step metric F12 and
+    {!Harness.Obs_report} publish. *)
+
+type lane
+(** What a step writes: per-class scratch, float slots, a step count and
+    a guard (of the kernel's strictness) that breaches count into. *)
+
+val own : t -> lane
+(** The kernel's own lane, whose guard is the profile's. *)
+
+val lane : unit -> lane
+(** An empty lane, for {!fit} to size. *)
+
+val fit : lane -> t -> lane
+(** [fit l k] is [l] if it can step [k] (scratch large enough, guard of
+    [k]'s strictness), else a new lane for [k] allocated on the calling
+    domain. *)
+
+val lane_steps : lane -> int
+(** Steps taken with the lane since it was last absorbed or discarded. *)
+
+val absorb : t -> lane -> unit
+(** Add the lane's step count and guard counts to the kernel's own (so
+    {!steps} and the profile's guard report them) and zero the lane's. *)
+
+val discard : lane -> unit
+(** Zero the lane's counts: those of an attempt thrown away. *)
 
 val step_selectivity : t -> mask:int -> bit:int -> float
 (** Combined selectivity of joining table [bit] into the intermediate
@@ -114,11 +138,12 @@ val extend_into : t -> sizes:float array -> mask:int -> bit:int -> unit
     delta per step after warmup, for every estimator record). *)
 
 val extend_into_slot :
-  t -> mask:int -> bit:int -> io:float array -> src:int -> dst:int -> unit
-(** [io.(dst) <- extend_size ~mask ~bit ~size:io.(src)]: {!extend_into}
-    with the outer size read from, and the output size written to, slots
-    of one caller-owned array, so a caller can price a candidate before
-    deciding whether to keep it and needs no array indexed by mask. Every
-    join enumerator extends a plan through it, via [Optimizer.Dp]'s edge
-    step, once per (plan, table) edge; exhaustive DP first copies the
-    mask's stored size into [io.(src)]. Allocation-free in the same way. *)
+  t -> lane -> mask:int -> bit:int -> io:float array -> src:int -> dst:int -> unit
+(** [io.(dst) <- extend_size ~mask ~bit ~size:io.(src)], stepped with the
+    given lane: {!extend_into} with the outer size read from, and the
+    output size written to, slots of one caller-owned array, so a caller
+    can price a candidate before deciding whether to keep it and needs no
+    array indexed by mask. Every join enumerator extends a plan through
+    it, via [Optimizer.Dp]'s edge step, once per (plan, table) edge;
+    exhaustive DP first copies the mask's stored size into [io.(src)].
+    Allocation-free in the same way. *)

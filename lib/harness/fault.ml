@@ -218,12 +218,15 @@ let inequality_sql =
   "SELECT COUNT(*) FROM t1, t2, t3 WHERE t1.a = t2.a AND t2.a < t3.a AND \
    t1.b <= 25"
 
+let base_histogram = Stats.Histogram.Equi_depth
+let base_mcv = 5
+
 let base_db ?(seed = 7) () =
   let rng = Datagen.Prng.create seed in
   let db = Catalog.Db.create () in
   let register table rows distinct =
     ignore
-      (Datagen.Tablegen.register ~histogram:Stats.Histogram.Equi_depth ~mcv:5
+      (Datagen.Tablegen.register ~histogram:base_histogram ~mcv:base_mcv
          (Datagen.Prng.split rng) db ~table ~rows
          [
            Datagen.Tablegen.column "a" ~distinct;

@@ -69,9 +69,15 @@ val inequality_sql : string
     selectivity path and the kernel's comparison-join lowering. *)
 
 val base_db : ?seed:int -> unit -> Catalog.Db.t
-(** Three stored, fully-analyzed chain tables (equi-depth histograms and
-    MCV sketches on every column), the clean baseline every corruption
-    starts from. *)
+(** Three stored, fully-analyzed chain tables (histograms of kind
+    {!base_histogram} and MCV sketches of {!base_mcv} values on every
+    column), the clean baseline every corruption starts from. *)
+
+val base_histogram : Stats.Histogram.kind
+(** [Equi_depth]. *)
+
+val base_mcv : int
+(** 5. A server over {!base_db} re-ANALYZEs with these two options. *)
 
 type status =
   | Estimated of float  (** pipeline produced a final estimate *)

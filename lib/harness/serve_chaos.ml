@@ -324,7 +324,10 @@ let run ?(seed = 1) ?(watchdog_s = 60.) ~sessions () =
     in
     match
       let db = Fault.base_db ~seed:(seed + index) () in
-      let server = Serve.Server.create ~config:plan.config ~metrics db in
+      let server =
+        Serve.Server.create ~config:plan.config ~metrics
+          ~histogram:Fault.base_histogram ~mcv:Fault.base_mcv db
+      in
       let c2s_r, c2s_w = Unix.pipe ~cloexec:true () in
       let s2c_r, s2c_w = Unix.pipe ~cloexec:true () in
       let stats = ref None in

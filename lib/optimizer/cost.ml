@@ -4,8 +4,9 @@
    through [join_into]'s float-array slots. Without the attributes the
    exhaustive enumerator allocates about 11 words per expansion. *)
 
-let[@inline] sort_cost n =
-  if n <= 1. then 0. else n *. (Float.log n /. Float.log 2.)
+let log2 = Float.log 2.
+
+let[@inline] sort_cost n = if n <= 1. then 0. else n *. (Float.log n /. log2)
 
 let[@inline] scan ~base_rows = Float.max 0. base_rows
 
@@ -40,12 +41,16 @@ let[@inline] join method_ ~outer_rows ~inner_base_rows ~inner_rows ~out_rows =
   | Exec.Plan.Index_nested_loop ->
     index_nested_loop ~outer_rows ~inner_base_rows ~out_rows
 
-let slot_outer_rows = 0
-let slot_inner_base_rows = 1
-let slot_inner_rows = 2
-let slot_out_rows = 3
-let slot_cost = 4
-let slots = 5
+(* The slots sit [pad] words from either end of the array, so a cache
+   line holding one holds no other object: each of DP's lanes prices into
+   an array of its own on its own domain. *)
+let pad = 8
+let slot_outer_rows = pad
+let slot_inner_base_rows = pad + 1
+let slot_inner_rows = pad + 2
+let slot_out_rows = pad + 3
+let slot_cost = pad + 4
+let slots = 5 + (2 * pad)
 
 let join_into method_ io =
   io.(slot_cost) <-

@@ -60,7 +60,9 @@ val slot_out_rows : int
 val slot_cost : int
 
 val slots : int
-(** Length of an array {!join_into} reads and writes. *)
+(** Length of an array {!join_into} reads and writes. The slots sit a
+    cache line from either end of it, so one domain's pricing array
+    shares no cache line with another object. *)
 
 val join_into : Exec.Plan.join_method -> float array -> unit
 (** [join_into method_ io] sets [io.(slot_cost)] to the method's formula

@@ -30,17 +30,37 @@
     the cost of the cheapest plan found for the subset, its estimated size
     along that plan's own order, and a back-pointer packing the bit of the
     table the plan added last with its join method (-1 for an unreached
-    subset). Masks are visited subset size by subset size, in ascending
-    order. A candidate replaces the incumbent unless the incumbent costs
-    no more, so ties keep the first candidate, methods in the caller's
-    order. The loop allocates nothing per expansion.
+    subset). Subsets are priced size by size in pull form: each mask of
+    size k+1, in ascending order, visits its sources (the mask minus one
+    table, in ascending order) and each source's applicable methods in
+    order — the sequence a push from every source in ascending order would
+    hand it — so every cost, size and back-pointer is the push loop's. A
+    candidate replaces the incumbent unless the incumbent costs no more,
+    so ties keep the first. The loop allocates nothing per expansion.
 
-    Each domain keeps the last call's arrays for its next one, refilling
+    {2 Two lanes}
+
+    A level with enough edges to repay a round trip to another domain is
+    split by rank: the calling domain prices the lower half of its masks,
+    one helper domain per process the upper half. Each lane has its own
+    per-mask arrays, kernel lane ({!Els.Kernel.fit}), pricing slots and
+    counts, written only by its domain: the helper first copies the
+    level's sources from the caller's arrays, the caller afterwards copies
+    the helper's masks and adds its counts. A level in which either lane
+    raises reruns from its start on the caller's lane alone, neither
+    keeping counts from the attempt. Only calls without a budget over at
+    most 16 tables split. The helper is spawned the first time a level
+    qualifies (never when {!Domain.recommended_domain_count} is below 2)
+    and blocks between levels; a planner claims it for the rest of its
+    call, and one that finds it claimed runs every level on one lane. One
+    lane and two give the same plan, bits, counts and raised error.
+
+    Each domain keeps the last call's lane for its next one, refilling
     only the back-pointers (every read of a cost or a size is guarded by a
-    reached one). A call takes them with an atomic exchange and gives them
+    reached one). A call takes it with an atomic exchange and gives it
     back once its result is built, so a re-entrant call, a second
-    systhread on the domain, or the call after one that raised allocates
-    fresh arrays. Arrays of more than 2{^16} entries (over 16 tables;
+    systhread on the domain, or the call after one that raised allocates a
+    fresh lane. Arrays of more than 2{^16} entries (over 16 tables;
     1.5 MiB per domain over the three) are not retained.
 
     {2 Budgets and anytime degradation}
@@ -157,3 +177,15 @@ val left_deep : space -> path -> path
     nor the expansion count: the bottom rung of every enumerator. *)
 
 val node : space -> path -> node
+
+type helper_stats = {
+  levels : int;  (** split levels the helper ran to the end *)
+  expansions : int;  (** their expansions *)
+  steps : int;  (** their kernel steps *)
+  minor_words : float;  (** words the helper allocated, aborts included *)
+}
+
+val helper_stats : unit -> helper_stats
+(** The helper domain's totals since start-up. [Gc.minor_words] counts
+    only the calling domain, so an allocation audit of a DP call adds the
+    helper's [minor_words] delta to its own. *)

@@ -53,7 +53,8 @@ type t = {
   stopping : bool Atomic.t;
 }
 
-let create ?(config = default_config) ?metrics ?strictness db =
+let create ?(config = default_config) ?metrics ?strictness ?histogram
+    ?histogram_buckets ?mcv db =
   if config.domains < 1 then invalid_arg "Serve.Server.create: domains < 1";
   if config.queue_depth < 1 then
     invalid_arg "Serve.Server.create: queue_depth < 1";
@@ -63,7 +64,8 @@ let create ?(config = default_config) ?metrics ?strictness db =
   {
     cfg = config;
     db;
-    catalog_store = Catalog.Store.create ?strictness db;
+    catalog_store =
+      Catalog.Store.create ?strictness ?histogram ?histogram_buckets ?mcv db;
     store_mu = Mutex.create ();
     reg = (match metrics with Some m -> m | None -> Obs.Metrics.create ());
     stats_mu = Mutex.create ();

@@ -84,13 +84,20 @@ val create :
   ?config:config ->
   ?metrics:Obs.Metrics.t ->
   ?strictness:Catalog.Validate.strictness ->
+  ?histogram:Stats.Histogram.kind ->
+  ?histogram_buckets:int ->
+  ?mcv:int ->
   Catalog.Db.t ->
   t
 (** Wrap a live catalog: builds the versioned {!Catalog.Store} (epoch 0
     adopts the existing statistics) and the metrics registry. The catalog
     must hold stored relations (the [run] and [analyze] ops need live
     data). [strictness] governs the store's publish ladder (default
-    [Repair]). *)
+    [Repair]). [histogram], [histogram_buckets] and [mcv] are the ANALYZE
+    options of {!Catalog.Store.create}, passed through as they are: every
+    [analyze] op collects what they ask for, so a catalog whose tables
+    were analyzed with histograms or MCV sketches should pass the same
+    options to keep them. *)
 
 val config : t -> config
 val store : t -> Catalog.Store.t

@@ -37,6 +37,7 @@ let () =
       ("churn", Test_churn.suite);
       ("budget", Test_budget.suite);
       ("kernel", Test_kernel.suite);
+      ("two-lane", Test_two_lane.suite);
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
       ("serve-lock", Test_store.phase_suite @ Test_serve.lock_suite);

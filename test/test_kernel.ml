@@ -346,7 +346,9 @@ let test_zero_alloc_per_step () =
    (subset, table) edge, costs through [Optimizer.Cost.join_into]. A
    warmed-up [optimize_traced] over a 12-table chain allocates only its
    per-call setup and the one plan it returns, far below 0.1 minor words
-   per expansion; a plan node per expansion costs about 60. *)
+   per expansion; a plan node per expansion costs about 60. The helper
+   domain's words count too: [Gc.minor_words] sees only the calling
+   domain's, so the helper's delta is added. *)
 let test_dp_alloc_per_expansion () =
   let n = 12 in
   let chain =
@@ -362,10 +364,14 @@ let test_dp_alloc_per_expansion () =
       let w0 = Gc.minor_words () in
       let w1 = Gc.minor_words () in
       let overhead = w1 -. w0 in
+      let helper0 = (Optimizer.Dp.helper_stats ()).Optimizer.Dp.minor_words in
       let w2 = Gc.minor_words () in
       let _, provenance = Optimizer.Dp.optimize_traced profile query in
       let w3 = Gc.minor_words () in
-      let allocated = w3 -. w2 -. overhead in
+      let helper =
+        (Optimizer.Dp.helper_stats ()).Optimizer.Dp.minor_words -. helper0
+      in
+      let allocated = w3 -. w2 -. overhead +. helper in
       let expansions = provenance.Optimizer.Provenance.expansions in
       let per_expansion = allocated /. float_of_int expansions in
       match Sys.backend_type with

@@ -210,9 +210,99 @@ let test_choose_estimator_override () =
   Alcotest.(check bool) "override changes the report" false
     (String.equal baseline.Optimizer.algorithm overridden.Optimizer.algorithm)
 
+(* Hex-float goldens of the cost model, captured before [sort_cost]'s
+   [log 2] became a module constant: [sort_cost n], and [join_into] for
+   each method over rows [x], [2x + 1], [x / 3] and [1.75x] in the outer,
+   inner base, inner and output slots. *)
+let sort_cost_goldens =
+  [
+    (0x0p+0, 0x0p+0);
+    (0x1p-1, 0x0p+0);
+    (0x1p+0, 0x0p+0);
+    (0x1.8p+0, 0x1.c1404eadf383ap-1);
+    (0x1p+1, 0x1p+1);
+    (0x1.8p+1, 0x1.305013ab7ce0fp+2);
+    (0x1.dp+2, 0x1.4b869a8794d86p+4);
+    (0x1.9p+6, 0x1.4c315bf6707b1p+9);
+    (0x1.81cd6c8b43958p+13, 0x1.47bb7d5de0574p+17);
+    (0x1.dcd65p+29, 0x1.bd8159a57f1efp+34);
+    (0x1.772aa3f848p+51, 0x1.2e316d7d3b196p+57);
+  ]
+
+let join_goldens =
+  [
+    (Exec.Plan.Nested_loop, 0x0p+0, "0x0p+0");
+    (Exec.Plan.Nested_loop, 0x1p-1, "0x1.ep+0");
+    (Exec.Plan.Nested_loop, 0x1p+0, "0x1.3p+2");
+    (Exec.Plan.Nested_loop, 0x1.8p+0, "0x1.14p+3");
+    (Exec.Plan.Nested_loop, 0x1p+1, "0x1.bp+3");
+    (Exec.Plan.Nested_loop, 0x1.8p+1, "0x1.a4p+4");
+    (Exec.Plan.Nested_loop, 0x1.dp+2, "0x1.f44p+6");
+    (Exec.Plan.Nested_loop, 0x1.9p+6, "0x1.3cccp+14");
+    (Exec.Plan.Nested_loop, 0x1.81cd6c8b43958p+13, "0x1.22be0c92c829dp+28");
+    (Exec.Plan.Nested_loop, 0x1.dcd65p+29, "0x1.bc16d67f2b1acp+60");
+    (Exec.Plan.Nested_loop, 0x1.772aa3f848p+51, "0x1.12e6f9bdccb7p+104");
+    (Exec.Plan.Sort_merge, 0x0p+0, "0x1p+0");
+    (Exec.Plan.Sort_merge, 0x1p-1, "0x1.c555555555555p+1");
+    (Exec.Plan.Sort_merge, 0x1p+0, "0x1.8555555555555p+2");
+    (Exec.Plan.Sort_merge, 0x1.8p+0, "0x1.301404eadf384p+3");
+    (Exec.Plan.Sort_merge, 0x1p+1, "0x1.a555555555555p+3");
+    (Exec.Plan.Sort_merge, 0x1.8p+1, "0x1.501404eadf384p+4");
+    (Exec.Plan.Sort_merge, 0x1.dp+2, "0x1.ed353a5f578b6p+5");
+    (Exec.Plan.Sort_merge, 0x1.9p+6, "0x1.4f9651c9bd1f6p+10");
+    (Exec.Plan.Sort_merge, 0x1.81cd6c8b43958p+13, "0x1.1167ec2bdfb22p+18");
+    (Exec.Plan.Sort_merge, 0x1.dcd65p+29, "0x1.4af0e5a0ed0e1p+35");
+    (Exec.Plan.Sort_merge, 0x1.772aa3f848p+51, "0x1.ada01fb299c16p+57");
+    (Exec.Plan.Hash, 0x0p+0, "0x1p+0");
+    (Exec.Plan.Hash, 0x1p-1, "0x1.c555555555555p+1");
+    (Exec.Plan.Hash, 0x1p+0, "0x1.8555555555556p+2");
+    (Exec.Plan.Hash, 0x1.8p+0, "0x1.14p+3");
+    (Exec.Plan.Hash, 0x1p+1, "0x1.6555555555556p+3");
+    (Exec.Plan.Hash, 0x1.8p+1, "0x1.04p+4");
+    (Exec.Plan.Hash, 0x1.dp+2, "0x1.2ed5555555556p+5");
+    (Exec.Plan.Hash, 0x1.9p+6, "0x1.fd55555555556p+8");
+    (Exec.Plan.Hash, 0x1.81cd6c8b43958p+13, "0x1.ea4c649ba5e34p+15");
+    (Exec.Plan.Hash, 0x1.dcd65p+29, "0x1.2efd82d655556p+32");
+    (Exec.Plan.Hash, 0x1.772aa3f848p+51, "0x1.dcc63060db8p+53");
+    (Exec.Plan.Index_nested_loop, 0x0p+0, "0x1p+0");
+    (Exec.Plan.Index_nested_loop, 0x1p-1, "0x1.1p+2");
+    (Exec.Plan.Index_nested_loop, 0x1p+0, "0x1.ep+2");
+    (Exec.Plan.Index_nested_loop, 0x1.8p+0, "0x1.58p+3");
+    (Exec.Plan.Index_nested_loop, 0x1p+1, "0x1.cp+3");
+    (Exec.Plan.Index_nested_loop, 0x1.8p+1, "0x1.48p+4");
+    (Exec.Plan.Index_nested_loop, 0x1.dp+2, "0x1.81p+5");
+    (Exec.Plan.Index_nested_loop, 0x1.9p+6, "0x1.458p+9");
+    (Exec.Plan.Index_nested_loop, 0x1.81cd6c8b43958p+13, "0x1.3977e83126e98p+16");
+    (Exec.Plan.Index_nested_loop, 0x1.dcd65p+29, "0x1.836e2101p+32");
+    (Exec.Plan.Index_nested_loop, 0x1.772aa3f848p+51, "0x1.30d2a539ba8p+54");
+  ]
+
+let test_cost_goldens () =
+  List.iter
+    (fun (n, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "sort_cost %h" n)
+        (Printf.sprintf "%h" want)
+        (Printf.sprintf "%h" (Optimizer.Cost.sort_cost n)))
+    sort_cost_goldens;
+  let io = Array.make Optimizer.Cost.slots 0. in
+  List.iter
+    (fun (method_, x, want) ->
+      io.(Optimizer.Cost.slot_outer_rows) <- x;
+      io.(Optimizer.Cost.slot_inner_base_rows) <- (2. *. x) +. 1.;
+      io.(Optimizer.Cost.slot_inner_rows) <- x /. 3.;
+      io.(Optimizer.Cost.slot_out_rows) <- x *. 1.75;
+      Optimizer.Cost.join_into method_ io;
+      Alcotest.(check string)
+        (Printf.sprintf "%s at %h" (Exec.Plan.method_name method_) x)
+        want
+        (Printf.sprintf "%h" io.(Optimizer.Cost.slot_cost)))
+    join_goldens
+
 let suite =
   [
     Alcotest.test_case "cost: sort" `Quick test_sort_cost;
+    Alcotest.test_case "cost: hex goldens" `Quick test_cost_goldens;
     Alcotest.test_case "cost: estimates drive join choice" `Quick
       test_join_costs_reflect_estimates;
     Alcotest.test_case "cost: non-negative" `Quick test_costs_nonnegative;

@@ -604,6 +604,42 @@ let test_chaos_script_deterministic () =
       (render_script summary.Harness.Serve_chaos.script)
   done
 
+(* A served [analyze] re-ANALYZEs with the options the server was
+   created with: over [Fault.base_db], whose six columns carry equi-depth
+   histograms and MCV sketches, the epoch it publishes keeps all twelve
+   (a server built with the store's default options drops them). *)
+let test_analyze_keeps_sketches () =
+  let sketches epoch =
+    List.fold_left
+      (fun counts (table : Catalog.Table.t) ->
+        List.fold_left
+          (fun (h, m) (_, (c : Stats.Col_stats.t)) ->
+            ( (if Option.is_some c.Stats.Col_stats.histogram then h + 1 else h),
+              if Option.is_some c.Stats.Col_stats.mcv then m + 1 else m ))
+          counts table.Catalog.Table.column_stats)
+      (0, 0)
+      (Catalog.Db.tables (Catalog.Epoch.db epoch))
+  in
+  let server =
+    Serve.Server.create ~histogram:Harness.Fault.base_histogram
+      ~mcv:Harness.Fault.base_mcv
+      (Harness.Fault.base_db ())
+  in
+  let pin () = Catalog.Store.pin (Serve.Server.store server) in
+  let before = pin () in
+  let _, responses =
+    drive_server server
+      [ {|{"id":"a","op":"analyze"}|}; {|{"id":"d","op":"drain"}|} ]
+  in
+  let after = pin () in
+  Alcotest.(check bool) "analyze ok" true (by_id responses "a").ok;
+  Alcotest.(check bool) "analyze published an epoch" true
+    (Catalog.Epoch.id after > Catalog.Epoch.id before);
+  Alcotest.(check (pair int int)) "epoch 0: histograms and MCVs" (6, 6)
+    (sketches before);
+  Alcotest.(check (pair int int)) "the analyzed epoch keeps them" (6, 6)
+    (sketches after)
+
 let suite =
   [
     Alcotest.test_case "protocol: parse totality" `Quick test_protocol_parse;
@@ -620,6 +656,8 @@ let suite =
       test_chaos_script_deterministic;
     Alcotest.test_case "session: run counts the live rows" `Quick
       test_run_counts_live_rows;
+    Alcotest.test_case "session: analyze keeps histograms and MCVs" `Quick
+      test_analyze_keeps_sketches;
   ]
 
 let lock_suite =
