@@ -22,26 +22,19 @@ let numeric_values values =
 
 let of_values ?histogram ?(histogram_buckets = 32) ?mcv
     ?(degree_k = Degree.default_k) values =
-  (* One counting pass serves both the exact distinct count and the
-     degree sequence: the count of value [v] is its degree. *)
-  let seen = Hashtbl.create 1024 in
-  let nulls = ref 0 in
-  let lo = ref None and hi = ref None in
-  Array.iter
-    (fun v ->
-      if Rel.Value.is_null v then incr nulls
-      else begin
-        (match Hashtbl.find_opt seen v with
-        | Some c -> Hashtbl.replace seen v (c + 1)
-        | None -> Hashtbl.add seen v 1);
-        (match !lo with
-        | None -> lo := Some v
-        | Some m -> if Rel.Value.compare v m < 0 then lo := Some v);
-        match !hi with
-        | None -> hi := Some v
-        | Some m -> if Rel.Value.compare v m > 0 then hi := Some v
-      end)
-    values;
+  (* One counting pass serves the distinct count, the degree sequence (the
+     count of [v] is its degree), the MCVs and the bounds, which only a
+     value's first occurrence can move ([Null]: none yet). *)
+  let lo = ref Rel.Value.Null and hi = ref Rel.Value.Null in
+  let first v =
+    if Rel.Value.is_null !lo || Rel.Value.compare v !lo < 0 then lo := v;
+    if Rel.Value.is_null !hi || Rel.Value.compare v !hi > 0 then hi := v
+  in
+  let distinct, nulls, degree, mcv =
+    Count_table.count ~first values (fun t ->
+        ( t.distinct, t.nulls, Degree.of_table ~k:degree_k t,
+          Option.bind mcv (fun k -> Mcv.of_table ~k t) ))
+  in
   let histogram =
     match histogram with
     | None -> None
@@ -50,25 +43,15 @@ let of_values ?histogram ?(histogram_buckets = 32) ?mcv
       if Array.length nums = 0 then None
       else Histogram.build kind ~buckets:histogram_buckets nums
   in
-  let mcv =
-    match mcv with
-    | None -> None
-    | Some k -> Mcv.build ~k values
-  in
-  let degree =
-    Some
-      (Degree.of_counts ~k:degree_k
-         (Hashtbl.fold (fun v c acc -> (v, c) :: acc) seen []))
-  in
   {
-    distinct = Hashtbl.length seen;
-    nulls = !nulls;
-    min_value = !lo;
-    max_value = !hi;
+    distinct;
+    nulls;
+    min_value = (if Rel.Value.is_null !lo then None else Some !lo);
+    max_value = (if Rel.Value.is_null !hi then None else Some !hi);
     histogram;
     mcv;
     distinct_sketch = Some (Hll.of_values values);
-    degree;
+    degree = Some degree;
   }
 
 let trivial ~distinct =

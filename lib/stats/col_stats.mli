@@ -36,11 +36,12 @@ val of_values :
   ?degree_k:int ->
   Rel.Value.t array ->
   t
-(** Exact statistics of a column. A histogram is built only when requested
-    and the column is numeric; [histogram_buckets] defaults to 32. [mcv]
-    requests a most-common-value sketch of that many entries. A distinct
-    sketch and a degree sequence (top-[degree_k] entries, default
-    {!Degree.default_k}) are always built. *)
+(** Exact statistics of a column from one {!Count_table} pass, which gives
+    the distinct and null counts, the bounds, the degree sequence
+    (top-[degree_k] entries, default {!Degree.default_k}) and, if [mcv] is
+    given, a most-common-value sketch of that many entries. A histogram is
+    built only when requested and the column is numeric ([histogram_buckets]
+    defaults to 32); a distinct sketch is always built. *)
 
 val trivial : distinct:int -> t
 (** Statistics carrying only a distinct count; used when the caller supplies

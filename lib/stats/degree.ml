@@ -24,82 +24,81 @@ let complete t = t.complete
 let tracked t = Array.to_list t.top
 let top_degrees t = Array.map snd t.top
 
-(* Heaviest first; ties broken by value order so builds and merges are
-   deterministic regardless of hash-table iteration order. *)
-let by_degree (va, da) (vb, db) =
-  match Float.compare db da with 0 -> Rel.Value.compare va vb | c -> c
+(* [of_counts]' running state: the heaviest entries so far in two parallel
+   arrays, so that placing one allocates nothing, and the norms (L1, L2²,
+   L∞) in a float array, so that adding to them allocates nothing either. *)
+type acc = {
+  values : Rel.Value.t array;
+  degrees : float array;
+  norms : float array;
+  mutable tracked : int;
+  mutable entries : int;
+}
 
-(* [top.(0 .. n-1)] holds the heaviest entries offered so far, in
-   [by_degree] order. An entry belongs there when a slot is free or it
-   sorts strictly before the last one; checking that allocates nothing,
-   so an entry of the untracked tail costs one comparison. Without the
-   [float] annotation the comparisons are polymorphic, the check is not
-   inlined, and every offered degree is boxed. *)
-let[@inline] admits top n v (d : float) =
-  let k = Array.length top in
-  n < k
-  || k > 0
-     &&
-     let last_v, last_d = top.(k - 1) in
-     d > last_d || (d = last_d && Rel.Value.compare v last_v < 0)
+let acc k =
+  { values = Array.make (max k 0) Rel.Value.Null; degrees = Array.make (max k 0) 0.;
+    norms = Array.make 3 0.; tracked = 0; entries = 0 }
 
-(* Puts an admitted [entry] into slot [n], or over the last slot when all
-   are filled, and moves it up past every entry it sorts strictly before;
-   returns the new fill. An entry stays behind an equal one placed
-   earlier, so the slots hold the k-prefix of a stable sort of every
-   entry offered. *)
-let place top n entry =
-  let i = ref (min n (Array.length top - 1)) in
-  while !i > 0 && by_degree entry top.(!i - 1) < 0 do
-    top.(!i) <- top.(!i - 1);
-    decr i
-  done;
-  top.(!i) <- entry;
-  min (n + 1) (Array.length top)
+(* Whether [(v, d)] sorts strictly before slot [i]: heaviest first, ties in
+   value order, so no hash-table order changes a build or a merge. Without
+   the [float] annotation the comparison is polymorphic, is not inlined,
+   and boxes every offered degree. *)
+let[@inline] before a v (d : float) i =
+  d > a.degrees.(i) || (d = a.degrees.(i) && Rel.Value.compare v a.values.(i) < 0)
 
-let slots k = Array.make (max k 0) (Rel.Value.Null, 0.)
+(* An entry belongs in the top when a slot is free or it sorts strictly
+   before the last one, so an entry of the untracked tail costs one
+   comparison. It goes into slot [tracked], or over the last slot when all
+   are filled, and moves up past every entry it sorts strictly before. An
+   entry stays behind an equal one placed earlier, so the slots hold the
+   k-prefix of a stable sort of every entry offered. *)
+let[@inline] offer a v (d : float) =
+  let k = Array.length a.values in
+  if a.tracked < k || (k > 0 && before a v d (k - 1)) then begin
+    let i = ref (min a.tracked (k - 1)) in
+    while !i > 0 && before a v d (!i - 1) do
+      a.values.(!i) <- a.values.(!i - 1);
+      a.degrees.(!i) <- a.degrees.(!i - 1);
+      decr i
+    done;
+    a.values.(!i) <- v;
+    a.degrees.(!i) <- d;
+    a.tracked <- min (a.tracked + 1) k
+  end
+
+let chosen a = Array.init a.tracked (fun i -> (a.values.(i), a.degrees.(i)))
+
+(* The per-entry step of [of_counts] and [of_table]. *)
+let[@inline] step a v c =
+  if c > 0 && not (Rel.Value.is_null v) then begin
+    let d = float_of_int c in
+    a.norms.(0) <- a.norms.(0) +. d;
+    a.norms.(1) <- a.norms.(1) +. (d *. d);
+    if d > a.norms.(2) then a.norms.(2) <- d;
+    a.entries <- a.entries + 1;
+    offer a v d
+  end
+
+let finish a k =
+  { l1 = a.norms.(0); l2_sq = a.norms.(1); linf = a.norms.(2); top = chosen a;
+    k; complete = a.entries <= k }
 
 (* The top-k is selected, not sorted. *)
 let of_counts ?(k = default_k) counts =
-  let top = slots k in
-  let tracked = ref 0 and entries = ref 0 in
-  let l1 = ref 0. and l2_sq = ref 0. and linf = ref 0. in
-  (* A loop rather than an iterator closure, so the float accumulators
-     stay unboxed. *)
-  let rest = ref counts in
-  while not (List.is_empty !rest) do
-    match !rest with
-    | [] -> ()
-    | (v, c) :: tail ->
-      rest := tail;
-      if c > 0 && not (Rel.Value.is_null v) then begin
-        let d = float_of_int c in
-        l1 := !l1 +. d;
-        l2_sq := !l2_sq +. (d *. d);
-        if d > !linf then linf := d;
-        incr entries;
-        if admits top !tracked v d then tracked := place top !tracked (v, d)
-      end
-  done;
-  {
-    l1 = !l1;
-    l2_sq = !l2_sq;
-    linf = !linf;
-    top = Array.sub top 0 !tracked;
-    k;
-    complete = !entries <= k;
-  }
+  let a = acc k in
+  List.iter (fun (v, c) -> step a v c) counts;
+  finish a k
 
-let of_values ?(k = default_k) values =
-  let counts = Hashtbl.create 1024 in
-  Array.iter
-    (fun v ->
-      if not (Rel.Value.is_null v) then
-        match Hashtbl.find_opt counts v with
-        | Some c -> Hashtbl.replace counts v (c + 1)
-        | None -> Hashtbl.add counts v 1)
-    values;
-  of_counts ~k (Hashtbl.fold (fun v c acc -> (v, c) :: acc) counts [])
+(* Table order changes no bit: the norms are sums of integer-valued floats,
+   exact below 2^53, and the top-k order is total over distinct values. *)
+let of_table ?(k = default_k) (t : Count_table.t) =
+  let a = acc k in
+  for i = 0 to t.slots - 1 do
+    step a t.keys.(i) t.counts.(i)
+  done;
+  finish a k
+
+let of_values ?k values = Count_table.count values (of_table ?k)
 
 (* Shard merge. A value split across shards has its true degree only if
    both shards track it, so:
@@ -124,18 +123,15 @@ let merge a b =
         Hashtbl.replace union v (da +. db)
       | None -> Hashtbl.add union v db)
     b.top;
-  let top = slots k in
-  let tracked =
-    Hashtbl.fold
-      (fun v d n -> if admits top n v d then place top n (v, d) else n)
-      union 0
-  in
-  let tracked_max = if tracked > 0 then snd top.(0) else 0. in
+  let heaviest = acc k in
+  Hashtbl.iter (fun v d -> offer heaviest v d) union;
+  let top = chosen heaviest in
+  let tracked_max = if heaviest.tracked > 0 then snd top.(0) else 0. in
   {
     l1 = a.l1 +. b.l1;
     l2_sq = a.l2_sq +. b.l2_sq +. (2. *. !cross);
     linf = Float.max tracked_max (Float.max a.linf b.linf);
-    top = Array.sub top 0 tracked;
+    top;
     k;
     complete = a.complete && b.complete && Hashtbl.length union <= k;
   }

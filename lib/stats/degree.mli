@@ -46,6 +46,10 @@ val of_counts : ?k:int -> (Rel.Value.t * int) list -> t
 (** Build from precomputed per-value counts (nulls and non-positive
     counts are ignored). *)
 
+val of_table : ?k:int -> Count_table.t -> t
+(** Build from a counted column ({!of_values} and {!Col_stats.of_values}):
+    its slots go through {!of_counts}' per-entry step, in table order. *)
+
 val merge : t -> t -> t
 (** Combine the statistics of two disjoint shards of one column, per the
     tolerance contract above. *)

@@ -8,37 +8,20 @@ type t = {
   covered : float;
 }
 
-let build ~k values =
+(* Degree's top-k order, count descending then value ascending, is total
+   over distinct values: selecting k keeps what sorting all and taking k did. *)
+let of_table ~k table =
   if k < 1 then invalid_arg "Mcv.build: k < 1";
-  let counts = Hashtbl.create 1024 in
-  let non_null = ref 0 in
-  Array.iter
-    (fun v ->
-      if not (Rel.Value.is_null v) then begin
-        incr non_null;
-        Hashtbl.replace counts v
-          (1 + Option.value (Hashtbl.find_opt counts v) ~default:0)
-      end)
-    values;
-  if !non_null = 0 then None
-  else begin
-    let total = float_of_int !non_null in
-    let all =
-      Hashtbl.fold (fun v n acc -> (v, n) :: acc) counts []
-      |> List.sort (fun (va, na) (vb, nb) ->
-             match Int.compare nb na with
-             | 0 -> Rel.Value.compare va vb
-             | c -> c)
-    in
-    let top = List.filteri (fun i _ -> i < k) all in
+  let top = Degree.of_table ~k table in
+  if top.l1 = 0. then None
+  else
     let entries =
-      List.map
-        (fun (value, n) -> { value; fraction = float_of_int n /. total })
-        top
+      List.map (fun (value, n) -> { value; fraction = n /. top.l1 }) (Degree.tracked top)
     in
     let covered = List.fold_left (fun acc e -> acc +. e.fraction) 0. entries in
     Some { entries; covered = Float.min 1. covered }
-  end
+
+let build ~k values = Count_table.count values (of_table ~k)
 
 let of_entries entries =
   let covered = List.fold_left (fun acc e -> acc +. e.fraction) 0. entries in

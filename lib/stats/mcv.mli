@@ -22,6 +22,10 @@ val build : k:int -> Rel.Value.t array -> t option
     Returns [None] when the column has no non-null values.
     @raise Invalid_argument when [k < 1]. *)
 
+val of_table : k:int -> Count_table.t -> t option
+(** [build] over a counted column ({!build} and {!Col_stats.of_values}):
+    the entries are {!Degree.of_table}'s top [k], ties in value order. *)
+
 val of_entries : entry list -> t
 (** Raw constructor with NO validation — fractions may be NaN, negative or
     sum past 1 (the covered fraction is the unclamped sum). Exists so fault

@@ -4,7 +4,7 @@ let () =
       ("rel", Test_rel.suite);
       ("value-cmp", Test_value_cmp.suite);
       ("csv", Test_csv.suite);
-      ("stats", Test_stats.suite);
+      ("stats", Test_stats.suite @ Test_count_table.suite);
       ("mcv", Test_mcv.suite);
       ("query", Test_query.suite);
       ("sqlfront", Test_sqlfront.suite);
@@ -33,6 +33,7 @@ let () =
       ("accuracy", Test_accuracy.suite);
       ("fault", Test_fault.suite);
       ("merge", Test_merge.suite);
+      ("count-alloc", Test_count_table.alloc_suite);
       ("store", Test_store.suite);
       ("churn", Test_churn.suite);
       ("budget", Test_budget.suite);
