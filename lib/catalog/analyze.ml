@@ -70,5 +70,3 @@ let partitions ?histogram ?histogram_buckets ?mcv ~name shards =
         ~row_count:only.Table.row_count ~column_stats:only.Table.column_stats
     | first :: rest -> List.fold_left merge_tables first rest
     | [] -> assert false
-
-let validate = Validate.validate

@@ -46,10 +46,3 @@ val partitions :
     tolerance: row counts, null counts and bounds exactly; distinct counts
     to sketch accuracy; histogram/MCV shapes approximately.
     @raise Invalid_argument on an empty shard list. *)
-
-val validate :
-  Validate.strictness -> Db.t -> (Db.t * Validate.issue list, Validate.issue) result
-(** Audit catalog statistics for impossible numbers (d > ‖R‖, negative or
-    stale cardinalities, NaN/non-monotone histograms, MCV sums > 1) under a
-    strictness mode. Alias for {!Validate.validate}; see {!Validate} for
-    the issue taxonomy and repair semantics. *)

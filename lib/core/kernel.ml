@@ -65,8 +65,8 @@ type lane = {
   ints : int array;
 }
 
-(* The compiled arrays, read-only once [make] returns, and the kernel's
-   own lane. *)
+(* The compiled arrays, read-only once [make] returns, the kernel's step
+   total and guard, and its own lane. *)
 type t = {
   rows : float array;  (* bit -> ‖R‖′ *)
   (* CSR adjacency: table [bit]'s join predicates are the dense indices
@@ -94,7 +94,9 @@ type t = {
   combine : combine;
   cap : cap;
   n_classes : int;
-  own : lane;
+  guard : Guard.t;  (* the profile's; the own lane steps on it *)
+  mutable absorbed : int;  (* other lanes' steps, once absorbed *)
+  mutable own : lane option;  (* made on first use: DP steps lanes of its own *)
 }
 
 let new_lane guard n_classes =
@@ -175,18 +177,27 @@ let make ~rows ~adj_off ~adj_pred ~adj_other_mask ~pred_sel ~pred_class
     combine;
     cap;
     n_classes;
-    own = new_lane guard n_classes;
+    guard;
+    absorbed = 0;
+    own = None;
   }
 
-let steps k = k.own.ints.(steps_slot)
-let own k = k.own
+let own k =
+  match k.own with
+  | Some l -> l
+  | None ->
+    let l = new_lane k.guard k.n_classes in
+    k.own <- Some l;
+    l
+
+let steps k =
+  k.absorbed + match k.own with Some l -> l.ints.(steps_slot) | None -> 0
 
 let lane () = new_lane (Guard.create Config.Strict) 0
 
 let fit l k =
-  if l.classes >= k.n_classes && Guard.mode l.guard = Guard.mode k.own.guard
-  then l
-  else new_lane (Guard.create (Guard.mode k.own.guard)) k.n_classes
+  if l.classes >= k.n_classes && Guard.mode l.guard = Guard.mode k.guard then l
+  else new_lane (Guard.create (Guard.mode k.guard)) k.n_classes
 
 let lane_steps l = l.ints.(steps_slot)
 
@@ -194,10 +205,12 @@ let discard l =
   l.ints.(steps_slot) <- 0;
   Guard.clear l.guard
 
-let absorb k l =
-  if l != k.own then begin
-    k.own.ints.(steps_slot) <- k.own.ints.(steps_slot) + l.ints.(steps_slot);
-    Guard.absorb ~into:k.own.guard l.guard;
+(* The own lane, the one lane on the kernel's guard, already counts
+   where [steps] and the profile read it. *)
+let absorb k (l : lane) =
+  if l.guard != k.guard then begin
+    k.absorbed <- k.absorbed + l.ints.(steps_slot);
+    Guard.absorb ~into:k.guard l.guard;
     l.ints.(steps_slot) <- 0
   end
 
@@ -356,13 +369,13 @@ let finish_size k l ~site ~mask1 ~mask2 ~bit =
   if not (capped >= 0. && capped <= upper) then breach_size l ~site
 
 let step_selectivity k ~mask ~bit =
-  let l = k.own in
+  let l = own k in
   l.ints.(steps_slot) <- l.ints.(steps_slot) + 1;
   accumulate k l ~mask ~bit;
   l.acc.(slot_result)
 
 let extend_size k ~mask ~bit ~size =
-  let l = k.own in
+  let l = own k in
   l.ints.(steps_slot) <- l.ints.(steps_slot) + 1;
   accumulate k l ~mask ~bit;
   l.acc.(slot_left) <- size;
@@ -372,7 +385,7 @@ let extend_size k ~mask ~bit ~size =
   l.acc.(slot_result)
 
 let join_size k ~mask1 ~mask2 ~size1 ~size2 =
-  let l = k.own in
+  let l = own k in
   l.ints.(steps_slot) <- l.ints.(steps_slot) + 1;
   accumulate_between k l ~mask1 ~mask2;
   l.acc.(slot_left) <- size1;
@@ -392,5 +405,5 @@ let extend_into_slot k l ~mask ~bit ~io ~src ~dst =
   io.(dst) <- l.acc.(slot_result)
 
 let extend_into k ~sizes ~mask ~bit =
-  extend_into_slot k k.own ~mask ~bit ~io:sizes ~src:mask
+  extend_into_slot k (own k) ~mask ~bit ~io:sizes ~src:mask
     ~dst:(mask lor (1 lsl bit))

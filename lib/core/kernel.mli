@@ -40,8 +40,11 @@
     data layout and the step engine, so it stays independent of profile
     construction. Its compiled arrays are read-only; everything a step
     writes lives in a {!lane}. Every entry point but {!extend_into_slot}
-    steps with the kernel's own lane and is single-threaded; exhaustive DP
-    steps one kernel from two domains, each with a lane of its own. *)
+    steps with the kernel's own lane and is single-threaded. The own lane
+    is made the first time one of them or {!own} needs it, so a kernel
+    that only exhaustive DP steps never allocates one: DP steps one kernel
+    from two domains, each with a lane of its own. The kernel keeps the
+    step total and the guard itself. *)
 
 type t
 
@@ -87,7 +90,8 @@ type lane
     a guard (of the kernel's strictness) that breaches count into. *)
 
 val own : t -> lane
-(** The kernel's own lane, whose guard is the profile's. *)
+(** The kernel's own lane, whose guard is the profile's; made on the
+    first call. *)
 
 val lane : unit -> lane
 (** An empty lane, for {!fit} to size. *)

@@ -28,14 +28,6 @@ type op =
 
 type request = { id : string option; op : op; budget : budget_spec }
 
-let op_name = function
-  | Estimate _ -> "estimate"
-  | Explain _ -> "explain"
-  | Run _ -> "run"
-  | Analyze _ -> "analyze"
-  | Health -> "health"
-  | Drain -> "drain"
-
 let op_names = [ "estimate"; "explain"; "run"; "analyze"; "health"; "drain" ]
 
 (* --- parsing --- *)

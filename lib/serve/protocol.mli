@@ -60,8 +60,6 @@ type op =
 
 type request = { id : string option; op : op; budget : budget_spec }
 
-val op_name : op -> string
-
 val parse :
   ?max_frame_bytes:int ->
   string ->

@@ -48,8 +48,7 @@ type t = {
   catalog_store : Catalog.Store.t;
   store_mu : Mutex.t;
   reg : Obs.Metrics.t;
-  stats_mu : Mutex.t;
-  latencies : float list ref;  (* ms, newest first; drained at flush *)
+  stats_mu : Mutex.t;  (* taken by [flush_metrics] alone *)
   stopping : bool Atomic.t;
 }
 
@@ -69,7 +68,6 @@ let create ?(config = default_config) ?metrics ?strictness ?histogram
     store_mu = Mutex.create ();
     reg = (match metrics with Some m -> m | None -> Obs.Metrics.create ());
     stats_mu = Mutex.create ();
-    latencies = ref [];
     stopping = Atomic.make false;
   }
 
@@ -79,57 +77,15 @@ let db t = t.db
 let metrics t = t.reg
 let request_stop t = Atomic.set t.stopping true
 
+(* The budget clock, in seconds. *)
+let now t =
+  match t.cfg.clock with Some c -> c () | None -> Unix.gettimeofday ()
+
 let locked t f =
   Mutex.lock t.store_mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.store_mu)
     (fun () -> f t.catalog_store)
-
-(* Obs.Metrics is not thread-safe; every touch goes through stats_mu. *)
-let with_stats t f =
-  Mutex.lock t.stats_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.stats_mu) f
-
-let count ?(by = 1) t name =
-  with_stats t (fun () -> Obs.Metrics.incr ~by (Obs.Metrics.counter t.reg name))
-
-let observe_latency t ms =
-  with_stats t (fun () ->
-      Obs.Metrics.observe (Obs.Metrics.histogram t.reg "serve.latency_ms") ms;
-      t.latencies := ms :: !(t.latencies))
-
-let flush_metrics t =
-  with_stats t (fun () ->
-      let m = t.reg in
-      (match !(t.latencies) with
-      | [] -> ()
-      | ls ->
-        t.latencies := [];
-        let sorted = Array.of_list ls in
-        Array.sort Float.compare sorted;
-        Obs.Metrics.set
-          (Obs.Metrics.gauge m "serve.latency_p50_ms")
-          (Obs.Metrics.quantile sorted 0.50);
-        Obs.Metrics.set
-          (Obs.Metrics.gauge m "serve.latency_p99_ms")
-          (Obs.Metrics.quantile sorted 0.99));
-      (* Absorb the store's own monotone totals under the same names the
-         churn harness publishes, so one check-metrics schema covers
-         both. *)
-      let s = Catalog.Store.stats t.catalog_store in
-      let set name v = Obs.Metrics.set_counter (Obs.Metrics.counter m name) v in
-      set "store.publishes" s.Catalog.Store.publishes;
-      set "store.audits_failed" s.Catalog.Store.audits_failed;
-      set "store.quarantines" s.Catalog.Store.quarantines;
-      set "store.stale_served" s.Catalog.Store.stale_served;
-      set "store.retries" s.Catalog.Store.retries;
-      set "store.hard_fallbacks" s.Catalog.Store.hard_fallbacks;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "store.quarantined_now")
-        (float_of_int s.Catalog.Store.quarantined_now);
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "serve.epoch")
-        (float_of_int s.Catalog.Store.epoch))
 
 (* --- bounded frame reader --- *)
 
@@ -185,7 +141,9 @@ type session_state = {
   in_flight : int Atomic.t;
   out : out_channel;
   out_mu : Mutex.t;
-  out_dead : bool ref;  (* under out_mu *)
+  (* The session's books: each event is counted once, here, and
+     [flush_metrics] adds the totals to the registry when the session
+     ends. *)
   s_frames : int Atomic.t;
   s_admitted : int Atomic.t;
   s_ok : int Atomic.t;
@@ -195,10 +153,74 @@ type session_state = {
   s_internal : int Atomic.t;
   s_budget_trips : int Atomic.t;
   s_epoch_retries : int Atomic.t;
-  s_drained : bool Atomic.t;
-  s_drain_timed_out : bool Atomic.t;
+  s_drains : int Atomic.t;
+  s_drain_timeouts : int Atomic.t;
+  s_disconnects : int Atomic.t;  (* under out_mu; writes stop at the first *)
   s_max_epoch : int Atomic.t;
 }
+
+(* The counters a drain response reports, under its field names. *)
+let reported ss =
+  [
+    ("frames", ss.s_frames);
+    ("admitted", ss.s_admitted);
+    ("answered_ok", ss.s_ok);
+    ("answered_error", ss.s_error);
+    ("shed", ss.s_shed);
+    ("malformed", ss.s_malformed);
+    ("internal_errors", ss.s_internal);
+    ("budget_trips", ss.s_budget_trips);
+    ("epoch_retries", ss.s_epoch_retries);
+  ]
+
+(* The registry's one writer, run once per session after its workers are
+   joined; Obs.Metrics is not thread-safe, so it holds stats_mu. Adds the
+   session's non-zero totals as serve.* counters (a counter no session
+   moved stays absent), feeds the session's latencies to the histogram
+   and its p50/p99 gauges, and absorbs the store's own monotone totals
+   under the same names the churn harness publishes, so one check-metrics
+   schema covers both. *)
+let flush_metrics ss latencies =
+  let t = ss.server and m = ss.server.reg in
+  Mutex.lock t.stats_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.stats_mu) @@ fun () ->
+  List.iter
+    (fun (name, a) ->
+      match Atomic.get a with
+      | 0 -> ()
+      | n -> Obs.Metrics.incr ~by:n (Obs.Metrics.counter m ("serve." ^ name)))
+    (("drains", ss.s_drains)
+    :: ("drain_timeouts", ss.s_drain_timeouts)
+    :: ("disconnects", ss.s_disconnects)
+    :: reported ss);
+  (match latencies with
+  | [] -> ()
+  | ls ->
+    let sorted = Array.of_list ls in
+    Array.sort Float.compare sorted;
+    Array.iter
+      (Obs.Metrics.observe (Obs.Metrics.histogram m "serve.latency_ms"))
+      sorted;
+    Obs.Metrics.set
+      (Obs.Metrics.gauge m "serve.latency_p50_ms")
+      (Obs.Metrics.quantile sorted 0.50);
+    Obs.Metrics.set
+      (Obs.Metrics.gauge m "serve.latency_p99_ms")
+      (Obs.Metrics.quantile sorted 0.99));
+  let s = Catalog.Store.stats t.catalog_store in
+  let set name v = Obs.Metrics.set_counter (Obs.Metrics.counter m name) v in
+  set "store.publishes" s.Catalog.Store.publishes;
+  set "store.audits_failed" s.Catalog.Store.audits_failed;
+  set "store.quarantines" s.Catalog.Store.quarantines;
+  set "store.stale_served" s.Catalog.Store.stale_served;
+  set "store.retries" s.Catalog.Store.retries;
+  set "store.hard_fallbacks" s.Catalog.Store.hard_fallbacks;
+  Obs.Metrics.set
+    (Obs.Metrics.gauge m "store.quarantined_now")
+    (float_of_int s.Catalog.Store.quarantined_now);
+  Obs.Metrics.set
+    (Obs.Metrics.gauge m "serve.epoch")
+    (float_of_int s.Catalog.Store.epoch)
 
 let atomic_max a v =
   let rec go () =
@@ -210,35 +232,25 @@ let atomic_max a v =
 let write_response ss json =
   let line = Obs.Json.to_string json in
   Mutex.lock ss.out_mu;
-  (if not !(ss.out_dead) then
+  (if Atomic.get ss.s_disconnects = 0 then
      try
        output_string ss.out line;
        output_char ss.out '\n';
        flush ss.out
      with Sys_error _ ->
-       (* The client's read side is gone. Remember it (every later write
+       (* The client's read side is gone. Count it once (every later write
           would fail the same way) and keep serving: a dead connection is
           a counted event, not a crash. *)
-       ss.out_dead := true;
-       count ss.server "serve.disconnects");
+       Atomic.incr ss.s_disconnects);
   Mutex.unlock ss.out_mu
 
 let answer ss ~ok json =
-  if ok then begin
-    Atomic.incr ss.s_ok;
-    count ss.server "serve.answered_ok"
-  end
-  else begin
-    Atomic.incr ss.s_error;
-    count ss.server "serve.answered_error"
-  end;
+  Atomic.incr (if ok then ss.s_ok else ss.s_error);
   write_response ss json
 
 let answer_error ss ~id ?extra err =
   (match err with
-  | Els.Els_error.Budget_exhausted _ ->
-    Atomic.incr ss.s_budget_trips;
-    count ss.server "serve.budget_trips"
+  | Els.Els_error.Budget_exhausted _ -> Atomic.incr ss.s_budget_trips
   | _ -> ());
   answer ss ~ok:false (Protocol.response_error ~id ?extra err)
 
@@ -302,7 +314,6 @@ let pin_with_retry ss epoch0 tables =
     | notes when attempt >= t.cfg.epoch_retries -> (epoch, notes)
     | _ ->
       Atomic.incr ss.s_epoch_retries;
-      count t "serve.epoch_retries";
       Unix.sleepf
         (t.cfg.retry_backoff_ms *. (2. ** float_of_int attempt) /. 1000.);
       go (attempt + 1) (Catalog.Store.pin t.catalog_store)
@@ -368,18 +379,36 @@ let live_db t store query =
     (List.sort_uniq String.compare (query_tables query));
   db
 
-let handle_estimate ss ~budget ~sql ~estimator ~order =
-  let t = ss.server in
-  let* () = check_budget ~site:"serve.estimate" budget in
+(* The steps every query op starts with, in the order their refusals
+   take precedence: the request's deadline, the estimator, the enumerator
+   (before the pin, which may sleep and count retries; [estimate] names
+   none), then the SQL, bound on a pinned snapshot so a concurrent publish
+   cannot tear this request's numbers. The pin is an atomic read, so no
+   reader waits for the catalog lock. Binding reads only schema, which no
+   publish changes, so the bound query survives a re-pin. *)
+let with_query ss ~site ~budget ~sql ~estimator ~enumerator k =
+  let* () = check_budget ~site budget in
   let* config = resolve_config estimator in
-  (* Estimate against a pinned snapshot: this request's numbers cannot be
-     torn by a concurrent publish. The pin is an atomic read, so no
-     reader waits for the catalog lock. Binding reads only schema, which
-     no publish changes, so the bound query survives a re-pin. *)
-  let epoch0 = Catalog.Store.pin t.catalog_store in
+  let* enumerator = resolve_enumerator enumerator in
+  let epoch0 = Catalog.Store.pin ss.server.catalog_store in
   let* query = Sqlfront.Binder.compile_result (Catalog.Epoch.db epoch0) sql in
   let epoch, stale = pin_with_retry ss epoch0 (query_tables query) in
-  let edb = Catalog.Epoch.db epoch in
+  k config enumerator query epoch stale
+
+(* [explain]'s and [run]'s planning step, on the pinned epoch and without
+   the lock. *)
+let with_plan ss ~site ~budget ~sql ~estimator ~enumerator k =
+  with_query ss ~site ~budget ~sql ~estimator ~enumerator
+  @@ fun config enumerator query epoch stale ->
+  match
+    Optimizer.choose ~enumerator ?budget config (Catalog.Epoch.db epoch) query
+  with
+  | exception Els.Els_error.Error e -> Error (e, [])
+  | choice -> k query epoch stale choice
+
+let handle_estimate ss ~budget ~sql ~estimator ~order =
+  with_query ss ~site:"serve.estimate" ~budget ~sql ~estimator ~enumerator:None
+  @@ fun config _ query epoch stale ->
   let* order =
     match order with
     | None -> Ok query.Query.tables
@@ -389,7 +418,9 @@ let handle_estimate ss ~budget ~sql ~estimator ~order =
       if norm order = norm query.Query.tables then Ok order
       else invalid "order must be a permutation of the query's tables"
   in
-  let* state = Els.estimate_order_result config edb query order in
+  let* state =
+    Els.estimate_order_result config (Catalog.Epoch.db epoch) query order
+  in
   let* () = check_budget ~site:"serve.estimate" budget in
   Ok
     ( "estimate",
@@ -402,70 +433,49 @@ let handle_estimate ss ~budget ~sql ~estimator ~order =
       @ stale_fields stale )
 
 let handle_explain ss ~budget ~sql ~estimator ~enumerator =
-  let t = ss.server in
-  let* () = check_budget ~site:"serve.explain" budget in
-  let* config = resolve_config estimator in
-  let* enumerator = resolve_enumerator enumerator in
-  let epoch0 = Catalog.Store.pin t.catalog_store in
-  let* query = Sqlfront.Binder.compile_result (Catalog.Epoch.db epoch0) sql in
-  let epoch, stale = pin_with_retry ss epoch0 (query_tables query) in
-  let edb = Catalog.Epoch.db epoch in
-  match Optimizer.choose ~enumerator ?budget config edb query with
-  | exception Els.Els_error.Error e -> Error (e, [])
-  | choice ->
-    Ok
-      ( "explain",
-        [
-          ("algorithm", Obs.Json.String choice.Optimizer.algorithm);
-          ("join_order", json_of_strings choice.Optimizer.join_order);
-          ("estimates", json_of_sizes choice.Optimizer.intermediate_estimates);
-          ("cost", Obs.Json.Float choice.Optimizer.estimated_cost);
-          ("epoch", Obs.Json.Int (Catalog.Epoch.id epoch));
-        ]
-        @ provenance_fields choice.Optimizer.provenance
-        @ stale_fields stale )
+  with_plan ss ~site:"serve.explain" ~budget ~sql ~estimator ~enumerator
+  @@ fun _ epoch stale choice ->
+  Ok
+    ( "explain",
+      [
+        ("algorithm", Obs.Json.String choice.Optimizer.algorithm);
+        ("join_order", json_of_strings choice.Optimizer.join_order);
+        ("estimates", json_of_sizes choice.Optimizer.intermediate_estimates);
+        ("cost", Obs.Json.Float choice.Optimizer.estimated_cost);
+        ("epoch", Obs.Json.Int (Catalog.Epoch.id epoch));
+      ]
+      @ provenance_fields choice.Optimizer.provenance
+      @ stale_fields stale )
 
 let handle_run ss ~budget ~sql ~estimator ~enumerator =
   let t = ss.server in
-  let* () = check_budget ~site:"serve.run" budget in
-  let* config = resolve_config estimator in
-  let* enumerator = resolve_enumerator enumerator in
-  (* Planned as [explain] plans, on the pinned epoch and without the
-     lock. *)
-  let epoch0 = Catalog.Store.pin t.catalog_store in
-  let* query = Sqlfront.Binder.compile_result (Catalog.Epoch.db epoch0) sql in
-  let epoch, _ = pin_with_retry ss epoch0 (query_tables query) in
+  with_plan ss ~site:"serve.run" ~budget ~sql ~estimator ~enumerator
+  @@ fun query _ _ choice ->
+  let provenance = provenance_fields choice.Optimizer.provenance in
+  (* Execution reads the live relations, which writers insert into in
+     place, so it holds the catalog lock; it waits at most for another
+     writer's snapshot or stage and publish, never for a whole
+     re-ANALYZE. *)
   match
-    Optimizer.choose ~enumerator ?budget config (Catalog.Epoch.db epoch) query
+    locked t (fun store ->
+        Exec.Executor.count_result ?budget (live_db t store query)
+          choice.Optimizer.plan)
   with
-  | exception Els.Els_error.Error e -> Error (e, [])
-  | choice -> begin
-    let provenance = provenance_fields choice.Optimizer.provenance in
-    (* Execution reads the live relations, which writers insert into in
-       place, so it holds the catalog lock; it waits at most for another
-       writer's snapshot or stage and publish, never for a whole
-       re-ANALYZE. *)
-    match
-      locked t (fun store ->
-          Exec.Executor.count_result ?budget (live_db t store query)
-            choice.Optimizer.plan)
-    with
-    | Ok rows, counters, elapsed_s ->
-      Ok
-        ( "run",
-          [
-            ("join_order", json_of_strings choice.Optimizer.join_order);
-            ("estimates", json_of_sizes choice.Optimizer.intermediate_estimates);
-            ("rows", Obs.Json.Int rows);
-            ("elapsed_ms", Obs.Json.Float (elapsed_s *. 1000.));
-          ]
-          @ counters_fields counters @ provenance )
-    | Error e, counters, _ ->
-      (* The budget tripped mid-execution: a structured refusal that
-         still discloses the anytime rung that planned the run and the
-         partial work performed. *)
-      Error (e, provenance @ counters_fields counters)
-  end
+  | Ok rows, counters, elapsed_s ->
+    Ok
+      ( "run",
+        [
+          ("join_order", json_of_strings choice.Optimizer.join_order);
+          ("estimates", json_of_sizes choice.Optimizer.intermediate_estimates);
+          ("rows", Obs.Json.Int rows);
+          ("elapsed_ms", Obs.Json.Float (elapsed_s *. 1000.));
+        ]
+        @ counters_fields counters @ provenance )
+  | Error e, counters, _ ->
+    (* The budget tripped mid-execution: a structured refusal that still
+       discloses the anytime rung that planned the run and the partial
+       work performed. *)
+    Error (e, provenance @ counters_fields counters)
 
 let handle_analyze ss ~budget ~table ~shards =
   let t = ss.server in
@@ -538,18 +548,8 @@ let health_fields ss =
   ]
 
 let session_counter_fields ss =
-  [
-    ("frames", Obs.Json.Int (Atomic.get ss.s_frames));
-    ("admitted", Obs.Json.Int (Atomic.get ss.s_admitted));
-    ("answered_ok", Obs.Json.Int (Atomic.get ss.s_ok));
-    ("answered_error", Obs.Json.Int (Atomic.get ss.s_error));
-    ("shed", Obs.Json.Int (Atomic.get ss.s_shed));
-    ("malformed", Obs.Json.Int (Atomic.get ss.s_malformed));
-    ("internal_errors", Obs.Json.Int (Atomic.get ss.s_internal));
-    ("budget_trips", Obs.Json.Int (Atomic.get ss.s_budget_trips));
-    ("epoch_retries", Obs.Json.Int (Atomic.get ss.s_epoch_retries));
-    ("max_epoch", Obs.Json.Int (Atomic.get ss.s_max_epoch));
-  ]
+  List.map (fun (name, a) -> (name, Obs.Json.Int (Atomic.get a))) (reported ss)
+  @ [ ("max_epoch", Obs.Json.Int (Atomic.get ss.s_max_epoch)) ]
 
 (* --- worker side --- *)
 
@@ -570,6 +570,7 @@ let dispatch ss (job : job) =
        worker is acknowledged as a no-op. *)
     Ok ("drain", session_counter_fields ss)
 
+(* Answers one job; returns its latency in ms, from admission. *)
 let handle_job ss (job : job) =
   let id = job.request.Protocol.id in
   (* A request whose deadline passed while queued is answered without
@@ -594,7 +595,6 @@ let handle_job ss (job : job) =
             [] )
       | exception exn ->
         Atomic.incr ss.s_internal;
-        count ss.server "serve.internal_errors";
         Error
           ( Els.Els_error.Invariant_violation
               { site = "serve.worker"; detail = Printexc.to_string exn },
@@ -604,13 +604,11 @@ let handle_job ss (job : job) =
   (match outcome with
   | Ok (op, fields) -> answer ss ~ok:true (Protocol.response_ok ~id ~op fields)
   | Error (e, extra) -> answer_error ss ~id ~extra e);
-  let clock =
-    match ss.server.cfg.clock with Some c -> c | None -> Unix.gettimeofday
-  in
-  observe_latency ss.server ((clock () -. job.admitted_at) *. 1000.)
+  (now ss.server -. job.admitted_at) *. 1000.
 
+(* Returns the latencies of the jobs this worker answered. *)
 let worker_loop ss =
-  let rec go () =
+  let rec go latencies =
     Mutex.lock ss.mu;
     while Queue.is_empty ss.queue && not ss.finished do
       Condition.wait ss.nonempty ss.mu
@@ -618,15 +616,16 @@ let worker_loop ss =
     match Queue.take_opt ss.queue with
     | None ->
       (* finished && empty *)
-      Mutex.unlock ss.mu
+      Mutex.unlock ss.mu;
+      latencies
     | Some job ->
       Atomic.incr ss.in_flight;
       Mutex.unlock ss.mu;
-      handle_job ss job;
+      let ms = handle_job ss job in
       Atomic.decr ss.in_flight;
-      go ()
+      go (ms :: latencies)
   in
-  go ()
+  go []
 
 (* --- reader side --- *)
 
@@ -647,7 +646,6 @@ let make_budget ss (spec : Protocol.budget_spec) =
 
 let shed ss ~id ~depth ~policy =
   Atomic.incr ss.s_shed;
-  count ss.server "serve.shed";
   answer_error ss ~id (Els.Els_error.Overloaded { depth; shed_policy = policy })
 
 let admit ss (request : Protocol.request) =
@@ -655,16 +653,13 @@ let admit ss (request : Protocol.request) =
   if Atomic.get ss.draining || Atomic.get ss.server.stopping then
     shed ss ~id ~depth:(queue_depth_now ss) ~policy:"draining"
   else begin
-    let clock =
-      match ss.server.cfg.clock with Some c -> c | None -> Unix.gettimeofday
-    in
     (* The budget is created at admission, so queue wait counts against
        the request's deadline. *)
     let job =
       {
         request;
         budget = make_budget ss request.Protocol.budget;
-        admitted_at = clock ();
+        admitted_at = now ss.server;
       }
     in
     Mutex.lock ss.mu;
@@ -677,8 +672,7 @@ let admit ss (request : Protocol.request) =
       Queue.add job ss.queue;
       Condition.signal ss.nonempty;
       Mutex.unlock ss.mu;
-      Atomic.incr ss.s_admitted;
-      count ss.server "serve.admitted"
+      Atomic.incr ss.s_admitted
     end
   end
 
@@ -687,7 +681,7 @@ let admit ss (request : Protocol.request) =
    single-domain session cannot deadlock behind its own drain. *)
 let drain ss ~id =
   Atomic.set ss.draining true;
-  count ss.server "serve.drains";
+  Atomic.incr ss.s_drains;
   let deadline =
     Unix.gettimeofday () +. (ss.server.cfg.drain_deadline_ms /. 1000.)
   in
@@ -708,11 +702,7 @@ let drain ss ~id =
     end
   in
   let completed = wait () in
-  if not completed then begin
-    Atomic.set ss.s_drain_timed_out true;
-    count ss.server "serve.drain_timeouts"
-  end;
-  Atomic.set ss.s_drained true;
+  if not completed then Atomic.incr ss.s_drain_timeouts;
   answer ss ~ok:true
     (Protocol.response_ok ~id ~op:"drain"
        (("completed", Obs.Json.Bool completed) :: session_counter_fields ss))
@@ -729,7 +719,6 @@ let session t ic oc =
       in_flight = Atomic.make 0;
       out = oc;
       out_mu = Mutex.create ();
-      out_dead = ref false;
       s_frames = Atomic.make 0;
       s_admitted = Atomic.make 0;
       s_ok = Atomic.make 0;
@@ -739,8 +728,9 @@ let session t ic oc =
       s_internal = Atomic.make 0;
       s_budget_trips = Atomic.make 0;
       s_epoch_retries = Atomic.make 0;
-      s_drained = Atomic.make false;
-      s_drain_timed_out = Atomic.make false;
+      s_drains = Atomic.make 0;
+      s_drain_timeouts = Atomic.make 0;
+      s_disconnects = Atomic.make 0;
       s_max_epoch = Atomic.make 0;
     }
   in
@@ -749,7 +739,6 @@ let session t ic oc =
   in
   let malformed ~id err =
     Atomic.incr ss.s_malformed;
-    count t "serve.malformed";
     answer_error ss ~id err
   in
   let rec read_loop () =
@@ -757,7 +746,6 @@ let session t ic oc =
     | Eof -> ()
     | Oversized n ->
       Atomic.incr ss.s_frames;
-      count t "serve.frames";
       malformed ~id:None
         (Els.Els_error.Parse_error
            {
@@ -769,7 +757,6 @@ let session t ic oc =
       read_loop ()
     | Frame line ->
       Atomic.incr ss.s_frames;
-      count t "serve.frames";
       (if String.trim line = "" then ()
        else
          match Protocol.parse ~max_frame_bytes:t.cfg.max_frame_bytes line with
@@ -794,8 +781,7 @@ let session t ic oc =
   ss.finished <- true;
   Condition.broadcast ss.nonempty;
   Mutex.unlock ss.mu;
-  List.iter Domain.join workers;
-  flush_metrics t;
+  flush_metrics ss (List.concat_map Domain.join workers);
   {
     frames = Atomic.get ss.s_frames;
     admitted = Atomic.get ss.s_admitted;
@@ -806,9 +792,9 @@ let session t ic oc =
     internal_errors = Atomic.get ss.s_internal;
     budget_trips = Atomic.get ss.s_budget_trips;
     epoch_retries = Atomic.get ss.s_epoch_retries;
-    disconnected = !(ss.out_dead);
-    drained = Atomic.get ss.s_drained;
-    drain_timed_out = Atomic.get ss.s_drain_timed_out;
+    disconnected = Atomic.get ss.s_disconnects > 0;
+    drained = Atomic.get ss.s_drains > 0;
+    drain_timed_out = Atomic.get ss.s_drain_timeouts > 0;
     max_epoch = Atomic.get ss.s_max_epoch;
   }
 

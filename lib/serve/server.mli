@@ -40,8 +40,8 @@
       stale-but-sane statistics with the staleness disclosed;
     - {e graceful drain}: a [drain] frame (or EOF, or {!request_stop})
       stops admission, finishes in-flight work under
-      [config.drain_deadline_ms], answers the drain with the session's
-      counters, and flushes latency/shed/drain metrics. *)
+      [config.drain_deadline_ms] and answers the drain with the session's
+      counters. *)
 
 type config = {
   domains : int;  (** worker domains per session (>= 1) *)
@@ -103,6 +103,9 @@ val config : t -> config
 val store : t -> Catalog.Store.t
 val db : t -> Catalog.Db.t
 val metrics : t -> Obs.Metrics.t
+(** The service-wide registry: it receives each session's totals when the
+    session ends (see {!session}), with the store's [store.*] totals; no
+    request writes it. *)
 
 val locked : t -> (Catalog.Store.t -> 'a) -> 'a
 (** Run [f] holding the server's catalog lock, the lock every writer
@@ -118,9 +121,13 @@ val locked : t -> (Catalog.Store.t -> 'a) -> 'a
 val session : t -> in_channel -> out_channel -> session_stats
 (** Run one protocol session to completion: reads frames until EOF (or a
     completed drain followed by EOF), spawns the worker domains, and
-    returns after all in-flight work is answered and the session's
-    latency quantiles (p50/p99) are flushed to the metrics registry.
-    Never raises on protocol or client damage. *)
+    returns after all in-flight work is answered. The session counts each
+    event once, in its own counters; once its workers are joined, the
+    registry ({!metrics}) receives the totals: each non-zero count is
+    added to its [serve.*] counter (a counter no session moved stays
+    absent), and each admitted job's latency goes into
+    [serve.latency_ms], whose p50/p99 gauges are set from this session's
+    latencies. Never raises on protocol or client damage. *)
 
 val request_stop : t -> unit
 (** Ask the server to drain: sessions stop admitting (subsequent frames

@@ -640,6 +640,104 @@ let test_analyze_keeps_sketches () =
   Alcotest.(check (pair int int)) "the analyzed epoch keeps them" (6, 6)
     (sketches after)
 
+(* --- the registry takes each session's totals when it ends --- *)
+
+(* What the registry should hold for one session: each serve.* counter
+   under its [session_stats] field (a flag counts once). *)
+let expected_counters (s : Serve.Server.session_stats) ~drains =
+  let flag b = if b then 1 else 0 in
+  [
+    ("serve.frames", s.frames);
+    ("serve.admitted", s.admitted);
+    ("serve.answered_ok", s.answered_ok);
+    ("serve.answered_error", s.answered_error);
+    ("serve.shed", s.shed);
+    ("serve.malformed", s.malformed);
+    ("serve.internal_errors", s.internal_errors);
+    ("serve.budget_trips", s.budget_trips);
+    ("serve.epoch_retries", s.epoch_retries);
+    ("serve.disconnects", flag s.disconnected);
+    ("serve.drain_timeouts", flag s.drain_timed_out);
+    ("serve.drains", drains);
+  ]
+
+(* Every serve.* counter in the registry is expected with its value, and
+   an expected 0 is absent. *)
+let check_registry server expected =
+  let snap = Obs.Metrics.snapshot (Serve.Server.metrics server) in
+  List.iter
+    (fun (name, value) ->
+      match Obs.Metrics.find snap name with
+      | Some (Obs.Metrics.Counter n) -> Alcotest.(check int) name value n
+      | Some _ -> Alcotest.failf "%s is not a counter" name
+      | None -> Alcotest.(check int) (name ^ " absent: never moved") 0 value)
+    expected;
+  List.iter
+    (fun name ->
+      if String.starts_with ~prefix:"serve." name then
+        match Obs.Metrics.find snap name with
+        | Some (Obs.Metrics.Counter _) ->
+          Alcotest.(check bool) (name ^ " is a session total") true
+            (List.mem_assoc name expected)
+        | _ -> ())
+    (Obs.Metrics.names snap);
+  match Obs.Metrics.find snap "serve.latency_ms" with
+  | Some (Obs.Metrics.Histogram h) -> h.Obs.Metrics.count
+  | _ -> 0
+
+(* A depth-1 queue behind two domains sheds however they are scheduled.
+   The first frame finds the queue empty, so its budget trip is counted;
+   the damage and the two drains move the rest. *)
+let busy_session =
+  [
+    Printf.sprintf {|{"id":"trip","op":"run","sql":"%s","row_budget":1}|} sql;
+    "not json";
+    Printf.sprintf {|{"id":"bad","op":"explain","sql":"%s","estimator":"nope"}|}
+      sql;
+  ]
+  @ List.init 12 (fun i ->
+        Printf.sprintf {|{"id":"e%d","op":"estimate","sql":"%s"}|} i sql)
+  @ [
+      {|{"id":"d1","op":"drain"}|};
+      {|{"id":"late","op":"estimate","sql":"SELECT COUNT(*) FROM t1"}|};
+      {|{"id":"d2","op":"drain"}|};
+    ]
+
+let shallow_server () =
+  Serve.Server.create
+    ~config:{ Serve.Server.default_config with Serve.Server.queue_depth = 1 }
+    (serve_db ())
+
+let test_registry_is_the_sessions_books () =
+  let server = shallow_server () in
+  let stats, responses = drive_server server busy_session in
+  Alcotest.(check int) "every frame answered" (List.length busy_session)
+    (List.length responses);
+  let latencies = check_registry server (expected_counters stats ~drains:2) in
+  Alcotest.(check int) "one latency per admitted job" stats.admitted latencies
+
+let test_second_session_adds () =
+  let server = shallow_server () in
+  let first, _ = drive_server server busy_session in
+  let second, _ =
+    drive_server server
+      [
+        {|{"id":"h","op":"health"}|};
+        Printf.sprintf {|{"id":"e","op":"estimate","sql":"%s"}|} sql;
+        {|{"id":"d","op":"drain"}|};
+      ]
+  in
+  let sum =
+    List.map2
+      (fun (name, a) (_, b) -> (name, a + b))
+      (expected_counters first ~drains:2)
+      (expected_counters second ~drains:1)
+  in
+  let latencies = check_registry server sum in
+  Alcotest.(check int) "one latency per admitted job, both sessions"
+    (first.admitted + second.admitted)
+    latencies
+
 let suite =
   [
     Alcotest.test_case "protocol: parse totality" `Quick test_protocol_parse;
@@ -658,6 +756,10 @@ let suite =
       test_run_counts_live_rows;
     Alcotest.test_case "session: analyze keeps histograms and MCVs" `Quick
       test_analyze_keeps_sketches;
+    Alcotest.test_case "session: the registry is the session's books" `Quick
+      test_registry_is_the_sessions_books;
+    Alcotest.test_case "session: a second session adds its totals" `Quick
+      test_second_session_adds;
   ]
 
 let lock_suite =
