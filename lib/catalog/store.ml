@@ -36,7 +36,8 @@ type t = {
   histogram_buckets : int option;
   mcv : int option;
   states : table_state list; (* registration order *)
-  current : Epoch.t Atomic.t; (* read without the writers' lock *)
+  current : Epoch.t Atomic.t; (* read without the lock *)
+  mu : Mutex.t; (* over the live relations, the staging area, the counters *)
   mutable publishes : int;
   mutable audits_failed : int;
   mutable quarantines : int;
@@ -66,7 +67,7 @@ let create ?(strictness = Validate.Repair) ?histogram ?histogram_buckets ?mcv
       (fun (tbl : Table.t) ->
         let live =
           match tbl.data with
-          | Some rel -> rel
+          | Some rel -> Rel.Relation.copy rel
           | None ->
             invalid_arg
               (Printf.sprintf
@@ -98,6 +99,7 @@ let create ?(strictness = Validate.Repair) ?histogram ?histogram_buckets ?mcv
     mcv;
     states;
     current = Atomic.make (epoch_of states ~id:0 ~annotations:[]);
+    mu = Mutex.create ();
     publishes = 0;
     audits_failed = 0;
     quarantines = 0;
@@ -110,6 +112,7 @@ let create ?(strictness = Validate.Repair) ?histogram ?histogram_buckets ?mcv
   }
 
 let pin t = Atomic.get t.current
+let locked t f = Mutex.protect t.mu f
 
 let find_state t name =
   let name = String.lowercase_ascii name in
@@ -118,7 +121,24 @@ let find_state t name =
   | None ->
     invalid_arg (Printf.sprintf "Catalog.Store: unknown table %s" name)
 
-let live t ~table = (find_state t table).live
+let live t ~table =
+  let st = find_state t table in
+  locked t (fun () -> Rel.Relation.copy st.live)
+
+let live_db t ~tables =
+  let names = List.map String.lowercase_ascii tables in
+  let states = List.map (find_state t) (List.sort_uniq String.compare names) in
+  let db = Db.create () in
+  locked t (fun () ->
+      List.iter
+        (fun st ->
+          let live = Rel.Relation.copy st.live in
+          Db.add db
+            (Table.stored ~name:st.name
+               ~row_count:(Rel.Relation.cardinality live)
+               ~column_stats:st.published.column_stats live))
+        states);
+  db
 
 (* --- staged delta maintenance ------------------------------------------ *)
 
@@ -159,6 +179,7 @@ let staged_candidate st =
 let insert t ~table rows =
   let st = find_state t table in
   let tuples = List.map Rel.Tuple.of_list rows in
+  locked t @@ fun () ->
   List.iter (fun tup -> Rel.Relation.insert st.live tup) tuples;
   let base = staged_candidate st in
   let updated =
@@ -208,6 +229,7 @@ let insert t ~table rows =
 
 let delete t ~table ~indices =
   let st = find_state t table in
+  locked t @@ fun () ->
   let n = Rel.Relation.cardinality st.live in
   (* One flag per live row: out-of-range indices are ignored and
      duplicates collapse. *)
@@ -262,7 +284,8 @@ type analysis = {
 
 let snapshot t ~table =
   let st = find_state t table in
-  { state = st; version = st.version; rows = Rel.Relation.copy st.live }
+  locked t (fun () ->
+      { state = st; version = st.version; rows = Rel.Relation.copy st.live })
 
 (* Reads nothing of the store but its analyze options, which never
    change, so it needs no lock. *)
@@ -304,6 +327,7 @@ let analyze ?(shards = 1) t snapshot =
 
 let stage t { snapshot; shards; analyzed } =
   let st = snapshot.state in
+  locked t @@ fun () ->
   let analyzed =
     if st.version = snapshot.version then analyzed
     else
@@ -319,7 +343,7 @@ let reanalyze ?shards t ~table = stage t (analyze ?shards t (snapshot t ~table))
 
 let corrupt_staged t ~table f =
   let st = find_state t table in
-  st.staged <- Some (f (staged_candidate st))
+  locked t (fun () -> st.staged <- Some (f (staged_candidate st)))
 
 (* --- publish ------------------------------------------------------------ *)
 
@@ -330,6 +354,7 @@ type decision =
   | Serve_fallback of Table.t * string (* no good epoch; Repair/Trap rung *)
 
 let publish t =
+  locked t @@ fun () ->
   (* Phase 1: decide every table without touching any state, so a Strict
      refusal leaves the store exactly as it was (no partial epoch). *)
   let decide st =
@@ -456,6 +481,7 @@ let table_d_drift (tbl : Table.t) =
     0. tbl.column_stats
 
 let drift t =
+  locked t @@ fun () ->
   List.map
     (fun st ->
       ( st.name,
@@ -466,6 +492,7 @@ let drift t =
     t.states
 
 let stats t =
+  locked t @@ fun () ->
   {
     epoch = Epoch.id (pin t);
     publishes = t.publishes;

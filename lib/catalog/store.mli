@@ -8,13 +8,17 @@
 
     {2 Concurrency}
 
-    The store takes no lock of its own. {!pin} is one atomic read, safe
-    from any domain at any time. Every other operation reads or writes
-    the live relations or the staging area, so a caller that shares a
-    store across threads or domains must serialize those calls under
-    one lock. {!analyze} is the exception: it reads only a {!snapshot},
-    so it needs no lock. A re-ANALYZE can therefore hold the lock for
-    {!snapshot} and {!stage} alone, and other writers go on while it
+    Every operation is safe from any thread or domain, and callers take
+    no lock. {!pin} is one atomic read and never waits. Every operation
+    that reads or writes the live relations, the staging area or the
+    counters ({!insert}, {!delete}, {!live}, {!live_db}, {!snapshot},
+    {!stage}, {!corrupt_staged}, {!publish}, {!drift}, {!stats}) holds
+    the store's private lock for its own duration only. Relations only
+    grow, so a copy can share the row array ({!Rel.Relation.copy}):
+    {!live}, {!live_db} and {!snapshot} hand out O(1) copies that a
+    caller reads with no lock while writers go on. {!analyze}
+    reads only a snapshot and takes no lock, so a {!reanalyze} holds the
+    lock to copy the rows and to stage the result, never while it
     scans.
 
     Every publish audits each table's candidate statistics with
@@ -68,7 +72,9 @@ val create :
     verbatim into epoch 0 (tables whose statistics already fail audit
     simply start with no last-known-good epoch); the analyze options are
     remembered for every later {!reanalyze}. [strictness] (default
-    [Repair]) governs the hard-fallback rung only.
+    [Repair]) governs the hard-fallback rung only. Each table's live
+    relation starts as a copy of the catalog's, so the store's later
+    inserts and deletes never reach the catalog passed in.
     @raise Invalid_argument when a table is stats-only: the store must own
     live data to stream deltas and re-ANALYZE. *)
 
@@ -80,8 +86,17 @@ val pin : t -> Epoch.t
     bit-identical before and after any number of subsequent publishes. *)
 
 val live : t -> table:string -> Rel.Relation.t
-(** The live relation (ground truth including all streamed deltas) — what
-    a fresh bulk ANALYZE would scan. Callers must not mutate it.
+(** A copy of the live relation (ground truth including all streamed
+    deltas), what a fresh bulk ANALYZE would scan. O(1), taken under the
+    lock; neither the store nor the copy sees the other's later
+    writes.
+    @raise Invalid_argument on an unknown table. *)
+
+val live_db : t -> tables:string list -> Db.t
+(** A catalog of the named tables (duplicates collapse), each stored
+    over a copy of its live relation with its published statistics, all
+    copied under one hold of the lock: what an execution reads, with no
+    lock held while it runs.
     @raise Invalid_argument on an unknown table. *)
 
 val insert : t -> table:string -> Rel.Value.t list list -> unit
@@ -105,17 +120,15 @@ val reanalyze : ?shards:int -> t -> table:string -> unit
     path: the relation is partitioned round-robin, each shard analyzed
     independently, and the results merged ({!Analyze.partitions}). Resets
     the table's drift counters. It is exactly
-    [stage t (analyze ?shards t (snapshot t ~table))], so a caller holding
-    one lock throughout gets the same statistics as one that releases it
-    for {!analyze}. *)
+    [stage t (analyze ?shards t (snapshot t ~table))]: the lock is held
+    for the snapshot and for the stage, not for the analysis. *)
 
 type snapshot
-(** A table's rows at one moment, in a row array of their own. *)
+(** A table's rows at one moment, blind to later writes. *)
 
 val snapshot : t -> table:string -> snapshot
-(** Phase 1 of {!reanalyze}: copy the live relation's row array (one
-    array copy; the tuples are shared and not re-checked). Reads the live
-    relation, so it needs the caller's lock.
+(** Phase 1 of {!reanalyze}: an O(1) copy of the live relation
+    ({!Rel.Relation.copy}) and the table's version, under the lock.
     @raise Invalid_argument on an unknown table. *)
 
 type analysis
@@ -132,13 +145,13 @@ val stage : t -> analysis -> unit
     and reset the table's drift counters. When an {!insert} or
     {!delete} reached the table after its {!snapshot}, the analysis
     describes rows that are gone, so the live relation is analyzed again
-    here instead: nothing streamed in between is lost. Needs the
-    caller's lock. *)
+    here instead, under the lock: nothing streamed in between is lost. *)
 
 val corrupt_staged : t -> table:string -> (Table.t -> Table.t) -> unit
 (** Test hook: transform the staged statistics (initialized from the
     published ones when nothing is staged) so publish-time audits have
-    something to catch. *)
+    something to catch. [f] runs under the store's lock, so it must not
+    call the store. *)
 
 val publish : t -> (Epoch.t, Validate.issue) result
 (** Audit every table's candidate statistics and atomically swap in the

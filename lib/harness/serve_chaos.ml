@@ -351,17 +351,16 @@ let run ?(seed = 1) ?(watchdog_s = 60.) ~sessions () =
             (Thread.create
                (fun () ->
                  try
+                   let store = Serve.Server.store server in
                    List.iter
                      (fun (op, table, rows) ->
-                       Serve.Server.locked server (fun store ->
-                           match op with
-                           | 0 -> Catalog.Store.insert store ~table rows
-                           | 1 -> Catalog.Store.reanalyze store ~table
-                           | _ ->
-                             ignore
-                               (Catalog.Store.publish store
-                                 : (Catalog.Epoch.t, Catalog.Validate.issue)
-                                   result));
+                       (match op with
+                       | 0 -> Catalog.Store.insert store ~table rows
+                       | 1 -> Catalog.Store.reanalyze store ~table
+                       | _ ->
+                         ignore
+                           (Catalog.Store.publish store
+                             : (Catalog.Epoch.t, Catalog.Validate.issue) result));
                        Unix.sleepf 0.0005)
                      churn_plan
                  with exn -> churn_exn := Some exn)

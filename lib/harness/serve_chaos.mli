@@ -7,8 +7,8 @@
     oversized frames, unknown protocol versions and ops, ill-typed
     fields, microsecond-deadline storms, post-drain requests, abrupt
     mid-session client disconnects, and concurrent catalog churn
-    (inserts, re-ANALYZEs and epoch publishes through
-    {!Serve.Server.locked} while requests are in flight).
+    (inserts, re-ANALYZEs and epoch publishes straight into the
+    server's {!Catalog.Store} while requests are in flight).
 
     The robustness contract asserted:
 

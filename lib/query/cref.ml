@@ -21,7 +21,6 @@ let make ~table ~column =
 let v table column = make ~table ~column
 
 let equal a b = compare a b = 0
-let hash t = Hashtbl.hash (t.table, t.column)
 
 let same_table a b = String.equal a.table b.table
 

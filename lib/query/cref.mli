@@ -15,7 +15,6 @@ val v : string -> string -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val same_table : t -> t -> bool
 

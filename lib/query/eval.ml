@@ -60,5 +60,3 @@ let compile schema predicate =
 let compile_all schema predicates =
   let p = compile_pair schema ~split:max_int predicates in
   fun tuple -> p tuple tuple
-
-let holds schema predicate tuple = compile schema predicate tuple

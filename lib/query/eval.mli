@@ -21,6 +21,3 @@ val compile_pair :
   Rel.Schema.t -> split:int -> Predicate.t list -> compiled_pair
 (** {!compile_all} for a join's output schema, evaluated on the (left,
     right) pair it concatenates; the left tuple holds [split] columns. *)
-
-val holds : Rel.Schema.t -> Predicate.t -> Rel.Tuple.t -> bool
-(** One-shot convenience around {!compile}. *)

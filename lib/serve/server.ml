@@ -46,7 +46,6 @@ type t = {
   cfg : config;
   db : Catalog.Db.t;
   catalog_store : Catalog.Store.t;
-  store_mu : Mutex.t;
   reg : Obs.Metrics.t;
   stats_mu : Mutex.t;  (* taken by [flush_metrics] alone *)
   stopping : bool Atomic.t;
@@ -65,7 +64,6 @@ let create ?(config = default_config) ?metrics ?strictness ?histogram
     db;
     catalog_store =
       Catalog.Store.create ?strictness ?histogram ?histogram_buckets ?mcv db;
-    store_mu = Mutex.create ();
     reg = (match metrics with Some m -> m | None -> Obs.Metrics.create ());
     stats_mu = Mutex.create ();
     stopping = Atomic.make false;
@@ -80,12 +78,6 @@ let request_stop t = Atomic.set t.stopping true
 (* The budget clock, in seconds. *)
 let now t =
   match t.cfg.clock with Some c -> c () | None -> Unix.gettimeofday ()
-
-let locked t f =
-  Mutex.lock t.store_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.store_mu)
-    (fun () -> f t.catalog_store)
 
 (* --- bounded frame reader --- *)
 
@@ -363,22 +355,6 @@ let counters_fields (c : Exec.Counters.t) =
 
 let query_tables query = List.map (Query.source query) query.Query.tables
 
-(* The query's tables over the store's live relations, which [run]
-   executes against: [Store.delete] swaps in a new live relation, so the
-   relations the server was created with miss every delete. *)
-let live_db t store query =
-  let db = Catalog.Db.create () in
-  List.iter
-    (fun name ->
-      let tbl = Catalog.Db.find_exn t.db name in
-      let live = Catalog.Store.live store ~table:name in
-      Catalog.Db.add db
-        (Catalog.Table.stored ~name
-           ~row_count:(Rel.Relation.cardinality live)
-           ~column_stats:tbl.Catalog.Table.column_stats live))
-    (List.sort_uniq String.compare (query_tables query));
-  db
-
 (* The steps every query op starts with, in the order their refusals
    take precedence: the request's deadline, the estimator, the enumerator
    (before the pin, which may sleep and count retries; [estimate] names
@@ -448,19 +424,15 @@ let handle_explain ss ~budget ~sql ~estimator ~enumerator =
       @ stale_fields stale )
 
 let handle_run ss ~budget ~sql ~estimator ~enumerator =
-  let t = ss.server in
   with_plan ss ~site:"serve.run" ~budget ~sql ~estimator ~enumerator
   @@ fun query _ _ choice ->
   let provenance = provenance_fields choice.Optimizer.provenance in
-  (* Execution reads the live relations, which writers insert into in
-     place, so it holds the catalog lock; it waits at most for another
-     writer's snapshot or stage and publish, never for a whole
-     re-ANALYZE. *)
-  match
-    locked t (fun store ->
-        Exec.Executor.count_result ?budget (live_db t store query)
-          choice.Optimizer.plan)
-  with
+  (* Execution reads copies of the live relations, taken in O(1) under
+     the store's lock, so it holds no lock and no writer waits for it. *)
+  let db =
+    Catalog.Store.live_db ss.server.catalog_store ~tables:(query_tables query)
+  in
+  match Exec.Executor.count_result ?budget db choice.Optimizer.plan with
   | Ok rows, counters, elapsed_s ->
     Ok
       ( "run",
@@ -489,18 +461,10 @@ let handle_analyze ss ~budget ~table ~shards =
     | None ->
       Ok (List.map (fun tbl -> tbl.Catalog.Table.name) (Catalog.Db.tables t.db))
   in
-  (* Store's three re-ANALYZE phases: the lock is held to copy the rows
-     and to stage and publish, and released while they are analyzed, so
-     [run] and external writers never wait for a scan. *)
-  let snapshots =
-    locked t (fun store ->
-        List.map (fun table -> Catalog.Store.snapshot store ~table) tables)
-  in
-  let analyses =
-    List.map (Catalog.Store.analyze ?shards t.catalog_store) snapshots
-  in
-  locked t @@ fun store ->
-  List.iter (Catalog.Store.stage store) analyses;
+  (* [reanalyze] holds the store's lock to copy the rows and to stage
+     them, not while it scans them, so writers never wait for a scan. *)
+  let store = t.catalog_store in
+  List.iter (fun table -> Catalog.Store.reanalyze ?shards store ~table) tables;
   match Catalog.Store.publish store with
   | Error issue -> Error (Els.Els_error.of_issue issue, [])
   | Ok epoch ->

@@ -11,15 +11,15 @@
     a bounded queue; [config.domains] OCaml 5 [Domain] workers pull
     admitted jobs, estimate against an atomically-pinned
     {!Catalog.Epoch} snapshot, and write responses (interleaved safely,
-    correlated by request id). The catalog lock ({!locked}) is for
-    writers only: [estimate], [explain] and [health] pin the epoch with
-    one atomic read and never take it. [run] plans on the pinned epoch
-    as [explain] does and takes the lock only to execute, because it
-    executes against the live relations that writers insert into in
-    place. [analyze] takes it twice, to copy the tables' rows and to
-    stage and publish the new statistics, and analyzes the copies with
-    the lock released, so neither [run] nor an external writer waits
-    for a scan. Robustness contract:
+    correlated by request id). The server takes no catalog lock: the
+    store locks itself ({!Catalog.Store}). [estimate], [explain] and
+    [health] pin the epoch with one atomic read. [run] plans on the
+    pinned epoch as [explain] does and executes on O(1) copies of the
+    query's live relations ({!Catalog.Store.live_db}), so no writer waits
+    for an execution. [analyze] is {!Catalog.Store.reanalyze} of each
+    table and one {!Catalog.Store.publish}, which hold the store's lock
+    to copy and to stage and publish, never while they scan. Robustness
+    contract:
 
     - {e admission control}: a full queue sheds the newest request with a
       structured [Overloaded {depth; shed_policy}] response — never a
@@ -102,21 +102,13 @@ val create :
 val config : t -> config
 val store : t -> Catalog.Store.t
 val db : t -> Catalog.Db.t
+(** The catalog passed to {!create}, unchanged: the store keeps live
+    copies of its relations, so writes through {!store} never reach it. *)
+
 val metrics : t -> Obs.Metrics.t
 (** The service-wide registry: it receives each session's totals when the
     session ends (see {!session}), with the store's [store.*] totals; no
     request writes it. *)
-
-val locked : t -> (Catalog.Store.t -> 'a) -> 'a
-(** Run [f] holding the server's catalog lock, the lock every writer
-    takes: the [run] handler around its execution, the [analyze]
-    handler around {!Catalog.Store.snapshot} and around
-    {!Catalog.Store.stage} plus the publish (never around the analysis
-    itself). External churn (the chaos harness streaming deltas and
-    publishing epochs mid-session) goes through here to be serialized
-    with them. No reader takes it: [estimate], [explain] and [health]
-    read only the epoch {!Catalog.Store.pin} returns atomically, so
-    holding the lock never stalls them. *)
 
 val session : t -> in_channel -> out_channel -> session_stats
 (** Run one protocol session to completion: reads frames until EOF (or a
@@ -136,6 +128,6 @@ val request_stop : t -> unit
 
 val serve_socket : t -> path:string -> unit
 (** Listen on a Unix-domain socket and run one {!session} per accepted
-    connection (each on its own thread, all sharing this server's store,
-    lock and metrics) until {!request_stop}. Removes [path] on exit.
+    connection (each on its own thread, all sharing this server's store
+    and metrics) until {!request_stop}. Removes [path] on exit.
     @raise Unix.Unix_error when the socket cannot be bound. *)

@@ -19,7 +19,6 @@ let l1 t = t.l1
 let l2 t = Float.sqrt t.l2_sq
 let l2_sq t = t.l2_sq
 let linf t = t.linf
-let capacity t = t.k
 let complete t = t.complete
 let tracked t = Array.to_list t.top
 let top_degrees t = Array.map snd t.top

@@ -66,7 +66,6 @@ val l2 : t -> float
 
 val l2_sq : t -> float
 val linf : t -> float
-val capacity : t -> int
 val complete : t -> bool
 val tracked : t -> (Rel.Value.t * float) list
 val top_degrees : t -> float array

@@ -78,25 +78,67 @@ let test_vec_basics () =
   done;
   Alcotest.(check int) "length" 100 (Rel.Vec.length v);
   Alcotest.(check int) "get" 42 (Rel.Vec.get v 42);
-  Rel.Vec.set v 42 (-1);
-  Alcotest.(check int) "set" (-1) (Rel.Vec.get v 42);
-  Alcotest.(check (option int)) "pop" (Some 99) (Rel.Vec.pop v);
-  Alcotest.(check int) "length after pop" 99 (Rel.Vec.length v);
   Alcotest.check_raises "out of bounds"
     (Invalid_argument "Vec: index out of bounds") (fun () ->
-      ignore (Rel.Vec.get v 99))
+      ignore (Rel.Vec.get v 100))
 
 let test_vec_iteration () =
   let v = Rel.Vec.of_list [ 3; 1; 2 ] in
   Alcotest.(check int) "fold sum" 6 (Rel.Vec.fold_left ( + ) 0 v);
   Alcotest.(check (list int)) "map" [ 6; 2; 4 ]
     (Rel.Vec.to_list (Rel.Vec.map (fun x -> x * 2) v));
-  Rel.Vec.sort Int.compare v;
-  Alcotest.(check (list int)) "sort" [ 1; 2; 3 ] (Rel.Vec.to_list v);
   Alcotest.(check bool) "exists" true (Rel.Vec.exists (fun x -> x = 2) v);
   let w = Rel.Vec.of_list [ 9 ] in
   Rel.Vec.append w v;
-  Alcotest.(check (list int)) "append" [ 9; 1; 2; 3 ] (Rel.Vec.to_list w)
+  Alcotest.(check (list int)) "append" [ 9; 3; 1; 2 ] (Rel.Vec.to_list w)
+
+(* Random interleavings of pushes and copies: [Copy i] copies the i-th
+   vector made so far, copies of copies included, and [Push (i, x)] pushes
+   [x] onto it (indices wrap). Every vector must equal its own list model
+   after every step, whoever shares its array. *)
+type vec_op = Copy of int | Push of int * int
+
+let arb_vec_ops =
+  let print = function
+    | Copy i -> Printf.sprintf "copy %d" i
+    | Push (i, x) -> Printf.sprintf "push %d %d" i x
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list print)
+    QCheck.Gen.(
+      list_size (int_range 0 150)
+        (frequency
+           [
+             (1, map (fun i -> Copy i) small_nat);
+             (5, map2 (fun i x -> Push (i, x)) small_nat small_int);
+           ]))
+
+let prop_vec_copies_independent =
+  QCheck.Test.make ~count:300
+    ~name:"vec: copies and copies of copies see none of each other's pushes"
+    arb_vec_ops (fun ops ->
+      (* each vector with its model, newest first; models are reversed *)
+      let vecs = ref [ (Rel.Vec.create (), ref []) ] in
+      let nth i = List.nth !vecs (i mod List.length !vecs) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Copy i ->
+            let v, model = nth i in
+            vecs := (Rel.Vec.copy v, ref !model) :: !vecs
+          | Push (i, x) ->
+            let v, model = nth i in
+            Rel.Vec.push v x;
+            model := x :: !model);
+          List.for_all
+            (fun (v, model) ->
+              let expected = List.rev !model in
+              Rel.Vec.length v = List.length expected
+              && Rel.Vec.to_list v = expected
+              && List.for_all2 ( = ) expected
+                   (List.init (Rel.Vec.length v) (Rel.Vec.get v)))
+            !vecs)
+        ops)
 
 (* --- Schema --- *)
 
@@ -226,6 +268,8 @@ let suite =
     Alcotest.test_case "cmp: flip and negate laws" `Quick test_cmp_flip_negate;
     Alcotest.test_case "vec: basics" `Quick test_vec_basics;
     Alcotest.test_case "vec: iteration" `Quick test_vec_iteration;
+    Alcotest.test_case "vec: copies are independent" `Quick (fun () ->
+        QCheck.Test.check_exn prop_vec_copies_independent);
     Alcotest.test_case "schema: lookup" `Quick test_schema_lookup;
     Alcotest.test_case "schema: duplicate detection" `Quick test_schema_dup;
     Alcotest.test_case "schema: project/rename/concat" `Quick test_schema_ops;

@@ -339,23 +339,16 @@ let test_session_too_many_tables () =
 
 (* Every table over the store's live relations: what a fresh COUNT reads. *)
 let live_db server =
-  let db = Catalog.Db.create () in
-  List.iter
-    (fun (tbl : Catalog.Table.t) ->
-      let live =
-        Catalog.Store.live (Serve.Server.store server) ~table:tbl.name
-      in
-      Catalog.Db.add db
-        (Catalog.Table.stored ~name:tbl.name
-           ~row_count:(Rel.Relation.cardinality live)
-           ~column_stats:tbl.column_stats live))
-    (Catalog.Db.tables (Serve.Server.db server));
-  db
+  Catalog.Store.live_db (Serve.Server.store server)
+    ~tables:
+      (List.map
+         (fun (tbl : Catalog.Table.t) -> tbl.name)
+         (Catalog.Db.tables (Serve.Server.db server)))
 
 let test_run_counts_live_rows () =
   let server = Serve.Server.create (serve_db ()) in
-  Serve.Server.locked server (fun store ->
-      Catalog.Store.delete store ~table:"t1" ~indices:(List.init 250 Fun.id));
+  Catalog.Store.delete (Serve.Server.store server) ~table:"t1"
+    ~indices:(List.init 250 Fun.id);
   let _, responses =
     drive_server server
       [
@@ -438,19 +431,22 @@ let open_session server =
   in
   { send; recv; close }
 
-(* Holds the catalog lock on a thread of its own, as an external writer
-   would, until [release] or at most [hold_s]. *)
+(* Holds the store's lock on a thread of its own, as an external writer
+   would, until [release] or at most [hold_s]: [corrupt_staged] runs its
+   transform under the lock, and this one waits and changes nothing. *)
 let hold_lock server ~hold_s =
   let holding = Atomic.make false and released = Atomic.make false in
   let thread =
     Thread.create
       (fun () ->
-        Serve.Server.locked server (fun _ ->
+        Catalog.Store.corrupt_staged (Serve.Server.store server) ~table:"t1"
+          (fun tbl ->
             Atomic.set holding true;
             let until = Unix.gettimeofday () +. hold_s in
             while (not (Atomic.get released)) && Unix.gettimeofday () < until do
               Thread.delay 0.001
-            done))
+            done;
+            tbl))
       ()
   in
   while not (Atomic.get holding) do
@@ -548,6 +544,91 @@ let test_run_not_behind_analyze () =
     Alcotest.(check bool) "analyze ok" true second.ok
   | _ -> Alcotest.fail "run or analyze unanswered"
 
+(* A writer never waits for a run's execution, which reads O(1) copies of
+   the live relations with no lock held. The budget clock pauses the run
+   500 calls after an explain of the same query was answered: planning
+   consults it a few times (checked below), executing once per 64 tuples
+   read (1,562 times over 100,000 rows), so the pause falls mid-execution,
+   and an insert and a delete of the table it reads must return before it
+   resumes. The run then counts the rows it copied, blind to both. *)
+let test_writers_not_behind_run () =
+  let calls = Atomic.make 0 and pause_at = Atomic.make max_int in
+  let paused = Atomic.make false and resume = Atomic.make false in
+  let clock () =
+    if Atomic.fetch_and_add calls 1 = Atomic.get pause_at then begin
+      Atomic.set paused true;
+      let until = Unix.gettimeofday () +. 10. in
+      while (not (Atomic.get resume)) && Unix.gettimeofday () < until do
+        Unix.sleepf 0.001
+      done
+    end;
+    0.
+  in
+  let server =
+    Serve.Server.create
+      ~config:
+        {
+          Serve.Server.default_config with
+          Serve.Server.domains = 1;
+          clock = Some clock;
+        }
+      (db_with_big_table 100_000)
+  in
+  let big_sql = "SELECT COUNT(*) FROM big WHERE big.k < 100" in
+  let rows_before =
+    let db = Serve.Server.db server in
+    Exec.Executor.count_query db (Sqlfront.Binder.compile_exn db big_sql)
+  in
+  let frame id op =
+    Printf.sprintf {|{"id":"%s","op":"%s","sql":"%s","deadline_ms":60000}|} id
+      op big_sql
+  in
+  let wait_for flag ~seconds =
+    let until = Unix.gettimeofday () +. seconds in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < until do
+      Thread.delay 0.001
+    done;
+    Atomic.get flag
+  in
+  let session = open_session server in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set resume true;
+      session.close ())
+  @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 30. in
+  session.send (frame "x" "explain");
+  if session.recv ~deadline = None then Alcotest.fail "explain unanswered";
+  let planning = Atomic.get calls in
+  if planning >= 100 then
+    Alcotest.failf "admitting and planning the query took %d clock calls"
+      planning;
+  Atomic.set pause_at (planning + 500);
+  session.send (frame "r" "run");
+  if not (wait_for paused ~seconds:10.) then
+    Alcotest.fail "the run never reached its pause";
+  let store = Serve.Server.store server and wrote = Atomic.make false in
+  let writer =
+    Thread.create
+      (fun () ->
+        Catalog.Store.insert store ~table:"big"
+          [ [ Rel.Value.Int 1; Rel.Value.Int 1 ] ];
+        Catalog.Store.delete store ~table:"big" ~indices:[ 0; 1; 2 ];
+        Atomic.set wrote true)
+      ()
+  in
+  let wrote_during_run = wait_for wrote ~seconds:2. in
+  Atomic.set resume true;
+  Thread.join writer;
+  Alcotest.(check bool) "insert and delete returned while the run executed"
+    true wrote_during_run;
+  match session.recv ~deadline with
+  | None -> Alcotest.fail "run unanswered"
+  | Some r ->
+    Alcotest.(check bool) "run ok" true r.ok;
+    Alcotest.(check int) "run counts the rows it copied" rows_before
+      (int_of_float (number (List.assoc "rows" r.top)))
+
 (* A run plans on the pinned epoch, as an explain does: after a delete
    and an analyze, both read the re-ANALYZEd statistics, not the ones the
    server was created with. One worker domain, so the frames are
@@ -558,8 +639,8 @@ let test_run_plans_on_the_epoch () =
       ~config:{ Serve.Server.default_config with Serve.Server.domains = 1 }
       (serve_db ())
   in
-  Serve.Server.locked server (fun store ->
-      Catalog.Store.delete store ~table:"t1" ~indices:(List.init 250 Fun.id));
+  Catalog.Store.delete (Serve.Server.store server) ~table:"t1"
+    ~indices:(List.init 250 Fun.id);
   let _, responses =
     drive_server server
       [
@@ -770,4 +851,6 @@ let lock_suite =
       test_run_not_behind_analyze;
     Alcotest.test_case "session: run plans on the pinned epoch" `Quick
       test_run_plans_on_the_epoch;
+    Alcotest.test_case "session: writers not behind a run" `Quick
+      test_writers_not_behind_run;
   ]

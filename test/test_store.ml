@@ -262,6 +262,51 @@ let test_store_rejects_stats_only () =
   | exception Invalid_argument msg ->
     Alcotest.(check bool) "names the table" true (Helpers.contains msg "t")
 
+(* The store streams deltas into relations of its own: the catalog it was
+   created over keeps its rows, and so its row counts audit clean. *)
+let test_caller_relations_untouched () =
+  let db, _ = base_query () in
+  let store = store_of db in
+  Catalog.Store.insert store ~table:"t1" (rows_for (Rel.Prng.create 3) 10);
+  Catalog.Store.delete store ~table:"t1" ~indices:(List.init 50 Fun.id);
+  Alcotest.(check int) "the store's t1" 260
+    (Rel.Relation.cardinality (Catalog.Store.live store ~table:"t1"));
+  let t1 = Catalog.Db.find_exn db "t1" in
+  Alcotest.(check int) "the caller's t1" 300
+    (Rel.Relation.cardinality (Catalog.Db.relation_exn db "t1"));
+  Alcotest.(check (list string)) "the caller's t1 audits clean" []
+    (List.map Catalog.Validate.issue_to_string (Catalog.Validate.check_table t1))
+
+(* A snapshot and a live copy share the row array, so on a warmed-up
+   store neither puts a word straight into the major heap. *)
+let test_copies_allocate_no_rows () =
+  let schema =
+    Rel.Schema.make [ Rel.Schema.column ~table:"big" ~name:"k" Rel.Value.Ty_int ]
+  in
+  let rel = Rel.Relation.create schema in
+  for i = 0 to 99_999 do
+    Rel.Relation.insert_values rel [ Rel.Value.Int (i mod 977) ]
+  done;
+  let db = Catalog.Db.create () in
+  ignore (Catalog.Analyze.register db ~name:"big" rel : Catalog.Table.t);
+  let store = Catalog.Store.create db in
+  let copy () =
+    ( Catalog.Store.snapshot store ~table:"big",
+      Catalog.Store.live store ~table:"big" )
+  in
+  ignore (Sys.opaque_identity (copy ()));
+  let _, promoted0, major0 = Gc.counters () in
+  let copies = List.init 10 (fun _ -> copy ()) in
+  let _, promoted1, major1 = Gc.counters () in
+  ignore (Sys.opaque_identity copies);
+  Alcotest.(check (float 0.)) "words straight into the major heap" 0.
+    (major1 -. major0 -. (promoted1 -. promoted0));
+  List.iter
+    (fun (_, live) ->
+      Alcotest.(check int) "a copy holds every row" 100_000
+        (Rel.Relation.cardinality live))
+    copies
+
 (* --- Distinct_drift ------------------------------------------------------ *)
 
 let drifted_table () =
@@ -547,6 +592,10 @@ let suite =
       test_hard_fallback_trap_serves_as_is;
     Alcotest.test_case "store: rejects stats-only tables" `Quick
       test_store_rejects_stats_only;
+    Alcotest.test_case "store: caller's relations untouched" `Quick
+      test_caller_relations_untouched;
+    Alcotest.test_case "store: snapshot and live copy no rows" `Quick
+      test_copies_allocate_no_rows;
     Alcotest.test_case "validate: distinct drift detected and repaired" `Quick
       test_distinct_drift_detected_and_repaired;
     Alcotest.test_case "validate: no drift on fresh ANALYZE output" `Quick
